@@ -74,37 +74,38 @@ class CapacitanceData:
 
 
 def compute_capacitance(grid: BoundaryGrid, context=None) -> CapacitanceData:
-    """Solve the N single-layer problems and form C (symmetrized) and V."""
+    """Solve the single-layer problems and form C (symmetrized) and V.
+
+    The N indicator right-hand sides (psi) and the height x_d (psi_tilde)
+    share one factorization of S.
+    """
     ctx = context if context is not None else layerpot.AssemblyContext(grid)
     S = ctx.single_layer_laplace()
-    rhs = np.zeros((grid.n_total, grid.n_res))
-    for j in range(grid.n_res):
+    n_res = grid.n_res
+    rhs = np.zeros((grid.n_total, n_res + 1))
+    for j in range(n_res):
         rhs[grid.block(j), j] = 1.0
-    psi = layerpot.solve_density(S, rhs)
+    rhs[:, n_res] = grid.nodes[:, 1]
+    sol = layerpot.solve_density(S, rhs)
+    psi, psi_tilde = sol[:, :n_res], sol[:, n_res]
     w = grid.weights
-    C = np.empty((grid.n_res, grid.n_res))
-    for i in range(grid.n_res):
+    C = np.empty((n_res, n_res))
+    for i in range(n_res):
         b = grid.block(i)
         C[i, :] = -w[b] @ psi[b, :]
     asym = float(np.abs(C - C.T).max() / max(np.abs(C).max(), np.finfo(float).tiny))
     C = 0.5 * (C + C.T)
     areas = grid.areas()
-    data = CapacitanceData(grid=grid, C=C, areas=areas, psi=psi, asymmetry=asym)
-    data._solver = (S, ctx)  # reused by compute_moments
-    return data
+    return CapacitanceData(
+        grid=grid, C=C, areas=areas, psi=psi, asymmetry=asym, psi_tilde=psi_tilde
+    )
 
 
 def compute_moments(data: CapacitanceData) -> CapacitanceData:
-    """Fill in m, m_hat = C^-1 m and the height density psi_tilde."""
+    """Fill in m and m_hat = C^-1 m."""
     grid = data.grid
-    S = data._solver[0] if hasattr(data, "_solver") else layerpot.AssemblyContext(
-        grid
-    ).single_layer_laplace()
-    psi_tilde = layerpot.solve_density(S, grid.nodes[:, 1])
-    w = grid.weights
-    data.m = -(grid.nodes[:, 1] * w) @ data.psi
+    data.m = -(grid.nodes[:, 1] * grid.weights) @ data.psi
     data.m_hat = np.linalg.solve(data.C, data.m)
-    data.psi_tilde = psi_tilde
     return data
 
 

@@ -81,8 +81,14 @@ def _fmt(x) -> str:
 
 
 def _pipeline(cfg: RunConfig):
+    """Set-up shared by the commands: grid, the whole k-independent cache, C.
+
+    Both halves of the AssemblyContext are built here, so every command pays
+    the same set-up and a later frequency sweep only does k-dependent work.
+    """
     grid = geometry.discretize(cfg.shapes, cfg.n_pts, cfg.L)
     ctx = layerpot.AssemblyContext(grid, tol=cfg.greens_tol)
+    ctx.helmholtz_cache()
     data = capacitance.capacitance_pipeline(grid, context=ctx)
     return grid, ctx, data
 

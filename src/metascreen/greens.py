@@ -14,11 +14,12 @@ has the closed form
 where the constant makes it equal to the spectral mode sum.  The Helmholtz
 kernel is evaluated by Kummer subtraction against the Laplace kernel: the
 propagating mode is exact, and the evanescent mode differences are summed with
-their large-mode expansion through order k^4 removed and restored in closed
-form via polylogarithms Li_1..Li_5 (zeta-series evaluation, valid for
-|z| < L).  The remaining modal series then decays like |eta|^-7 and a few
+their large-mode expansion through order k^6 removed and restored in closed
+form via polylogarithms Li_1..Li_7 (zeta-series evaluation, valid for
+|z| < L).  The remaining modal series then decays like |eta|^-9 and a few
 terms reach 1e-12 even on the boundary diagonal, where the plain |eta|^-3
-Kummer tail would need ~1e5 modes.
+Kummer tail would need ~1e5 modes.  Callers check the single-mode condition
+(WaveParams.check_single_mode) before evaluating the Helmholtz kernel.
 """
 
 from __future__ import annotations
@@ -237,13 +238,6 @@ def _li_stack(zl, zd, L, orders=(1, 2, 3, 4, 5, 6, 7)):
 # Helmholtz kernel via Kummer subtraction
 
 
-def _mode_number_start(k, L):
-    eta1 = 2.0 * np.pi / L
-    if abs(k) >= 0.95 * eta1:
-        raise ValueError("wavenumber too close to the first diffraction cutoff")
-    return 1
-
-
 def subtracted_combos(zl, zd, L):
     """Wavenumber-independent polylog combinations for the Kummer subtraction.
 
@@ -381,7 +375,6 @@ def modal_correction(zl, zd, k, L, tol=1e-12, want_grad=False, n_modes=None):
     restored through polylogarithm closed forms, leaving an |eta|^-9 residual
     series.  Returns C or (C, dC/dz_l, dC/dz_d).
     """
-    _mode_number_start(k, L)
     combos = subtracted_combos(zl, zd, L)
     sgn = np.sign(np.asarray(zd, dtype=float))
     if want_grad:
@@ -415,11 +408,6 @@ def gper_helmholtz_grad(zl, zd, k, L, tol=1e-12, n_modes=None):
     _, cgl, cgd = modal_correction(zl, zd, k, L, tol=tol, want_grad=True, n_modes=n_modes)
     prop_d = sgn * (np.exp(1j * k * d) - 1.0) / (2.0 * L)
     return gl0 + cgl, gd0 + cgd + prop_d
-
-
-def modal_correction_origin(k, L, tol=1e-12):
-    """C(0, 0) = -(1/L) sum_n (1/gamma_n - 1/eta_n); needed on the diagonal."""
-    return complex(modal_correction(np.zeros(1), np.zeros(1), k, L, tol=tol)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,14 @@ coupling different resonators (and the wall-image contributions) are smooth
 and use the plain trapezoid rule with the shared weights
 (2 pi / n_pts) |x'(t_k)|.
 
-An AssemblyContext caches every wavenumber-independent pair quantity
-(minimum-image separations, Laplace kernel values and gradients, the polylog
-combinations of the Kummer subtraction), so frequency sweeps only pay for the
-k-dependent arithmetic.
+An AssemblyContext caches every wavenumber-independent pair quantity, so
+frequency sweeps only pay for the k-dependent arithmetic.  The Laplace half
+(minimum-image separations, closed-form kernel values and gradients, the log
+quadrature) is built with the context; the Helmholtz half (the polylog
+combinations and residual caches of the Kummer subtraction, distances and
+z . nu) is built on the first Helmholtz operator or helmholtz_cache() call, so
+Laplace-only work such as the optimizer loop and the shape gradients never
+pays for it.
 """
 
 from __future__ import annotations
@@ -129,13 +133,9 @@ class AssemblyContext:
         self.zl = zl
         self.dd = dd
         self.di = di
-        self.sgn_dd = np.sign(dd)
-        self.rr = np.hypot(zl, dd)
 
         eye = np.eye(n, dtype=bool)
         self.diag = eye
-        # z . nu(x_i) for the adjoint-double-layer log coefficient
-        self.zdotnu = zl * grid.normals[:, 0, None] + dd * grid.normals[:, 1, None]
 
         # Laplace closed form; direct diagonal is singular and masked to 0
         with np.errstate(divide="ignore"):
@@ -149,12 +149,6 @@ class AssemblyContext:
         self.lapg_dir = (gl, gd)
         self.lapg_img = greens._closed_laplace_grad(zl, di, L)
 
-        # polylog combinations of the Kummer subtraction (k-independent)
-        self.combos_dir = greens.subtracted_combos(zl, dd, L)
-        self.combos_img = greens.subtracted_combos(zl, di, L)
-        self.rescache_dir = greens.residual_cache(zl, dd, L)
-        self.rescache_img = greens.residual_cache(zl, di, L)
-
         # ln(4 sin^2((t_i - t_j)/2)) on one block (shared by all resonators)
         tpar = grid.t[: grid.n_pts]
         dt = tpar[:, None] - tpar[None, :]
@@ -164,9 +158,33 @@ class AssemblyContext:
         self.lnsin = lnsin
         self.kress = kress_log_weights(grid.n_pts)
         self.w_t = 2.0 * np.pi / grid.n_pts
+        self._helm: dict | None = None
         self._bundles: dict = {}
 
     # -- kernel value/gradient matrices -----------------------------------
+
+    def helmholtz_cache(self) -> dict:
+        """Wavenumber-independent pieces only the Helmholtz operators read.
+
+        Built on the first call and kept: the polylog combinations and
+        residual caches of the Kummer subtraction for the direct and image
+        kernels, |z|, sign z_d and z . nu(x_i) (the adjoint-double-layer log
+        coefficient).
+        """
+        if self._helm is None:
+            L = self.grid.L
+            zl, dd, di = self.zl, self.dd, self.di
+            normals = self.grid.normals
+            self._helm = {
+                "combos_dir": greens.subtracted_combos(zl, dd, L),
+                "combos_img": greens.subtracted_combos(zl, di, L),
+                "rescache_dir": greens.residual_cache(zl, dd, L),
+                "rescache_img": greens.residual_cache(zl, di, L),
+                "sgn_dd": np.sign(dd),
+                "rr": np.hypot(zl, dd),
+                "zdotnu": zl * normals[:, 0, None] + dd * normals[:, 1, None],
+            }
+        return self._helm
 
     def _kernel_bundle(self, k: complex):
         """Values and gradients of G_per^k on all node pairs, cached per k.
@@ -181,17 +199,17 @@ class AssemblyContext:
             return cached
         L = self.grid.L
         tol = self.tol
+        helm = self.helmholtz_cache()
         out = {}
-        for part, zd, combos, rcache in (
-            ("dir", self.dd, self.combos_dir, self.rescache_dir),
-            ("img", self.di, self.combos_img, self.rescache_img),
-        ):
+        for part, zd in (("dir", self.dd), ("img", self.di)):
+            combos = helm[f"combos_{part}"]
+            rcache = helm[f"rescache_{part}"]
             cv, cl, cdd = greens.modal_closed_part(combos, k, L, want_grad=True)
             rv, rl, rdd = greens.modal_residual(
                 self.zl, zd, k, L, tol=tol, want_grad=True, cache=rcache
             )
             d_abs = np.abs(zd)
-            sgn = self.sgn_dd if part == "dir" else 1.0
+            sgn = helm["sgn_dd"] if part == "dir" else 1.0
             e_ikd = np.exp(1j * k * d_abs)
             lap = self.lap_dir if part == "dir" else self.lap_img
             lgl, lgd = self.lapg_dir if part == "dir" else self.lapg_img
@@ -237,11 +255,12 @@ class AssemblyContext:
         grid = self.grid
         L = grid.L
         bundle = self._kernel_bundle(k)
+        rr = self.helmholtz_cache()["rr"]
         val = bundle["val_dir"] - bundle["val_img"]
         mat = self.w_t * val
         for j in range(grid.n_res):
             b = grid.block(j)
-            a_blk = _INV_4PI * _j0_small(k * self.rr[b, b])
+            a_blk = _INV_4PI * _j0_small(k * rr[b, b])
             block_val = val[b, b] - a_blk * self.lnsin
             diag = (
                 1.0 / (2j * k * L)
@@ -276,6 +295,8 @@ class AssemblyContext:
     def adjoint_double_layer_helmholtz(self, k: complex) -> DenseOperator:
         grid = self.grid
         bundle = self._kernel_bundle(k)
+        helm = self.helmholtz_cache()
+        rr, zdotnu = helm["rr"], helm["zdotnu"]
         nx = grid.normals[:, 0, None]
         ny = grid.normals[:, 1, None]
         ker = nx * (bundle["gl_dir"] - bundle["gl_img"]) + ny * (
@@ -289,7 +310,7 @@ class AssemblyContext:
         mat = self.w_t * ker
         for j in range(grid.n_res):
             b = grid.block(j)
-            a_blk = -(k * k * _INV_4PI) * _j1c_small(k * self.rr[b, b]) * self.zdotnu[b, b]
+            a_blk = -(k * k * _INV_4PI) * _j1c_small(k * rr[b, b]) * zdotnu[b, b]
             block_val = ker[b, b] - a_blk * self.lnsin
             np.fill_diagonal(block_val, diag[b])
             mat[b, b] = self.kress * a_blk + self.w_t * block_val
@@ -332,8 +353,9 @@ def solve_density(op: DenseOperator, rhs, residual_tol: float = 1e-10):
     """Direct dense solve op @ x = rhs with a residual guarantee.
 
     ``rhs`` may carry multiple right-hand sides as columns; they share one
-    pivoted LU factorization.  Raises SingularOperatorError when the relative
-    infinity-norm residual exceeds ``residual_tol``.
+    pivoted LU factorization.  Raises SingularOperatorError when the
+    infinity-norm residual of any column, relative to that column's own
+    max|rhs|, exceeds ``residual_tol``.
     """
     rhs = np.asarray(rhs)
     a = op.matrix
@@ -346,12 +368,13 @@ def solve_density(op: DenseOperator, rhs, residual_tol: float = 1e-10):
         raise SingularOperatorError(
             "dense solve produced non-finite values", cond=np.linalg.cond(a)
         )
-    resid = np.abs(a @ x - rhs).max()
-    scale = max(np.abs(rhs).max(), np.finfo(float).tiny)
-    if not np.isfinite(resid) or resid / scale > residual_tol:
+    resid = np.abs(a @ x - rhs).max(axis=0)
+    scale = np.maximum(np.abs(rhs).max(axis=0), np.finfo(float).tiny)
+    worst = np.max(resid / scale)
+    if not np.isfinite(worst) or worst > residual_tol:
         cond = np.linalg.cond(a)
         raise SingularOperatorError(
-            f"solve residual {resid / scale:.3e} exceeds {residual_tol:.1e}", cond=cond
+            f"solve residual {worst:.3e} exceeds {residual_tol:.1e}", cond=cond
         )
     return x
 

@@ -294,18 +294,9 @@ def _write_artifacts(config, state, initial_shapes, materials, L, outdir, snapsh
     best_shapes = geometry.params_to_shapes(
         state.best_params if state.best_params is not None else state.params, state.order
     )
-    geometry.dump_geometry(
-        geometry.discretize(initial_shapes, config.n_pts, L),
-        outdir / "geometry_initial.csv",
-        meta=meta,
-    )
-    geometry.dump_geometry(
-        geometry.discretize(best_shapes, config.n_pts, L),
-        outdir / "geometry_best.csv",
-        meta=meta,
-    )
     for tag, shp in (("initial", initial_shapes), ("best", best_shapes)):
         grid = geometry.discretize(shp, config.n_pts, L)
+        geometry.dump_geometry(grid, outdir / f"geometry_{tag}.csv", meta=meta)
         data = capacitance.capacitance_pipeline(grid)
         model = rom.build_rom(data, materials)
         oms = np.linspace(config.band[0], config.band[1], 200)

@@ -27,6 +27,18 @@ def two_res_shapes():
     )
 
 
+@pytest.fixture
+def no_helmholtz_cache(monkeypatch):
+    """Make the Helmholtz cache builders raise, so Laplace-only work must not call them."""
+    from metascreen import greens
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Helmholtz cache built by Laplace-only work")
+
+    monkeypatch.setattr(greens, "subtracted_combos", forbidden)
+    monkeypatch.setattr(greens, "residual_cache", forbidden)
+
+
 def trig_upsample(vals, n_fine):
     """Trigonometric interpolation of periodic nodal values to a finer grid."""
     vals = np.asarray(vals)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
-from metascreen import capacitance as cap, geometry as geo
+from metascreen import capacitance as cap, cli, geometry as geo, layerpot, optimizer as opt, rom
 
 L = 20.0
 
@@ -121,6 +121,53 @@ class TestEigendecompose:
     def test_eigenvalue_self_convergence(self, circle_half, single_data):
         fine = cap.capacitance_pipeline(geo.discretize([circle_half], 256, L))
         assert abs(single_data.lam[0] - fine.lam[0]) / fine.lam[0] < 1e-8
+
+
+class TestLaplaceOnlyPipeline:
+    def test_pipeline_skips_helmholtz_cache(self, two_res_shapes, no_helmholtz_cache):
+        data = cap.capacitance_pipeline(geo.discretize(two_res_shapes, 32, L))
+        assert np.all(np.isfinite(data.psi_tilde)) and np.all(np.isfinite(data.lam))
+
+    def test_optimizer_skips_helmholtz_cache(self, no_helmholtz_cache, tmp_path):
+        shapes = geo.grid_layout(1, 1, radius=0.5, spacing=2.0, base_height=1.0, order=2)
+        cfg = opt.OptConfig(objective="ref", max_iters=1, n_pts=32)
+        state = opt.run(cfg, shapes, rom.MaterialParams(), L, artifacts_dir=tmp_path)
+        assert len(state.history) == 2
+        assert (tmp_path / "spectrum_best.csv").exists()
+
+    def test_cli_optimize_skips_helmholtz_cache(self, no_helmholtz_cache, tmp_path):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("solver.n_pts = 32\noptimizer.max_iters = 1\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg_file), "--output-dir", str(out), "optimize"]) == 0
+        assert (out / "spectrum_best.csv").exists()
+
+    def test_cli_setup_builds_whole_context(self, tmp_path, monkeypatch):
+        built = []
+        build = layerpot.AssemblyContext.helmholtz_cache
+
+        def counting(ctx):
+            built.append(ctx)
+            return build(ctx)
+
+        monkeypatch.setattr(layerpot.AssemblyContext, "helmholtz_cache", counting)
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("solver.n_pts = 32\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg_file), "--output-dir", str(out), "capmat"]) == 0
+        assert len(built) == 1
+
+    def test_one_factorization_per_pipeline(self, two_res_shapes, monkeypatch):
+        calls = []
+        lu_factor = sla.lu_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lu_factor(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "lu_factor", counting)
+        cap.capacitance_pipeline(geo.discretize(two_res_shapes, 32, L))
+        assert calls == [(64, 64)]
 
 
 class TestFarField:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,26 @@ class TestSolveScattering:
             grid = geo.discretize([circle_half], n, L)
             rs.append(fo.solve_scattering(grid, 0.07, MATS).r)
         assert abs(rs[0] - rs[1]) < 1e-7
+
+
+class TestInvariance:
+    # the physics fixes r under a common lateral shift of every resonator and
+    # under relabelling them; both reorder the assembled pair sums
+    OMEGA = 0.06
+
+    @pytest.fixture(scope="class")
+    def r_ref(self, two_res_shapes):
+        return fo.solve_scattering(geo.discretize(two_res_shapes, 32, L), self.OMEGA, MATS).r
+
+    @pytest.mark.parametrize("shift", [1.7, -3.3])
+    def test_lateral_shift(self, two_res_shapes, r_ref, shift):
+        moved = [replace(p, center=(p.center[0] + shift, p.center[1])) for p in two_res_shapes]
+        r = fo.solve_scattering(geo.discretize(moved, 32, L), self.OMEGA, MATS).r
+        assert abs(r - r_ref) < 1e-10
+
+    def test_resonator_order(self, two_res_shapes, r_ref):
+        grid = geo.discretize(two_res_shapes[::-1], 32, L)
+        assert abs(fo.solve_scattering(grid, self.OMEGA, MATS).r - r_ref) < 1e-10
 
 
 class TestReflectionExact:

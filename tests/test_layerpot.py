@@ -257,6 +257,23 @@ class TestSolveDensity:
         assert np.abs(xa[gab.block(1)] - xb[gba.block(0)]).max() < 1e-12
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_residual_guard_per_column(self):
+        # an ill-conditioned S: the column along the smallest singular
+        # direction leaves a residual of ~1e-4 of its own size; stacked next
+        # to a column 1e10 times larger it must still be checked on its own
+        n = 20
+        rng = np.random.default_rng(4)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        op = lp.DenseOperator((u * np.logspace(0, -13, n)) @ v.T, "single_layer", None, "x")
+        big, weak = 1e10 * u[:, 0], u[:, -1]
+        lp.solve_density(op, big)
+        with pytest.raises(lp.SingularOperatorError):
+            lp.solve_density(op, weak)
+        with pytest.raises(lp.SingularOperatorError):
+            lp.solve_density(op, np.column_stack([big, weak]))
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_rejected(self):
         op = lp.DenseOperator(np.zeros((4, 4)), "single_layer", None, "x")
         with pytest.raises(lp.SingularOperatorError):
@@ -267,6 +284,31 @@ class TestSolveDensity:
         mat[0, 0] = np.nan
         with pytest.raises(ValueError):
             lp.DenseOperator(mat, "single_layer", None, "x")
+
+
+class TestLazyHelmholtzCache:
+    def test_laplace_operators_skip_helmholtz_cache(self, circle_grid, no_helmholtz_cache):
+        ctx = lp.AssemblyContext(circle_grid)
+        lp.assemble_single_layer(circle_grid, context=ctx)
+        K = lp.assemble_adjoint_double_layer(circle_grid, context=ctx)
+        assert K.k is None
+
+    def test_helmholtz_operators_independent_of_laplace_work(self, two_res_shapes):
+        from metascreen import capacitance as cap
+
+        grid = geo.discretize(two_res_shapes, 32, L)
+        used = lp.AssemblyContext(grid)
+        cap.capacitance_pipeline(grid, context=used)
+        used.adjoint_double_layer_laplace()
+        fresh = lp.AssemblyContext(grid)
+        for k in (0.1, KB):
+            assert np.array_equal(
+                used.single_layer_helmholtz(k).matrix, fresh.single_layer_helmholtz(k).matrix
+            )
+            assert np.array_equal(
+                used.adjoint_double_layer_helmholtz(k).matrix,
+                fresh.adjoint_double_layer_helmholtz(k).matrix,
+            )
 
 
 class TestOperatorDump:
