@@ -20,6 +20,14 @@ form via polylogarithms Li_1..Li_7 (zeta-series evaluation, valid for
 terms reach 1e-12 even on the boundary diagonal, where the plain |eta|^-3
 Kummer tail would need ~1e5 modes.  Callers check the single-mode condition
 (WaveParams.check_single_mode) before evaluating the Helmholtz kernel.
+
+gper_helmholtz is the one place this kernel and its gradient are composed.
+It reads only wavenumber-independent pair tables: the closed-form Laplace
+part (_closed_laplace) and the Kummer tables (kummer_tables).  The point
+kernels helmholtz_gs / helmholtz_gs_grad build the tables for their point
+pairs; layerpot.AssemblyContext caches them for all node pairs of a grid and
+calls the same function, so point evaluation and operator assembly share
+one code path.
 """
 
 from __future__ import annotations
@@ -126,28 +134,18 @@ def _require_normal_incidence(cfg: LatticeConfig):
 # Laplace kernel, closed form
 
 
-def _closed_laplace(zl, zd, L):
-    a = np.pi * zd / L
-    b = np.pi * zl / L
-    return np.log(np.sinh(a) ** 2 + np.sin(b) ** 2) / (4.0 * np.pi)
+def _closed_laplace(zl, zd, L, want_grad=False):
+    """Closed-form Laplace kernel without the ln(4)/(4 pi) constant.
 
-
-def _closed_laplace_grad(zl, zd, L):
+    Returns the value, or (value, d/dz_l, d/dz_d) when ``want_grad``.
+    """
     a = np.pi * zd / L
     b = np.pi * zl / L
     s = np.sinh(a) ** 2 + np.sin(b) ** 2
-    gl = np.sin(2.0 * b) / (4.0 * L * s)
-    gd = np.sinh(2.0 * a) / (4.0 * L * s)
-    return gl, gd
-
-
-def gper_laplace(zl, zd, L):
-    """Periodic Laplace Green's function, spectral normalization."""
-    return _closed_laplace(zl, zd, L) + _LN4_4PI
-
-
-def gper_laplace_grad(zl, zd, L):
-    return _closed_laplace_grad(zl, zd, L)
+    val = np.log(s) / (4.0 * np.pi)
+    if not want_grad:
+        return val
+    return val, np.sin(2.0 * b) / (4.0 * L * s), np.sinh(2.0 * a) / (4.0 * L * s)
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +298,13 @@ def residual_cache(zl, zd, L):
     }
 
 
-def modal_residual(zl, zd, k, L, tol=1e-12, want_grad=False, n_modes=None, cache=None):
+def modal_residual(cache, k, L, tol=1e-12, want_grad=False, n_modes=None):
     """Residual modal series after the k^2..k^6 subtraction; |eta|^-9 decay.
 
-    One mode at a time with running powers e1^n and Chebyshev recurrences for
-    cos/sin(n theta), keeping temporaries at the pair-array size.
+    Reads the pair tables of residual_cache.  One mode at a time with running
+    powers e1^n and Chebyshev recurrences for cos/sin(n theta), keeping
+    temporaries at the pair-array size.
     """
-    if cache is None:
-        cache = residual_cache(zl, zd, L)
     d, d2, d3 = cache["d"], cache["d2"], cache["d3"]
     e1, cos1, sin1 = cache["e1"], cache["cos1"], cache["sin1"]
     k2 = k * k
@@ -365,49 +362,54 @@ def modal_residual(zl, zd, k, L, tol=1e-12, want_grad=False, n_modes=None, cache
     return val
 
 
-def modal_correction(zl, zd, k, L, tol=1e-12, want_grad=False, n_modes=None):
-    """Evanescent-mode correction C(z) = G_per^k - propagating - G_per^0.
+def kummer_tables(zl, zd, L):
+    """Wavenumber-independent Kummer tables of G_per^k on a pair array.
 
-    C(z) = -(1/L) sum_{n>=1} cos(eta_n z_l) f_n(|z_d|),
-    f_n(d) = e^{-gamma_n d}/gamma_n - e^{-eta_n d}/eta_n,
-
-    with the order k^2, k^4 and k^6 parts of f_n removed term by term and
-    restored through polylogarithm closed forms, leaving an |eta|^-9 residual
-    series.  Returns C or (C, dC/dz_l, dC/dz_d).
+    The polylog combinations (subtracted_combos), the residual-series cache
+    (residual_cache) and sign z_d; ``zl`` must be the minimum image.
     """
-    combos = subtracted_combos(zl, zd, L)
-    sgn = np.sign(np.asarray(zd, dtype=float))
-    if want_grad:
-        val, gl, gdd = modal_closed_part(combos, k, L, want_grad=True)
-        rv, rgl, rgdd = modal_residual(zl, zd, k, L, tol=tol, want_grad=True, n_modes=n_modes)
-        return val + rv, gl + rgl, sgn * (gdd + rgdd)
-    return modal_closed_part(combos, k, L) + modal_residual(
-        zl, zd, k, L, tol=tol, n_modes=n_modes
+    return {
+        "combos": subtracted_combos(zl, zd, L),
+        "rescache": residual_cache(zl, zd, L),
+        "sgn": np.sign(np.asarray(zd, dtype=float)),
+    }
+
+
+def gper_helmholtz(k, L, lap, kummer, tol=1e-12, n_modes=None, want_grad=False):
+    """Periodic Helmholtz Green's function G_per^{0,k}(z), spectral normalization.
+
+    The one composition of the kernel, used by the point kernels below and by
+    the operator assembly in layerpot, from pair tables that do not depend on
+    k: ``lap`` is the closed-form Laplace part, _closed_laplace(z_l, z_d, L,
+    want_grad), and ``kummer`` the kummer_tables of the same pairs.  Then
+
+        G_per^k = e^{ik|z_d|}/(2ikL) - |z_d|/(2L) + G_per^0 + C(z),
+        C(z) = -(1/L) sum_{n>=1} cos(eta_n z_l) f_n(|z_d|),
+        f_n(d) = e^{-gamma_n d}/gamma_n - e^{-eta_n d}/eta_n,
+
+    where the order k^2, k^4 and k^6 parts of f_n are removed term by term and
+    restored through polylogarithm closed forms (modal_closed_part), leaving
+    an |eta|^-9 residual series (modal_residual).  Returns G, or
+    (G, dG/dz_l, dG/dz_d) when ``want_grad``.
+    """
+    combos = kummer["combos"]
+    d = combos["d"]
+    e_ikd = np.exp(1j * k * d)
+    closed = modal_closed_part(combos, k, L, want_grad=want_grad)
+    resid = modal_residual(
+        kummer["rescache"], k, L, tol=tol, want_grad=want_grad, n_modes=n_modes
     )
-
-
-def gper_helmholtz(zl, zd, k, L, tol=1e-12, n_modes=None):
-    """Periodic Helmholtz Green's function G_per^{0,k}(z), spectral normalization."""
-    zl = np.asarray(zl, dtype=float)
-    zl = zl - L * np.round(zl / L)
-    zd = np.asarray(zd, dtype=float)
-    d = np.abs(zd)
-    prop = np.exp(1j * k * d) / (2j * k * L) - d / (2.0 * L)
-    corr = modal_correction(zl, zd, k, L, tol=tol, n_modes=n_modes)
-    return prop + gper_laplace(zl, zd, L) + corr
-
-
-def gper_helmholtz_grad(zl, zd, k, L, tol=1e-12, n_modes=None):
-    """Gradient of gper_helmholtz with respect to z = (z_l, z_d)."""
-    zl = np.asarray(zl, dtype=float)
-    zl = zl - L * np.round(zl / L)
-    zd = np.asarray(zd, dtype=float)
-    d = np.abs(zd)
-    sgn = np.sign(zd)
-    gl0, gd0 = _closed_laplace_grad(zl, zd, L)
-    _, cgl, cgd = modal_correction(zl, zd, k, L, tol=tol, want_grad=True, n_modes=n_modes)
-    prop_d = sgn * (np.exp(1j * k * d) - 1.0) / (2.0 * L)
-    return gl0 + cgl, gd0 + cgd + prop_d
+    if want_grad:
+        (lv, lgl, lgd), (cv, cl, cdd), (rv, rl, rdd) = lap, closed, resid
+    else:
+        lv, cv, rv = lap, closed, resid
+    val = e_ikd / (2j * k * L) - d / (2.0 * L) + lv + _LN4_4PI + cv + rv
+    if not want_grad:
+        return val
+    gl = lgl + cl + rl
+    # the |z_d|-dependent terms pick up d|z_d|/dz_d = sign z_d
+    gd = lgd + kummer["sgn"] * (cdd + rdd + (e_ikd - 1.0) / (2.0 * L))
+    return val, gl, gd
 
 
 # ---------------------------------------------------------------------------
@@ -446,30 +448,40 @@ def laplace_gs_grad(x, y, cfg: LatticeConfig):
     _require_normal_incidence(cfg)
     zl, zd, zs = _split_points(x, y)
     _check_separated(zl, zd, cfg.L)
-    gl1, gd1 = _closed_laplace_grad(zl, zd, cfg.L)
-    gl2, gd2 = _closed_laplace_grad(zl, zs, cfg.L)
+    _, gl1, gd1 = _closed_laplace(zl, zd, cfg.L, want_grad=True)
+    _, gl2, gd2 = _closed_laplace(zl, zs, cfg.L, want_grad=True)
     return np.stack([gl1 - gl2, gd1 - gd2], axis=-1)
+
+
+def _helmholtz_pairs(x, y, wave: WaveParams, cfg: LatticeConfig, n_modes, want_grad):
+    """gper_helmholtz on the direct and the image separations of point pairs."""
+    _require_normal_incidence(cfg)
+    wave.check_single_mode(cfg)
+    zl, zd, zs = _split_points(x, y)
+    _check_separated(zl, zd, cfg.L)
+    L = cfg.L
+    zl = zl - L * np.round(zl / L)
+    return [
+        gper_helmholtz(
+            wave.k,
+            L,
+            _closed_laplace(zl, z, L, want_grad=want_grad),
+            kummer_tables(zl, z, L),
+            tol=cfg.tol,
+            n_modes=n_modes,
+            want_grad=want_grad,
+        )
+        for z in (zd, zs)
+    ]
 
 
 def helmholtz_gs(x, y, wave: WaveParams, cfg: LatticeConfig, n_modes=None):
     """Sound-soft periodic Helmholtz Green's function G_s^{0,k}(x, y)."""
-    _require_normal_incidence(cfg)
-    wave.check_single_mode(cfg)
-    zl, zd, zs = _split_points(x, y)
-    _check_separated(zl, zd, cfg.L)
-    k, L = wave.k, cfg.L
-    return gper_helmholtz(zl, zd, k, L, tol=cfg.tol, n_modes=n_modes) - gper_helmholtz(
-        zl, zs, k, L, tol=cfg.tol, n_modes=n_modes
-    )
+    direct, image = _helmholtz_pairs(x, y, wave, cfg, n_modes, want_grad=False)
+    return direct - image
 
 
 def helmholtz_gs_grad(x, y, wave: WaveParams, cfg: LatticeConfig, n_modes=None):
     """Gradient in x of helmholtz_gs; returns complex array with trailing dim 2."""
-    _require_normal_incidence(cfg)
-    wave.check_single_mode(cfg)
-    zl, zd, zs = _split_points(x, y)
-    _check_separated(zl, zd, cfg.L)
-    k, L = wave.k, cfg.L
-    gl1, gd1 = gper_helmholtz_grad(zl, zd, k, L, tol=cfg.tol, n_modes=n_modes)
-    gl2, gd2 = gper_helmholtz_grad(zl, zs, k, L, tol=cfg.tol, n_modes=n_modes)
+    (_, gl1, gd1), (_, gl2, gd2) = _helmholtz_pairs(x, y, wave, cfg, n_modes, want_grad=True)
     return np.stack([gl1 - gl2, gd1 - gd2], axis=-1)

@@ -10,16 +10,16 @@ and use the plain trapezoid rule with the shared weights
 An AssemblyContext caches every wavenumber-independent pair quantity, so
 frequency sweeps only pay for the k-dependent arithmetic.  The Laplace half
 (minimum-image separations, closed-form kernel values and gradients, the log
-quadrature) is built with the context; the Helmholtz half (the polylog
-combinations and residual caches of the Kummer subtraction, distances and
-z . nu) is built on the first Helmholtz operator or helmholtz_cache() call, so
-Laplace-only work such as the optimizer loop and the shape gradients never
-pays for it.
+quadrature) is built with the context; the Helmholtz half (greens.kummer_tables
+of the direct and image separations) is built on the first Helmholtz operator
+or helmholtz_cache() call, so Laplace-only work such as the optimizer loop and
+the shape gradients never pays for it.  The Helmholtz kernel on all node pairs
+comes from greens.gper_helmholtz, the same function the point kernels
+(greens.helmholtz_gs / helmholtz_gs_grad) call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +36,9 @@ __all__ = [
     "assemble_adjoint_double_layer",
     "solve_density",
     "evaluate_single_layer",
-    "dump_operator",
-    "load_operator",
 ]
 
 _INV_4PI = 1.0 / (4.0 * np.pi)
-_LN4_4PI = math.log(4.0) / (4.0 * np.pi)
 
 
 class SingularOperatorError(np.linalg.LinAlgError):
@@ -138,16 +135,13 @@ class AssemblyContext:
         self.diag = eye
 
         # Laplace closed form; direct diagonal is singular and masked to 0
-        with np.errstate(divide="ignore"):
-            self.lap_dir = greens._closed_laplace(zl, dd, L)
-        self.lap_dir[eye] = 0.0
-        self.lap_img = greens._closed_laplace(zl, di, L)
         with np.errstate(divide="ignore", invalid="ignore"):
-            gl, gd = greens._closed_laplace_grad(zl, dd, L)
-        gl[eye] = 0.0
-        gd[eye] = 0.0
-        self.lapg_dir = (gl, gd)
-        self.lapg_img = greens._closed_laplace_grad(zl, di, L)
+            lap, gl, gd = greens._closed_laplace(zl, dd, L, want_grad=True)
+        for arr in (lap, gl, gd):
+            arr[eye] = 0.0
+        self.lap_dir, self.lapg_dir = lap, (gl, gd)
+        lap, gl, gd = greens._closed_laplace(zl, di, L, want_grad=True)
+        self.lap_img, self.lapg_img = lap, (gl, gd)
 
         # ln(4 sin^2((t_i - t_j)/2)) on one block (shared by all resonators)
         tpar = grid.t[: grid.n_pts]
@@ -166,67 +160,41 @@ class AssemblyContext:
     def helmholtz_cache(self) -> dict:
         """Wavenumber-independent pieces only the Helmholtz operators read.
 
-        Built on the first call and kept: the polylog combinations and
-        residual caches of the Kummer subtraction for the direct and image
-        kernels, |z|, sign z_d and z . nu(x_i) (the adjoint-double-layer log
-        coefficient).
+        Built on the first call and kept: greens.kummer_tables of the direct
+        ("dir") and image ("img") separations.
         """
         if self._helm is None:
             L = self.grid.L
-            zl, dd, di = self.zl, self.dd, self.di
-            normals = self.grid.normals
             self._helm = {
-                "combos_dir": greens.subtracted_combos(zl, dd, L),
-                "combos_img": greens.subtracted_combos(zl, di, L),
-                "rescache_dir": greens.residual_cache(zl, dd, L),
-                "rescache_img": greens.residual_cache(zl, di, L),
-                "sgn_dd": np.sign(dd),
-                "rr": np.hypot(zl, dd),
-                "zdotnu": zl * normals[:, 0, None] + dd * normals[:, 1, None],
+                "dir": greens.kummer_tables(self.zl, self.dd, L),
+                "img": greens.kummer_tables(self.zl, self.di, L),
             }
         return self._helm
 
     def _kernel_bundle(self, k: complex):
-        """Values and gradients of G_per^k on all node pairs, cached per k.
+        """(value, d/dz_l, d/dz_d) of G_per^k on all node pairs, cached per k.
 
-        One modal-residual pass serves both the single-layer and the
-        adjoint-double-layer assembly at this wavenumber; the two most recent
-        bundles are kept so sweeps alternating k_b / k_m stay cached.
+        One greens.gper_helmholtz call per part ("dir", "img") serves both the
+        single-layer and the adjoint-double-layer assembly at this wavenumber;
+        the two most recent bundles are kept so sweeps alternating k_b / k_m
+        stay cached.  Nothing is masked: with the closed-form Laplace part
+        zeroed on the direct diagonal, the direct value there is the smooth
+        remainder 1/(2ikL) + ln(4)/(4 pi) + C(0) and the direct gradient is 0.
         """
         key = complex(k)
         cached = self._bundles.get(key)
         if cached is not None:
             return cached
-        L = self.grid.L
-        tol = self.tol
         helm = self.helmholtz_cache()
-        out = {}
-        for part, zd in (("dir", self.dd), ("img", self.di)):
-            combos = helm[f"combos_{part}"]
-            rcache = helm[f"rescache_{part}"]
-            cv, cl, cdd = greens.modal_closed_part(combos, k, L, want_grad=True)
-            rv, rl, rdd = greens.modal_residual(
-                self.zl, zd, k, L, tol=tol, want_grad=True, cache=rcache
+        out = {
+            part: greens.gper_helmholtz(
+                k, self.grid.L, (lap, *lapg), helm[part], tol=self.tol, want_grad=True
             )
-            d_abs = np.abs(zd)
-            sgn = helm["sgn_dd"] if part == "dir" else 1.0
-            e_ikd = np.exp(1j * k * d_abs)
-            lap = self.lap_dir if part == "dir" else self.lap_img
-            lgl, lgd = self.lapg_dir if part == "dir" else self.lapg_img
-            val = e_ikd / (2j * k * L) - d_abs / (2.0 * L) + lap + _LN4_4PI + cv + rv
-            gl = lgl + cl + rl
-            gd = lgd + sgn * (cdd + rdd + (e_ikd - 1.0) / (2.0 * L))
-            if part == "dir":
-                out["diag_corr"] = np.diagonal(cv + rv).copy()
-                val = val.astype(complex)
-                val[self.diag] = 0.0
-                gl = gl.astype(complex)
-                gd = gd.astype(complex)
-                gl[self.diag] = 0.0
-                gd[self.diag] = 0.0
-            out[f"val_{part}"] = val
-            out[f"gl_{part}"] = gl
-            out[f"gd_{part}"] = gd
+            for part, lap, lapg in (
+                ("dir", self.lap_dir, self.lapg_dir),
+                ("img", self.lap_img, self.lapg_img),
+            )
+        }
         if len(self._bundles) >= 2:
             self._bundles.pop(next(iter(self._bundles)))
         self._bundles[key] = out
@@ -255,20 +223,14 @@ class AssemblyContext:
         grid = self.grid
         L = grid.L
         bundle = self._kernel_bundle(k)
-        rr = self.helmholtz_cache()["rr"]
-        val = bundle["val_dir"] - bundle["val_img"]
+        val = bundle["dir"][0] - bundle["img"][0]
         mat = self.w_t * val
         for j in range(grid.n_res):
             b = grid.block(j)
-            a_blk = _INV_4PI * _j0_small(k * rr[b, b])
+            a_blk = _INV_4PI * _j0_small(k * np.hypot(self.zl[b, b], self.dd[b, b]))
             block_val = val[b, b] - a_blk * self.lnsin
-            diag = (
-                1.0 / (2j * k * L)
-                + np.log(np.pi * grid.speed[b] / L) / (2.0 * np.pi)
-                + _LN4_4PI
-                + bundle["diag_corr"][b]
-                - np.diagonal(bundle["val_img"][b, b])
-            )
+            # the kernel diagonal already holds the smooth remainder minus the image
+            diag = np.log(np.pi * grid.speed[b] / L) / (2.0 * np.pi) + np.diagonal(val[b, b])
             np.fill_diagonal(block_val, diag)
             mat[b, b] = self.kress * a_blk + self.w_t * block_val
         mat = mat * grid.speed[None, :]
@@ -295,22 +257,20 @@ class AssemblyContext:
     def adjoint_double_layer_helmholtz(self, k: complex) -> DenseOperator:
         grid = self.grid
         bundle = self._kernel_bundle(k)
-        helm = self.helmholtz_cache()
-        rr, zdotnu = helm["rr"], helm["zdotnu"]
+        (_, gl_dir, gd_dir), (_, gl_img, gd_img) = bundle["dir"], bundle["img"]
         nx = grid.normals[:, 0, None]
         ny = grid.normals[:, 1, None]
-        ker = nx * (bundle["gl_dir"] - bundle["gl_img"]) + ny * (
-            bundle["gd_dir"] - bundle["gd_img"]
-        )
+        ker = nx * (gl_dir - gl_img) + ny * (gd_dir - gd_img)
         diag = grid.curvature * _INV_4PI - (
-            grid.normals[:, 0] * np.diagonal(bundle["gl_img"])
-            + grid.normals[:, 1] * np.diagonal(bundle["gd_img"])
+            grid.normals[:, 0] * np.diagonal(gl_img) + grid.normals[:, 1] * np.diagonal(gd_img)
         )
         ker[self.diag] = diag
         mat = self.w_t * ker
         for j in range(grid.n_res):
             b = grid.block(j)
-            a_blk = -(k * k * _INV_4PI) * _j1c_small(k * rr[b, b]) * zdotnu[b, b]
+            zl, dd = self.zl[b, b], self.dd[b, b]
+            zdotnu = zl * nx[b] + dd * ny[b]
+            a_blk = -(k * k * _INV_4PI) * _j1c_small(k * np.hypot(zl, dd)) * zdotnu
             block_val = ker[b, b] - a_blk * self.lnsin
             np.fill_diagonal(block_val, diag[b])
             mat[b, b] = self.kress * a_blk + self.w_t * block_val
@@ -377,26 +337,6 @@ def solve_density(op: DenseOperator, rhs, residual_tol: float = 1e-10):
             f"solve residual {worst:.3e} exceeds {residual_tol:.1e}", cond=cond
         )
     return x
-
-
-def dump_operator(op: DenseOperator, path) -> None:
-    """Debug dump; layout: b'MSOP', uint8 iscomplex, int64 n, row-major entries."""
-    with open(path, "wb") as fh:
-        fh.write(b"MSOP")
-        fh.write(np.uint8(np.iscomplexobj(op.matrix)).tobytes())
-        fh.write(np.int64(op.n).tobytes())
-        fh.write(np.ascontiguousarray(op.matrix).tobytes())
-
-
-def load_operator(path) -> np.ndarray:
-    """Read back the matrix written by dump_operator."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != b"MSOP":
-            raise ValueError("not an operator dump")
-        is_complex = bool(np.frombuffer(fh.read(1), dtype=np.uint8)[0])
-        n = int(np.frombuffer(fh.read(8), dtype=np.int64)[0])
-        dtype = np.complex128 if is_complex else np.float64
-        return np.frombuffer(fh.read(), dtype=dtype).reshape(n, n).copy()
 
 
 def evaluate_single_layer(grid, density, targets, kernel="laplace", tol: float = 1e-12):

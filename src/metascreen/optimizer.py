@@ -211,8 +211,8 @@ def run(
 
     A degenerate spectrum mid-run is retried with seeded 1e-4 Fourier jitter
     (at most 3 times), then aborts.  When ``artifacts_dir`` is given, the
-    history CSV, the best geometry and the initial/best ROM spectra are
-    written there.
+    history CSV and the geometry and ROM spectrum of the first and of the
+    best evaluation are written there.
     """
     shapes = tuple(shapes)
     violations = geometry.validate_geometry(
@@ -251,6 +251,7 @@ def run(
 
     snapshots = []
     plateau = 0
+    initial = best = None  # (grid, model) of the first and of the best evaluation
     for it in range(config.max_iters + 1):
         t0 = time.perf_counter()
         params, (value, gradient, model, grid) = evaluate_with_retry(state)
@@ -258,9 +259,12 @@ def run(
             state = replace(state, params=params)
         grad_inf = float(np.abs(gradient).max()) if gradient.size else 0.0
         improved = value < state.best_value - config.plateau_tol
+        if initial is None:
+            initial = (grid, model)
         if value < state.best_value:
             state.best_value = value
             state.best_params = state.params.copy()
+            best = (grid, model)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         state.history.append((state.iteration, value, grad_inf, wall_ms))
         if config.snapshot_every and it % config.snapshot_every == 0:
@@ -274,11 +278,12 @@ def run(
         state, _ = step_uniform_adam(state, gradient, config, L, margin=config.geometry_margin)
 
     if artifacts_dir is not None:
-        _write_artifacts(config, state, shapes, materials, L, artifacts_dir, snapshots, meta)
+        designs = {"initial": initial, "best": best or (grid, model)}
+        _write_artifacts(config, state, designs, artifacts_dir, snapshots, meta)
     return state
 
 
-def _write_artifacts(config, state, initial_shapes, materials, L, outdir, snapshots, meta):
+def _write_artifacts(config, state, designs, outdir, snapshots, meta):
     import csv
     import pathlib
 
@@ -291,15 +296,9 @@ def _write_artifacts(config, state, initial_shapes, materials, L, outdir, snapsh
         writer.writerow(["iter", "J", "grad_inf_norm", "wall_ms"])
         for row in state.history:
             writer.writerow([row[0], f"{row[1]:.17g}", f"{row[2]:.17g}", f"{row[3]:.3f}"])
-    best_shapes = geometry.params_to_shapes(
-        state.best_params if state.best_params is not None else state.params, state.order
-    )
-    for tag, shp in (("initial", initial_shapes), ("best", best_shapes)):
-        grid = geometry.discretize(shp, config.n_pts, L)
+    oms = np.linspace(config.band[0], config.band[1], 200)
+    for tag, (grid, model) in designs.items():
         geometry.dump_geometry(grid, outdir / f"geometry_{tag}.csv", meta=meta)
-        data = capacitance.capacitance_pipeline(grid)
-        model = rom.build_rom(data, materials)
-        oms = np.linspace(config.band[0], config.band[1], 200)
         r = rom.reflection_rom(model, oms, warn_band=False)
         with open(outdir / f"spectrum_{tag}.csv", "w", newline="") as fh:
             if meta:

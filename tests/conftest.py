@@ -29,14 +29,18 @@ def two_res_shapes():
 
 @pytest.fixture
 def no_helmholtz_cache(monkeypatch):
-    """Make the Helmholtz cache builders raise, so Laplace-only work must not call them."""
+    """Make the Helmholtz cache builders and the modal series raise.
+
+    Laplace-only work must neither build the Helmholtz cache nor evaluate the
+    Helmholtz kernel.
+    """
     from metascreen import greens
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("Helmholtz cache built by Laplace-only work")
+        raise AssertionError("Helmholtz cache or kernel used by Laplace-only work")
 
-    monkeypatch.setattr(greens, "subtracted_combos", forbidden)
-    monkeypatch.setattr(greens, "residual_cache", forbidden)
+    for name in ("subtracted_combos", "residual_cache", "modal_residual"):
+        monkeypatch.setattr(greens, name, forbidden)
 
 
 def trig_upsample(vals, n_fine):

@@ -134,7 +134,7 @@ class TestAdjointDoubleLayer:
             x1 = geo.parametrize(circle_half, t0)
             x2 = geo.parametrize(circle_half, t0 - eps)
             _, _, _, nu, _ = geo.boundary_frame(circle_half, np.array([t0]))
-            g = greens._closed_laplace_grad(x1[0] - x2[0], x1[1] - x2[1], L)
+            _, *g = greens._closed_laplace(x1[0] - x2[0], x1[1] - x2[1], L, want_grad=True)
             vals.append(float(g[0] * nu[0, 0] + g[1] * nu[0, 1]))
         extrap = 2 * vals[1] - vals[0]
         assert abs(extrap - 1.0 / (4 * np.pi * 0.5)) < 1e-6
@@ -221,6 +221,26 @@ class TestHelmholtzOperators:
             dens = smooth_density(grid)
             vals[n] = (S.matrix @ dens)[:: n // 64]
         assert np.abs(vals[64] - vals[128]).max() < 1e-10
+
+    @pytest.mark.parametrize("k", [0.1, KB])
+    def test_off_block_entries_match_point_kernel(self, two_res_shapes, k):
+        # blocks coupling different resonators are the plain trapezoid rule on
+        # the point kernel, so they must agree with helmholtz_gs(_grad)
+        grid = geo.discretize(two_res_shapes, 32, L)
+        ctx = lp.AssemblyContext(grid)
+        S = ctx.single_layer_helmholtz(k).matrix
+        K = ctx.adjoint_double_layer_helmholtz(k).matrix
+        wave = greens.WaveParams(k=k)
+        cfg = greens.LatticeConfig(L=L)
+        for i, j in ((0, 1), (1, 0)):
+            bi, bj = grid.block(i), grid.block(j)
+            x = grid.nodes[bi][:, None, :]
+            y = grid.nodes[bj][None, :, :]
+            s_ref = greens.helmholtz_gs(x, y, wave, cfg) * grid.weights[bj]
+            g = greens.helmholtz_gs_grad(x, y, wave, cfg)
+            k_ref = np.einsum("ijc,ic->ij", g, grid.normals[bi]) * grid.weights[bj]
+            assert np.abs(S[bi, bj] - s_ref).max() <= 1e-13 * np.abs(s_ref).max()
+            assert np.abs(K[bi, bj] - k_ref).max() <= 1e-13 * np.abs(k_ref).max()
 
     def test_multi_mode_rejected(self, circle_grid):
         with pytest.raises(ValueError, match="multiple propagating"):
@@ -309,18 +329,3 @@ class TestLazyHelmholtzCache:
                 used.adjoint_double_layer_helmholtz(k).matrix,
                 fresh.adjoint_double_layer_helmholtz(k).matrix,
             )
-
-
-class TestOperatorDump:
-    def test_round_trip(self, circle_grid, circle_ctx, tmp_path):
-        op = lp.assemble_single_layer(circle_grid, KB, context=circle_ctx)
-        path = tmp_path / "op.bin"
-        lp.dump_operator(op, path)
-        back = lp.load_operator(path)
-        assert np.array_equal(back, op.matrix)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"nope")
-        with pytest.raises(ValueError):
-            lp.load_operator(path)
