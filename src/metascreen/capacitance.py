@@ -26,6 +26,7 @@ __all__ = [
     "compute_moments",
     "eigendecompose",
     "farfield_constant",
+    "relative_gap",
 ]
 
 # relative eigenvalue gap below which the spectrum is treated as degenerate
@@ -66,11 +67,12 @@ class CapacitanceData:
     def cell_measure(self) -> float:
         return self.grid.cell_measure
 
-    def min_relative_gap(self) -> float:
-        if self.lam is None or len(self.lam) < 2:
-            return np.inf
-        gaps = np.diff(np.sort(self.lam))
-        return float(np.min(gaps) / np.max(np.abs(self.lam)))
+
+def relative_gap(lam) -> float:
+    """Smallest spacing of the eigenvalues over the largest |lambda| (inf if N < 2)."""
+    if len(lam) < 2:
+        return np.inf
+    return float(np.min(np.diff(np.sort(lam))) / np.max(np.abs(lam)))
 
 
 def compute_capacitance(grid: BoundaryGrid, context=None) -> CapacitanceData:
@@ -138,15 +140,13 @@ def eigendecompose(data_or_C, V=None):
             u[:, j] = -u[:, j]
     if np.any(lam <= 0):
         warnings.warn("capacitance matrix is not positive definite at this resolution")
-    degenerate = False
-    if len(lam) > 1:
-        gap = np.min(np.diff(lam)) / np.max(np.abs(lam))
-        if gap < DEGENERATE_GAP_WARN:
-            warnings.warn(
-                f"nearly degenerate capacitance eigenvalues (relative gap {gap:.2e}); "
-                "eigenpair shape derivatives are unreliable"
-            )
-            degenerate = True
+    gap = relative_gap(lam)
+    degenerate = gap < DEGENERATE_GAP_WARN
+    if degenerate:
+        warnings.warn(
+            f"nearly degenerate capacitance eigenvalues (relative gap {gap:.2e}); "
+            "eigenpair shape derivatives are unreliable"
+        )
     if data is not None:
         data.lam = lam
         data.u = u

@@ -47,12 +47,16 @@ def _load_config(args) -> RunConfig:
 
 
 def _apply_threads(args):
-    n = args.threads
-    if n is None:
-        env = os.environ.get("METASCREEN_THREADS")
-        n = int(env) if env else None
-    if n is None:
+    """Limit the BLAS pool to --threads, else to METASCREEN_THREADS, if either is set."""
+    raw = args.threads if args.threads is not None else os.environ.get("METASCREEN_THREADS") or None
+    if raw is None:
         return None
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"thread count must be a positive integer, got {raw!r}")
     try:
         import threadpoolctl
 
@@ -130,6 +134,9 @@ def cmd_resonances(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+_SPECTRUM_HEADER = ["omega", "re_r", "im_r", "abs_r", "absorptance", "model"]
+
+
 def _spectrum_rows(omegas, rvals, tag):
     return [
         [_fmt(om), _fmt(rv.real), _fmt(rv.imag), _fmt(abs(rv)), _fmt(1.0 - abs(rv) ** 2), tag]
@@ -158,12 +165,9 @@ def cmd_spectrum(cfg: RunConfig, model_choice: str) -> int:
         if model_choice == "both":
             summary = f"# summary max_abs_r_diff = {np.abs(r_rom - r_exact).max():.17g}"
     path = _outdir(cfg) / "spectrum.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {_meta(cfg)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "re_r", "im_r", "abs_r", "absorptance", "model"])
-        writer.writerows(rows)
-        if summary:
+    _write_csv(path, _SPECTRUM_HEADER, rows, _meta(cfg))
+    if summary:
+        with open(path, "a", newline="") as fh:
             fh.write(summary + "\n")
     print(f"wrote {path} ({len(rows)} rows)")
     if summary:
@@ -172,15 +176,19 @@ def cmd_spectrum(cfg: RunConfig, model_choice: str) -> int:
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
+    """Run the design loop, then write its history, designs and ROM spectra."""
     outdir = _outdir(cfg)
-    state = optimizer.run(
-        cfg.optimizer,
-        cfg.shapes,
-        cfg.materials,
-        cfg.L,
-        artifacts_dir=outdir,
-        meta=_meta(cfg),
-    )
+    state = optimizer.run(cfg.optimizer, cfg.shapes, cfg.materials, cfg.L)
+    meta = _meta(cfg)
+    history = [[it, _fmt(j), _fmt(g), f"{ms:.3f}"] for it, j, g, ms in state.history]
+    _write_csv(outdir / "history.csv", ["iter", "J", "grad_inf_norm", "wall_ms"], history, meta)
+    omegas = np.linspace(cfg.band[0], cfg.band[1], cfg.samples)
+    for tag, (grid, model) in (("initial", state.initial), ("best", state.best)):
+        geometry.dump_geometry(grid, outdir / f"geometry_{tag}.csv", meta=meta)
+        rows = _spectrum_rows(omegas, rom.reflection_rom(model, omegas, warn_band=False), "rom")
+        _write_csv(outdir / f"spectrum_{tag}.csv", _SPECTRUM_HEADER, rows, meta)
+    for it, grid in state.snapshots:
+        geometry.dump_geometry(grid, outdir / f"geometry_iter{it:05d}.csv", meta=meta)
     print(
         f"optimize: {len(state.history)} evaluations, "
         f"J {state.history[0][1]:.6g} -> best {state.best_value:.6g}"
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="path to a key = value configuration file")
     parser.add_argument("--output-dir", help="directory for CSV artifacts (default from config)")
-    parser.add_argument("--threads", type=int, help="BLAS thread count (overrides METASCREEN_THREADS)")
+    parser.add_argument("--threads", help="BLAS thread count (overrides METASCREEN_THREADS)")
     parser.add_argument("--seed", type=int, help="random seed override for the optimizer")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("capmat", help="capacitance matrix, volumes, moments, eigenpairs")
@@ -300,10 +308,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        limits = _apply_threads(args)  # noqa: F841 - keeps the thread limit alive
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    limits = _apply_threads(args)  # noqa: F841 - keeps the thread limit alive
     try:
         if args.command == "capmat":
             return cmd_capmat(cfg)

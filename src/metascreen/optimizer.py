@@ -7,6 +7,10 @@ by its max-abs before the moment update ("uniform" scaling of the shape
 gradient density), applies the usual bias-corrected first/second moments, and
 projects the iterate onto the box constraints.  A step whose geometry is
 invalid is halved up to ten times before the iteration is skipped.
+
+``run`` writes no files: the returned OptState carries the history, the best
+design, the (grid, RomModel) of the first and best evaluations and the
+snapshot grids, and the CLI writes them out.
 """
 
 from __future__ import annotations
@@ -72,6 +76,9 @@ class OptState:
     history: list = field(default_factory=list)  # rows (iter, J, grad_inf, wall_ms)
     best_value: float = np.inf
     best_params: np.ndarray | None = None
+    initial: tuple | None = None  # (grid, RomModel) of the first evaluation
+    best: tuple | None = None  # (grid, RomModel) of the best evaluation
+    snapshots: list = field(default_factory=list)  # (iteration, grid) every snapshot_every
 
     @classmethod
     def fresh(cls, shapes) -> "OptState":
@@ -199,20 +206,13 @@ def _evaluate(shapes, cfg: OptConfig, materials, L, targets):
     return value, gradient, model, grid
 
 
-def run(
-    config: OptConfig,
-    shapes,
-    materials: rom.MaterialParams,
-    L: float,
-    artifacts_dir=None,
-    meta: str = "",
-):
-    """Execute the design loop; returns the final OptState.
+def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> OptState:
+    """Execute the design loop; returns the final OptState and writes no files.
 
     A degenerate spectrum mid-run is retried with seeded 1e-4 Fourier jitter
-    (at most 3 times), then aborts.  When ``artifacts_dir`` is given, the
-    history CSV and the geometry and ROM spectrum of the first and of the
-    best evaluation are written there.
+    (at most 3 times), then aborts.  The state keeps the (grid, RomModel) of
+    the first and of the best evaluation and the snapshot grids, so callers
+    can report them without evaluating again.
     """
     shapes = tuple(shapes)
     violations = geometry.validate_geometry(
@@ -249,9 +249,7 @@ def run(
                 params = params + jitter
         raise AssertionError("unreachable")
 
-    snapshots = []
     plateau = 0
-    initial = best = None  # (grid, model) of the first and of the best evaluation
     for it in range(config.max_iters + 1):
         t0 = time.perf_counter()
         params, (value, gradient, model, grid) = evaluate_with_retry(state)
@@ -259,16 +257,16 @@ def run(
             state = replace(state, params=params)
         grad_inf = float(np.abs(gradient).max()) if gradient.size else 0.0
         improved = value < state.best_value - config.plateau_tol
-        if initial is None:
-            initial = (grid, model)
+        if state.initial is None:
+            state.initial = (grid, model)
         if value < state.best_value:
             state.best_value = value
             state.best_params = state.params.copy()
-            best = (grid, model)
+            state.best = (grid, model)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         state.history.append((state.iteration, value, grad_inf, wall_ms))
         if config.snapshot_every and it % config.snapshot_every == 0:
-            snapshots.append((state.iteration, grid))
+            state.snapshots.append((state.iteration, grid))
         if it == config.max_iters:
             break
         plateau = 0 if improved else plateau + 1
@@ -277,44 +275,6 @@ def run(
             break
         state, _ = step_uniform_adam(state, gradient, config, L, margin=config.geometry_margin)
 
-    if artifacts_dir is not None:
-        designs = {"initial": initial, "best": best or (grid, model)}
-        _write_artifacts(config, state, designs, artifacts_dir, snapshots, meta)
+    if state.best is None:  # no evaluation had a finite J
+        state.best = (grid, model)
     return state
-
-
-def _write_artifacts(config, state, designs, outdir, snapshots, meta):
-    import csv
-    import pathlib
-
-    outdir = pathlib.Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "history.csv", "w", newline="") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "J", "grad_inf_norm", "wall_ms"])
-        for row in state.history:
-            writer.writerow([row[0], f"{row[1]:.17g}", f"{row[2]:.17g}", f"{row[3]:.3f}"])
-    oms = np.linspace(config.band[0], config.band[1], 200)
-    for tag, (grid, model) in designs.items():
-        geometry.dump_geometry(grid, outdir / f"geometry_{tag}.csv", meta=meta)
-        r = rom.reflection_rom(model, oms, warn_band=False)
-        with open(outdir / f"spectrum_{tag}.csv", "w", newline="") as fh:
-            if meta:
-                fh.write(f"# {meta}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["omega", "re_r", "im_r", "abs_r", "absorptance", "model"])
-            for om, rv in zip(oms, r):
-                writer.writerow(
-                    [
-                        f"{om:.17g}",
-                        f"{rv.real:.17g}",
-                        f"{rv.imag:.17g}",
-                        f"{abs(rv):.17g}",
-                        f"{1.0 - abs(rv) ** 2:.17g}",
-                        "rom",
-                    ]
-                )
-    for it, grid in snapshots:
-        geometry.dump_geometry(grid, outdir / f"geometry_iter{it:05d}.csv", meta=meta)

@@ -12,8 +12,10 @@ density representations of the capacitance derivatives:
     g^V_ij = chi_i chi_j
     g^m_j  = psi_j K*[psi_tilde] + psi_tilde K*[psi_j] - nu_d psi_j
 
-with the Laplace adjoint double layer K*, followed by first-order eigenpair
-perturbation and the chain rule onto the Fourier design parameters.
+with the Laplace adjoint double layer K*, applied once to [psi | psi_tilde].
+g^V is the indicator of the node's own resonator b, so it is never stored:
+first-order eigenpair perturbation reads u_i^T g^V u_j as u_i[b] u_j[b].
+The chain rule then maps each density onto the Fourier design parameters.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layerpot, rom
-from .capacitance import CapacitanceData
+from .capacitance import CapacitanceData, relative_gap
 from .geometry import params_per_shape, velocity_field
 from .rom import RomModel, band_quadrature, lambda_of_omega
 
 __all__ = [
-    "GradientDensity",
     "DegenerateSpectrumError",
     "ShapeGradients",
     "gradient_densities",
@@ -48,95 +49,41 @@ class DegenerateSpectrumError(ValueError):
 
 
 @dataclass(frozen=True)
-class GradientDensity:
-    """Boundary samples of a Hadamard density; first axis indexes nodes."""
-
-    values: np.ndarray
-    grid: object
-
-    def pair(self, normal_velocity):
-        """Contract against theta.nu node values with the trapezoid weights."""
-        w = self.grid.weights * np.asarray(normal_velocity)
-        return np.tensordot(w, self.values, axes=(0, 0))
-
-
-@dataclass(frozen=True)
 class ShapeGradients:
     """All modal densities for one geometry (node-indexed leading axis)."""
 
-    cap: CapacitanceData
     gC: np.ndarray  # (n, N, N)
-    gV: np.ndarray  # (n, N, N)
     gm: np.ndarray  # (n, N)
     glam0: np.ndarray  # (n, N)
     gu: np.ndarray  # (n, N_modes, N_components)
     glam1: np.ndarray  # (n, N)
 
 
-def grad_capacitance(cap: CapacitanceData, kstar=None):
-    """Density g^C_ij(x) = psi_i K*[psi_j] + psi_j K*[psi_i] (symmetric in ij)."""
-    grid = cap.grid
-    K = kstar if kstar is not None else layerpot.assemble_adjoint_double_layer(grid)
-    kp = K.matrix @ cap.psi
-    return cap.psi[:, :, None] * kp[:, None, :] + cap.psi[:, None, :] * kp[:, :, None]
-
-
-def grad_volume(cap: CapacitanceData):
-    """Density g^V_ij = chi_i chi_j (block indicators on the diagonal)."""
-    grid = cap.grid
-    n, nres = grid.n_total, grid.n_res
-    gV = np.zeros((n, nres, nres))
-    idx = grid.block_index()
-    gV[np.arange(n), idx, idx] = 1.0
-    return gV
-
-
-def grad_moments(cap: CapacitanceData, kstar=None):
-    """Density g^m_j = psi_j K*[psi_tilde] + psi_tilde K*[psi_j] - nu_d psi_j."""
-    grid = cap.grid
-    K = kstar if kstar is not None else layerpot.assemble_adjoint_double_layer(grid)
-    kp = K.matrix @ cap.psi
-    kpt = K.matrix @ cap.psi_tilde
-    nu_d = grid.normals[:, 1]
-    return (
-        cap.psi * kpt[:, None]
-        + cap.psi_tilde[:, None] * kp
-        - nu_d[:, None] * cap.psi
-    )
-
-
-def grad_eigs(cap: CapacitanceData, gC, gV):
+def grad_eigs(cap: CapacitanceData, gC):
     """Densities of the eigenpairs: g^lam0_j and the eigenvector field g^u_j.
 
     g^lam0_j = u_j^T (g^C - lam_j g^V) u_j,
-    g^u_j = sum_{i != j} [u_j^T (g^C - lam_j g^V) u_i / (lam_j - lam_i)] u_i
-            - (1/2) (u_j^T g^V u_j) u_j.
+    g^u_j = sum_{i != j} [u_i^T (g^C - lam_j g^V) u_j / (lam_j - lam_i)] u_i
+            - (1/2) (u_j^T g^V u_j) u_j,
 
+    where u_i^T g^V(x) u_j = u_i[b] u_j[b] on the boundary of resonator b.
     Refuses nearly degenerate spectra (the formulas divide by lam_j - lam_i).
     """
     lam, u = cap.lam, cap.u
-    nres = len(lam)
-    if nres > 1:
-        gap = np.min(np.diff(np.sort(lam))) / np.max(np.abs(lam))
-        if gap < DEGENERATE_GAP_REFUSE:
-            raise DegenerateSpectrumError(
-                f"degenerate spectrum (relative gap {gap:.2e} < {DEGENERATE_GAP_REFUSE:g})"
-            )
-    # q[x, i, j] = u_i^T (g^C(x) - lam_j g^V(x)) u_j
-    gCu = np.einsum("xab,bj->xaj", gC, u)
-    gVu = np.einsum("xab,bj->xaj", gV, u)
-    uq = np.einsum("ai,xaj->xij", u, gCu)
-    uv = np.einsum("ai,xaj->xij", u, gVu)
-    glam0 = np.stack([uq[:, j, j] - lam[j] * uv[:, j, j] for j in range(nres)], axis=1)
-    gu = np.zeros((gC.shape[0], nres, nres))
-    for j in range(nres):
-        coef = np.zeros((gC.shape[0], nres))
-        for i in range(nres):
-            if i == j:
-                continue
-            coef[:, i] = (uq[:, i, j] - lam[j] * uv[:, i, j]) / (lam[j] - lam[i])
-        gu[:, j, :] = coef @ u.T
-        gu[:, j, :] -= 0.5 * uv[:, j, j][:, None] * u[:, j]
+    gap = relative_gap(lam)
+    if gap < DEGENERATE_GAP_REFUSE:
+        raise DegenerateSpectrumError(
+            f"degenerate spectrum (relative gap {gap:.2e} < {DEGENERATE_GAP_REFUSE:g})"
+        )
+    ub = u[cap.grid.block_index()]  # ub[x, i]: component of u_i on the node's resonator
+    uv = ub[:, :, None] * ub[:, None, :]  # u_i^T g^V(x) u_j
+    # uq[x, i, j] = u_i^T g^C(x) u_j
+    uq = np.einsum("ai,xaj->xij", u, np.einsum("xab,bj->xaj", gC, u))
+    glam0 = np.einsum("xjj->xj", uq) - lam * (ub * ub)
+    den = lam[None, :] - lam[:, None]  # lam_j - lam_i
+    np.fill_diagonal(den, np.inf)
+    coef = np.swapaxes((uq - lam * uv) / den, 1, 2)  # coef[x, j, i]
+    gu = coef @ u.T - 0.5 * (ub * ub)[:, :, None] * u.T
     return glam0, gu
 
 
@@ -149,17 +96,23 @@ def grad_radiative_widths(cap: CapacitanceData, gu, gm, materials):
 
 
 def gradient_densities(cap: CapacitanceData, materials, kstar=None) -> ShapeGradients:
-    """All modal Hadamard densities for one geometry in one pass."""
+    """All modal Hadamard densities for one geometry in one pass.
+
+    K* is applied once, to the stacked densities [psi | psi_tilde]; g^C and
+    g^m are both read from that product.
+    """
     if cap.lam is None or cap.m is None:
         raise ValueError("capacitance data must carry moments and eigenpairs")
     grid = cap.grid
     K = kstar if kstar is not None else layerpot.assemble_adjoint_double_layer(grid)
-    gC = grad_capacitance(cap, kstar=K)
-    gV = grad_volume(cap)
-    gm = grad_moments(cap, kstar=K)
-    glam0, gu = grad_eigs(cap, gC, gV)
+    psi, psi_t = cap.psi, cap.psi_tilde
+    kk = K.matrix @ np.column_stack([psi, psi_t])
+    kp, kpt = kk[:, :-1], kk[:, -1]
+    gC = psi[:, :, None] * kp[:, None, :] + psi[:, None, :] * kp[:, :, None]
+    gm = psi * kpt[:, None] + psi_t[:, None] * kp - grid.normals[:, 1][:, None] * psi
+    glam0, gu = grad_eigs(cap, gC)
     glam1 = grad_radiative_widths(cap, gu, gm, materials)
-    return ShapeGradients(cap=cap, gC=gC, gV=gV, gm=gm, glam0=glam0, gu=gu, glam1=glam1)
+    return ShapeGradients(gC=gC, gm=gm, glam0=glam0, gu=gu, glam1=glam1)
 
 
 def grad_reflection(model: RomModel, grads: ShapeGradients, omega):
@@ -249,5 +202,4 @@ def parametric_gradient(density, grid, velocities=None):
     valued (complex allowed); the result prepends the parameter axis.
     """
     vel = velocities if velocities is not None else normal_velocities(grid)
-    values = density.values if isinstance(density, GradientDensity) else np.asarray(density)
-    return np.tensordot(vel * grid.weights[None, :], values, axes=(1, 0))
+    return np.tensordot(vel * grid.weights[None, :], np.asarray(density), axes=(1, 0))

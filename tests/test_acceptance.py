@@ -229,7 +229,7 @@ class TestAC5GradientCorrectness:
         # lattice-translation pairings vanish
         theta_nu = grid.normals[:, 0]
         for dens in (grads.gC, grads.gm, grads.glam0, grads.glam1):
-            pair = sg.GradientDensity(np.asarray(dens), grid).pair(theta_nu)
+            pair = sg.parametric_gradient(dens, grid, theta_nu[None])[0]
             assert np.abs(pair).max() <= 1e-8
         print(f"\nAC-5 gradient correctness: PASS (worst FD rel err {worst:.1e})")
 

@@ -170,6 +170,16 @@ class TestCli:
         assert (out / "spectrum_initial.csv").read_bytes() == (out / "spectrum_best.csv").read_bytes()
         assert len((out / "history.csv").read_text().splitlines()) == 3
 
+    def test_optimize_spectra_follow_band_samples(self, tmp_path):
+        text = "solver.n_pts = 32\noptimizer.max_iters = 0\nband.samples = 50\n"
+        assert run_cli(tmp_path, text, "spectrum", "--model", "rom") == 0
+        assert run_cli(tmp_path, text, "optimize") == 0
+        out = tmp_path / "out"
+        swept = list(csv.reader((out / "spectrum.csv").open()))[2:]
+        initial = list(csv.reader((out / "spectrum_initial.csv").open()))[2:]
+        assert len(swept) == 50
+        assert initial == swept
+
     def test_check_grad_small(self, tmp_path):
         text = (
             "geometry.layout = 2x1\ngeometry.spacing = 4.5\ngeometry.fourier_order = 1\n"
@@ -192,6 +202,20 @@ class TestCli:
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.txt"), "capmat"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_bad_threads_flag_is_config_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.delenv("METASCREEN_THREADS", raising=False)
+        assert run_cli(tmp_path, BASE, "--threads", value, "capmat") == cli.EXIT_CONFIG
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "capmat.csv").exists()
+
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_bad_threads_env_is_config_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("METASCREEN_THREADS", value)
+        assert run_cli(tmp_path, BASE, "capmat") == cli.EXIT_CONFIG
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "out" / "capmat.csv").exists()
 
     def test_metadata_line(self, tmp_path):
         run_cli(tmp_path, BASE, "capmat")

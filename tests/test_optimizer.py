@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from metascreen import capacitance as cap, geometry as geo, optimizer as opt, rom, shapegrad as sg
+from metascreen import capacitance as cap, cli, geometry as geo, optimizer as opt, rom, shapegrad as sg
 
 L = 20.0
 MATS = rom.MaterialParams()
@@ -124,10 +124,14 @@ class TestStep:
 
 
 class TestRun:
-    def test_zero_iterations(self, one_circle, tmp_path):
-        cfg = opt.OptConfig(objective="ref", max_iters=0, n_pts=32)
-        state = opt.run(cfg, one_circle, MATS, L, artifacts_dir=tmp_path)
-        assert len(state.history) == 1
+    def test_zero_iterations(self, tmp_path):
+        # the default config geometry is one_circle; the CLI writes the artifacts
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(
+            "solver.n_pts = 32\noptimizer.objective = ref\noptimizer.max_iters = 0\n"
+        )
+        assert cli.main(["--config", str(cfg_file), "--output-dir", str(tmp_path), "optimize"]) == 0
+        assert len((tmp_path / "history.csv").read_text().splitlines()) == 2 + 1
         init = (tmp_path / "spectrum_initial.csv").read_bytes()
         best = (tmp_path / "spectrum_best.csv").read_bytes()
         assert init == best

@@ -22,6 +22,22 @@ def design(two_res_shapes):
     return grid, data, model, grads, vel
 
 
+@pytest.fixture(scope="module")
+def three_design():
+    """Asymmetric three-resonator design: two off-diagonal terms in every g^u_j."""
+    shapes = (
+        geo.ShapeParams((-3.0, 1.2), 0.6, (0.15, -0.1), (0.05, 0.2)),
+        geo.ShapeParams((0.5, 1.0), 0.45, (-0.2, 0.1), (0.1, -0.15)),
+        geo.ShapeParams((4.0, 1.6), 0.5, (0.05, 0.1), (-0.1, 0.05)),
+    )
+    grid = geo.discretize(shapes, N_PTS, L)
+    ctx = lp.AssemblyContext(grid)
+    data = cap.capacitance_pipeline(grid, context=ctx)
+    model = rom.build_rom(data, MATS)
+    grads = sg.gradient_densities(data, MATS, kstar=ctx.adjoint_double_layer_laplace())
+    return grid, data, model, grads, sg.normal_velocities(grid)
+
+
 def rebuild(params, order=2):
     shapes = geo.params_to_shapes(params, order)
     grid = geo.discretize(shapes, N_PTS, L)
@@ -34,29 +50,18 @@ class TestDensityStructure:
         _, _, _, grads, _ = design
         assert np.array_equal(grads.gC, np.swapaxes(grads.gC, 1, 2))
 
-    def test_gV_indicator(self, design):
-        grid, _, _, grads, _ = design
-        # pairing g^V_00 with theta = nu integrates to the first perimeter
-        ones = np.ones(grid.n_total)
-        per = sg.GradientDensity(grads.gV[:, 0, 0], grid).pair(ones)
-        t = grid.t[: grid.n_pts]
-        _, _, speed, _, _ = geo.boundary_frame(grid.shapes[0], t)
-        perimeter = (2 * np.pi / grid.n_pts) * speed.sum()
-        assert abs(per - perimeter) < 1e-12
-
     def test_translation_pairings_vanish(self, design):
         grid, _, model, grads, _ = design
         theta_nu = grid.normals[:, 0]  # global lattice shift e_l
         for dens in (
             grads.gC,
-            grads.gV,
             grads.gm,
             grads.glam0,
             grads.glam1,
             sg.grad_objective_ref(model, grads, BAND, N_QUAD),
             sg.grad_objective_res(model, grads, uniform_targets(BAND, 2)),
         ):
-            pair = sg.GradientDensity(np.asarray(dens), grid).pair(theta_nu)
+            pair = sg.parametric_gradient(dens, grid, theta_nu[None])[0]
             assert np.abs(pair).max() < 1e-8
 
     def test_mirror_symmetric_gm(self):
@@ -84,20 +89,42 @@ class TestDensityStructure:
         grid = geo.discretize([circle_half], N_PTS, L)
         data = cap.capacitance_pipeline(grid)
         grads = sg.gradient_densities(data, MATS)
-        expect = (grads.gC[:, 0, 0] - data.lam[0] * grads.gV[:, 0, 0]) / data.areas[0]
+        # one resonator: g^V_00 = 1 at every node
+        expect = (grads.gC[:, 0, 0] - data.lam[0]) / data.areas[0]
         assert np.abs(grads.glam0[:, 0] - expect).max() < 1e-12
 
-    def test_orthonormality_derivative_identity(self, design):
-        # d/dt (u_j^T V u_j) = 0: 2 u_j^T V P[g^u_j] + u_j^T P[g^V] u_j = 0
-        grid, data, _, grads, _ = design
+    @pytest.mark.parametrize("fixture", ["design", "three_design"])
+    def test_orthonormality_derivative_identity(self, fixture, request):
+        # d/dt (u_i^T V u_j) = 0: D + D^T + U^T P[g^V] U = 0, D_ij = u_i^T V P[g^u_j]
+        grid, data, _, grads, _ = request.getfixturevalue(fixture)
         rng = np.random.default_rng(5)
         vn = rng.standard_normal(grid.n_total)
         w = grid.weights * vn
         pu = np.tensordot(w, grads.gu, axes=(0, 0))  # (modes, comps)
-        pV = np.tensordot(w, grads.gV, axes=(0, 0))
-        for j in range(data.n_res):
-            resid = 2 * data.u[:, j] @ data.V @ pu[j] + data.u[:, j] @ pV @ data.u[:, j]
-            assert abs(resid) < 1e-8
+        pV = np.diag(np.bincount(grid.block_index(), weights=w))
+        D = data.u.T @ data.V @ pu.T
+        resid = D + D.T + data.u.T @ pV @ data.u
+        assert np.abs(resid).max() < 1e-8
+
+    @pytest.mark.parametrize("fixture", ["design", "three_design"])
+    def test_grad_eigs_matches_mode_loop(self, fixture, request):
+        # reference: the per-mode double loop; the arithmetic is the same
+        _, data, _, grads, _ = request.getfixturevalue(fixture)
+        lam, u = data.lam, data.u
+        nres, n = len(lam), grads.gC.shape[0]
+        ub = u[data.grid.block_index()]
+        uq = np.einsum("ai,xaj->xij", u, np.einsum("xab,bj->xaj", grads.gC, u))
+        uv = ub[:, :, None] * ub[:, None, :]
+        glam0 = np.stack([uq[:, j, j] - lam[j] * uv[:, j, j] for j in range(nres)], axis=1)
+        gu = np.zeros((n, nres, nres))
+        for j in range(nres):
+            coef = np.zeros((n, nres))
+            for i in range(nres):
+                if i != j:
+                    coef[:, i] = (uq[:, i, j] - lam[j] * uv[:, i, j]) / (lam[j] - lam[i])
+            gu[:, j, :] = coef @ u.T - 0.5 * uv[:, j, j][:, None] * u[:, j]
+        assert np.array_equal(grads.glam0, glam0)
+        assert np.array_equal(grads.gu, gu)
 
     def test_gauge_invariance(self, design):
         grid, data, _, grads, _ = design
@@ -125,7 +152,7 @@ class TestDensityStructure:
         with pytest.warns(UserWarning, match="degenerate"):
             cap.eigendecompose(fake)
         with pytest.raises(sg.DegenerateSpectrumError):
-            sg.grad_eigs(fake, np.zeros((grid.n_total, 2, 2)), np.zeros((grid.n_total, 2, 2)))
+            sg.grad_eigs(fake, np.zeros((grid.n_total, 2, 2)))
 
 
 class TestReflectionDensity:
@@ -170,7 +197,7 @@ class TestParametricGradient:
     def test_tangential_field_pairs_to_zero(self, design):
         grid, _, _, grads, _ = design
         # synthetic tangential deformation: theta . nu = 0 exactly
-        zero = sg.GradientDensity(grads.glam0, grid).pair(np.zeros(grid.n_total))
+        zero = sg.parametric_gradient(grads.glam0, grid, np.zeros((1, grid.n_total)))[0]
         assert np.abs(zero).max() == 0.0
 
     def test_center_x_equals_per_resonator_translation(self, design):
