@@ -49,15 +49,10 @@ class CapacitanceData:
     psi: np.ndarray
     asymmetry: float
     m: np.ndarray | None = None
-    m_hat: np.ndarray | None = None
     psi_tilde: np.ndarray | None = None
     lam: np.ndarray | None = None
     u: np.ndarray | None = None
     degenerate: bool = field(default=False)
-
-    @property
-    def V(self) -> np.ndarray:
-        return np.diag(self.areas)
 
     @property
     def n_res(self) -> int:
@@ -76,7 +71,7 @@ def relative_gap(lam) -> float:
 
 
 def compute_capacitance(grid: BoundaryGrid, context=None) -> CapacitanceData:
-    """Solve the single-layer problems and form C (symmetrized) and V.
+    """Solve the single-layer problems and form C (symmetrized) and the areas (diag V).
 
     The N indicator right-hand sides (psi) and the height x_d (psi_tilde)
     share one factorization of S.
@@ -104,10 +99,9 @@ def compute_capacitance(grid: BoundaryGrid, context=None) -> CapacitanceData:
 
 
 def compute_moments(data: CapacitanceData) -> CapacitanceData:
-    """Fill in m and m_hat = C^-1 m."""
+    """Fill in the moment vector m."""
     grid = data.grid
     data.m = -(grid.nodes[:, 1] * grid.weights) @ data.psi
-    data.m_hat = np.linalg.solve(data.C, data.m)
     return data
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from . import greens, layerpot
+from . import layerpot
 from .geometry import BoundaryGrid
 from .rom import MaterialParams
 
@@ -73,15 +73,12 @@ def solve_scattering(
         raise ValueError("frequency must be positive")
     km = omega / materials.v_m
     kb = omega / materials.v_b
-    cfg = greens.LatticeConfig(L=grid.L)
-    greens.WaveParams(k=km).check_single_mode(cfg)
-    greens.WaveParams(k=kb).check_single_mode(cfg)
 
     ctx = context if context is not None else layerpot.AssemblyContext(grid)
-    S_b = ctx.single_layer_helmholtz(kb).matrix
-    S_m = ctx.single_layer_helmholtz(km).matrix
-    K_b = ctx.adjoint_double_layer_helmholtz(kb).matrix
-    K_m = ctx.adjoint_double_layer_helmholtz(km).matrix
+    S_b = ctx.single_layer_helmholtz(kb)
+    S_m = ctx.single_layer_helmholtz(km)
+    K_b = ctx.adjoint_double_layer_helmholtz(kb)
+    K_m = ctx.adjoint_double_layer_helmholtz(km)
 
     n = grid.n_total
     eye = np.eye(n)
@@ -156,9 +153,9 @@ def total_field(
     km = omega / materials.v_m
     if _inside_which(grid, x) is not None:
         return complex(
-            layerpot.evaluate_single_layer(grid, sol.phi, x[None, :], kernel=kb)
+            layerpot.evaluate_single_layer(grid, sol.phi, x[None, :], k=kb)
         )
     u_t = -2j * np.sin(omega * materials.tau_m * x[1])
     return complex(
-        layerpot.evaluate_single_layer(grid, sol.phi_ext, x[None, :], kernel=km) + u_t
+        layerpot.evaluate_single_layer(grid, sol.phi_ext, x[None, :], k=km) + u_t
     )

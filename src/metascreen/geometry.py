@@ -90,10 +90,6 @@ class ShapeParams:
                 ddr += scale * i * i * (-a * c - b * s)
         return self.a0 * r, self.a0 * dr, self.a0 * ddr
 
-    def max_radius(self, n_samples: int = 720) -> float:
-        r, _, _ = self.radius(np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False))
-        return float(np.max(r))
-
 
 def parametrize(p: ShapeParams, t):
     """Boundary point x(t) = center + r(t) (cos t, sin t); 2pi-periodic in t."""
@@ -175,15 +171,6 @@ class BoundaryGrid:
         return np.array(
             [0.5 * np.sum(xn[self.block(j)] * w[self.block(j)]) for j in range(self.n_res)]
         )
-
-    def fingerprint(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(np.int64(self.n_pts).tobytes())
-        h.update(np.float64(self.L).tobytes())
-        h.update(self.nodes.tobytes())
-        return h.hexdigest()[:16]
 
 
 def discretize(shapes, n_pts: int, L: float) -> BoundaryGrid:

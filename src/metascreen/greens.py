@@ -1,8 +1,9 @@
 """Periodic half-space Green's functions for the sound-soft wall.
 
-The lattice is one-dimensional with period L, the wall sits at x_d = 0, and
-only normal incidence (quasi-momentum alpha = 0) is supported.  The sound-soft
-kernel is the image difference
+The lattice is one-dimensional with period L and the wall sits at x_d = 0.
+The kernels are those of normal incidence: they carry no quasi-momentum
+(Bloch phase), and no option selects one.  The sound-soft kernel is the image
+difference
 
     G_s(x, y) = G_per(x - y) - G_per(x - y*),      y* = (y_l, -y_d),
 
@@ -18,8 +19,10 @@ their large-mode expansion through order k^6 removed and restored in closed
 form via polylogarithms Li_1..Li_7 (zeta-series evaluation, valid for
 |z| < L).  The remaining modal series then decays like |eta|^-9 and a few
 terms reach 1e-12 even on the boundary diagonal, where the plain |eta|^-3
-Kummer tail would need ~1e5 modes.  Callers check the single-mode condition
-(WaveParams.check_single_mode) before evaluating the Helmholtz kernel.
+Kummer tail would need ~1e5 modes.  The single-mode condition
+(WaveParams.check_single_mode) is checked by the point kernels and by
+layerpot.AssemblyContext before they build any table; gper_helmholtz itself
+does not check it.
 
 gper_helmholtz is the one place this kernel and its gradient are composed.
 It reads only wavenumber-independent pair tables: the closed-form Laplace
@@ -76,17 +79,14 @@ _HARMONIC = [0.0, 1.0, 1.5, 11.0 / 6.0, 25.0 / 12.0, 137.0 / 60.0, 49.0 / 20.0]
 
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Period, quasi-momentum and truncation tolerance for the mode sums."""
+    """Period and truncation tolerance for the mode sums."""
 
     L: float
-    alpha: float = 0.0
     tol: float = 1e-12
 
     def __post_init__(self):
         if self.L <= 0:
             raise ValueError("period L must be positive")
-        if abs(self.alpha) >= 2.0 * np.pi / self.L:
-            raise ValueError("quasi-momentum outside the first Brillouin zone")
 
     @property
     def cell_measure(self) -> float:
@@ -115,7 +115,7 @@ class WaveParams:
         return cls(k=omega / speed)
 
     def check_single_mode(self, cfg: LatticeConfig) -> None:
-        eta1 = 2.0 * np.pi / cfg.L - abs(cfg.alpha)
+        eta1 = 2.0 * np.pi / cfg.L
         if self.k.real >= eta1:
             raise ValueError(
                 f"multiple propagating modes unsupported (Re k = {self.k.real:.6g} "
@@ -123,11 +123,6 @@ class WaveParams:
             )
         if abs(self.k) >= 0.95 * eta1:
             raise ValueError("wavenumber too close to the first diffraction cutoff")
-
-
-def _require_normal_incidence(cfg: LatticeConfig):
-    if cfg.alpha != 0.0:
-        raise ValueError("oblique incidence (alpha != 0) is not implemented")
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +432,6 @@ def _check_separated(zl, zd, L):
 
 def laplace_gs(x, y, cfg: LatticeConfig):
     """Sound-soft periodic Laplace Green's function G_s(x, y)."""
-    _require_normal_incidence(cfg)
     zl, zd, zs = _split_points(x, y)
     _check_separated(zl, zd, cfg.L)
     return _closed_laplace(zl, zd, cfg.L) - _closed_laplace(zl, zs, cfg.L)
@@ -445,7 +439,6 @@ def laplace_gs(x, y, cfg: LatticeConfig):
 
 def laplace_gs_grad(x, y, cfg: LatticeConfig):
     """Gradient in x of laplace_gs; returns an array with trailing dim 2."""
-    _require_normal_incidence(cfg)
     zl, zd, zs = _split_points(x, y)
     _check_separated(zl, zd, cfg.L)
     _, gl1, gd1 = _closed_laplace(zl, zd, cfg.L, want_grad=True)
@@ -455,7 +448,6 @@ def laplace_gs_grad(x, y, cfg: LatticeConfig):
 
 def _helmholtz_pairs(x, y, wave: WaveParams, cfg: LatticeConfig, n_modes, want_grad):
     """gper_helmholtz on the direct and the image separations of point pairs."""
-    _require_normal_incidence(cfg)
     wave.check_single_mode(cfg)
     zl, zd, zs = _split_points(x, y)
     _check_separated(zl, zd, cfg.L)

@@ -7,20 +7,25 @@ coupling different resonators (and the wall-image contributions) are smooth
 and use the plain trapezoid rule with the shared weights
 (2 pi / n_pts) |x'(t_k)|.
 
+Laplace and Helmholtz share the rule: one body assembles S and one assembles
+K*, each from a kernel bundle {"dir", "img"} -> (value, d/dz_l, d/dz_d) on all
+node pairs and the log factor A on each diagonal block.  For Laplace, A is
+1/(4 pi) for S and 0 for K*; for Helmholtz, A is J_0(kr)/(4 pi) for S and
+-(k^2/(4 pi)) (J_1(kr)/(kr)) (z . nu) for K*.  Operators are plain ndarrays.
+
 An AssemblyContext caches every wavenumber-independent pair quantity, so
 frequency sweeps only pay for the k-dependent arithmetic.  The Laplace half
-(minimum-image separations, closed-form kernel values and gradients, the log
+(minimum-image separations, the closed-form Laplace bundle, the log
 quadrature) is built with the context; the Helmholtz half (greens.kummer_tables
 of the direct and image separations) is built on the first Helmholtz operator
 or helmholtz_cache() call, so Laplace-only work such as the optimizer loop and
-the shape gradients never pays for it.  The Helmholtz kernel on all node pairs
+the shape gradients never pays for it.  A Helmholtz operator checks the
+single-mode condition on k before it builds anything.  The Helmholtz bundle
 comes from greens.gper_helmholtz, the same function the point kernels
 (greens.helmholtz_gs / helmholtz_gs_grad) call.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
@@ -29,11 +34,8 @@ from . import greens
 from .geometry import BoundaryGrid
 
 __all__ = [
-    "DenseOperator",
     "AssemblyContext",
     "SingularOperatorError",
-    "assemble_single_layer",
-    "assemble_adjoint_double_layer",
     "solve_density",
     "evaluate_single_layer",
 ]
@@ -49,26 +51,6 @@ class SingularOperatorError(np.linalg.LinAlgError):
         if cond is not None:
             message = f"{message} (condition estimate {cond:.3e})"
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """Nystrom matrix acting on node values of a boundary density."""
-
-    matrix: np.ndarray
-    kind: str  # "single_layer" or "adjoint_double_layer"
-    k: complex | None  # None marks the Laplace kernel
-    grid_id: str
-
-    def __post_init__(self):
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("operator matrix contains non-finite entries")
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 def kress_log_weights(n_pts: int) -> np.ndarray:
@@ -118,10 +100,8 @@ class AssemblyContext:
     def __init__(self, grid: BoundaryGrid, tol: float = 1e-12):
         self.grid = grid
         self.tol = tol
-        self.grid_id = grid.fingerprint()
         L = grid.L
         x = grid.nodes
-        n = grid.n_total
 
         zl = x[:, 0, None] - x[None, :, 0]
         zl -= L * np.round(zl / L)  # minimum image; kernels are L-periodic
@@ -131,17 +111,13 @@ class AssemblyContext:
         self.dd = dd
         self.di = di
 
-        eye = np.eye(n, dtype=bool)
-        self.diag = eye
-
-        # Laplace closed form; direct diagonal is singular and masked to 0
+        # Laplace kernel bundle in closed form; the direct diagonal is
+        # singular and masked to 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            lap, gl, gd = greens._closed_laplace(zl, dd, L, want_grad=True)
-        for arr in (lap, gl, gd):
-            arr[eye] = 0.0
-        self.lap_dir, self.lapg_dir = lap, (gl, gd)
-        lap, gl, gd = greens._closed_laplace(zl, di, L, want_grad=True)
-        self.lap_img, self.lapg_img = lap, (gl, gd)
+            direct = greens._closed_laplace(zl, dd, L, want_grad=True)
+        for arr in direct:
+            np.fill_diagonal(arr, 0.0)
+        self.laplace = {"dir": direct, "img": greens._closed_laplace(zl, di, L, want_grad=True)}
 
         # ln(4 sin^2((t_i - t_j)/2)) on one block (shared by all resonators)
         tpar = grid.t[: grid.n_pts]
@@ -174,13 +150,16 @@ class AssemblyContext:
     def _kernel_bundle(self, k: complex):
         """(value, d/dz_l, d/dz_d) of G_per^k on all node pairs, cached per k.
 
-        One greens.gper_helmholtz call per part ("dir", "img") serves both the
-        single-layer and the adjoint-double-layer assembly at this wavenumber;
-        the two most recent bundles are kept so sweeps alternating k_b / k_m
-        stay cached.  Nothing is masked: with the closed-form Laplace part
-        zeroed on the direct diagonal, the direct value there is the smooth
-        remainder 1/(2ikL) + ln(4)/(4 pi) + C(0) and the direct gradient is 0.
+        k must satisfy the single-mode condition; it is checked before any
+        cache is built.  One greens.gper_helmholtz call per part ("dir",
+        "img") serves both the single-layer and the adjoint-double-layer
+        assembly at this wavenumber; the two most recent bundles are kept so
+        sweeps alternating k_b / k_m stay cached.  Nothing is masked: with the
+        closed-form Laplace part zeroed on the direct diagonal, the direct
+        value there is the smooth remainder 1/(2ikL) + ln(4)/(4 pi) + C(0)
+        and the direct gradient is 0.
         """
+        greens.WaveParams(k=k).check_single_mode(greens.LatticeConfig(L=self.grid.L))
         key = complex(k)
         cached = self._bundles.get(key)
         if cached is not None:
@@ -188,129 +167,86 @@ class AssemblyContext:
         helm = self.helmholtz_cache()
         out = {
             part: greens.gper_helmholtz(
-                k, self.grid.L, (lap, *lapg), helm[part], tol=self.tol, want_grad=True
+                k, self.grid.L, self.laplace[part], helm[part], tol=self.tol, want_grad=True
             )
-            for part, lap, lapg in (
-                ("dir", self.lap_dir, self.lapg_dir),
-                ("img", self.lap_img, self.lapg_img),
-            )
+            for part in ("dir", "img")
         }
         if len(self._bundles) >= 2:
             self._bundles.pop(next(iter(self._bundles)))
         self._bundles[key] = out
         return out
 
-    # -- single layer -------------------------------------------------------
+    # -- the two Nystrom bodies ---------------------------------------------
 
-    def single_layer_laplace(self) -> DenseOperator:
+    def _single_layer(self, bundle, log_coef):
+        """S from a kernel bundle; log_coef(b) is the log factor A on block b."""
         grid = self.grid
-        val = self.lap_dir - self.lap_img
-        mat = self.w_t * val
-        a_const = _INV_4PI
-        for j in range(grid.n_res):
-            b = grid.block(j)
-            block_val = val[b, b] - a_const * self.lnsin
-            np.fill_diagonal(
-                block_val,
-                np.log(np.pi * grid.speed[b] / grid.L) / (2.0 * np.pi)
-                - np.diagonal(self.lap_img[b, b]),
-            )
-            mat[b, b] = self.kress * a_const + self.w_t * block_val
-        mat = mat * grid.speed[None, :]
-        return DenseOperator(mat, "single_layer", None, self.grid_id)
-
-    def single_layer_helmholtz(self, k: complex) -> DenseOperator:
-        grid = self.grid
-        L = grid.L
-        bundle = self._kernel_bundle(k)
         val = bundle["dir"][0] - bundle["img"][0]
         mat = self.w_t * val
         for j in range(grid.n_res):
             b = grid.block(j)
-            a_blk = _INV_4PI * _j0_small(k * np.hypot(self.zl[b, b], self.dd[b, b]))
+            a_blk = log_coef(b)
             block_val = val[b, b] - a_blk * self.lnsin
-            # the kernel diagonal already holds the smooth remainder minus the image
-            diag = np.log(np.pi * grid.speed[b] / L) / (2.0 * np.pi) + np.diagonal(val[b, b])
+            # the kernel diagonal holds the smooth remainder of the direct part minus the image
+            diag = np.log(np.pi * grid.speed[b] / grid.L) / (2.0 * np.pi) + np.diagonal(val[b, b])
             np.fill_diagonal(block_val, diag)
             mat[b, b] = self.kress * a_blk + self.w_t * block_val
-        mat = mat * grid.speed[None, :]
-        return DenseOperator(mat, "single_layer", complex(k), self.grid_id)
+        return _finite(mat * grid.speed[None, :])
 
-    # -- adjoint double layer ------------------------------------------------
-
-    def adjoint_double_layer_laplace(self) -> DenseOperator:
+    def _adjoint_double_layer(self, bundle, log_coef):
+        """K* from a kernel bundle; log_coef(b) is the log factor A on block b."""
         grid = self.grid
-        nx = grid.normals[:, 0, None]
-        ny = grid.normals[:, 1, None]
-        ker = (
-            nx * (self.lapg_dir[0] - self.lapg_img[0])
-            + ny * (self.lapg_dir[1] - self.lapg_img[1])
-        )
-        diag = grid.curvature * _INV_4PI - (
-            grid.normals[:, 0] * np.diagonal(self.lapg_img[0])
-            + grid.normals[:, 1] * np.diagonal(self.lapg_img[1])
-        )
-        ker[self.diag] = diag
-        mat = ker * (self.w_t * grid.speed[None, :])
-        return DenseOperator(mat, "adjoint_double_layer", None, self.grid_id)
-
-    def adjoint_double_layer_helmholtz(self, k: complex) -> DenseOperator:
-        grid = self.grid
-        bundle = self._kernel_bundle(k)
         (_, gl_dir, gd_dir), (_, gl_img, gd_img) = bundle["dir"], bundle["img"]
         nx = grid.normals[:, 0, None]
         ny = grid.normals[:, 1, None]
         ker = nx * (gl_dir - gl_img) + ny * (gd_dir - gd_img)
+        # on the diagonal the direct part tends to curvature / (4 pi)
         diag = grid.curvature * _INV_4PI - (
             grid.normals[:, 0] * np.diagonal(gl_img) + grid.normals[:, 1] * np.diagonal(gd_img)
         )
-        ker[self.diag] = diag
+        np.fill_diagonal(ker, diag)
         mat = self.w_t * ker
         for j in range(grid.n_res):
             b = grid.block(j)
-            zl, dd = self.zl[b, b], self.dd[b, b]
-            zdotnu = zl * nx[b] + dd * ny[b]
-            a_blk = -(k * k * _INV_4PI) * _j1c_small(k * np.hypot(zl, dd)) * zdotnu
+            a_blk = log_coef(b)
             block_val = ker[b, b] - a_blk * self.lnsin
             np.fill_diagonal(block_val, diag[b])
             mat[b, b] = self.kress * a_blk + self.w_t * block_val
-        mat = mat * grid.speed[None, :]
-        return DenseOperator(mat, "adjoint_double_layer", complex(k), self.grid_id)
+        return _finite(mat * grid.speed[None, :])
+
+    # -- the four operators ------------------------------------------------
+
+    def single_layer_laplace(self) -> np.ndarray:
+        return self._single_layer(self.laplace, lambda b: _INV_4PI)
+
+    def single_layer_helmholtz(self, k: complex) -> np.ndarray:
+        def log_coef(b):
+            return _INV_4PI * _j0_small(k * np.hypot(self.zl[b, b], self.dd[b, b]))
+
+        return self._single_layer(self._kernel_bundle(k), log_coef)
+
+    def adjoint_double_layer_laplace(self) -> np.ndarray:
+        return self._adjoint_double_layer(self.laplace, lambda b: 0.0)
+
+    def adjoint_double_layer_helmholtz(self, k: complex) -> np.ndarray:
+        normals = self.grid.normals
+
+        def log_coef(b):
+            zl, dd = self.zl[b, b], self.dd[b, b]
+            zdotnu = zl * normals[b, 0, None] + dd * normals[b, 1, None]
+            return -(k * k * _INV_4PI) * _j1c_small(k * np.hypot(zl, dd)) * zdotnu
+
+        return self._adjoint_double_layer(self._kernel_bundle(k), log_coef)
 
 
-def _as_wavenumber(kernel):
-    if kernel is None or (isinstance(kernel, str) and kernel.lower() == "laplace"):
-        return None
-    if isinstance(kernel, greens.WaveParams):
-        return kernel.k
-    return complex(kernel)
+def _finite(mat):
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("operator matrix contains non-finite entries")
+    return mat
 
 
-def assemble_single_layer(grid, kernel="laplace", context: AssemblyContext | None = None):
-    """Nystrom matrix of the sound-soft single-layer operator on the grid.
-
-    ``kernel`` is "laplace", a complex wavenumber, or a WaveParams.
-    """
-    ctx = context if context is not None else AssemblyContext(grid)
-    k = _as_wavenumber(kernel)
-    if k is None:
-        return ctx.single_layer_laplace()
-    greens.WaveParams(k=k).check_single_mode(greens.LatticeConfig(L=grid.L))
-    return ctx.single_layer_helmholtz(k)
-
-
-def assemble_adjoint_double_layer(grid, kernel="laplace", context: AssemblyContext | None = None):
-    """Nystrom matrix of the adjoint double-layer operator (K*) on the grid."""
-    ctx = context if context is not None else AssemblyContext(grid)
-    k = _as_wavenumber(kernel)
-    if k is None:
-        return ctx.adjoint_double_layer_laplace()
-    greens.WaveParams(k=k).check_single_mode(greens.LatticeConfig(L=grid.L))
-    return ctx.adjoint_double_layer_helmholtz(k)
-
-
-def solve_density(op: DenseOperator, rhs, residual_tol: float = 1e-10):
-    """Direct dense solve op @ x = rhs with a residual guarantee.
+def solve_density(a: np.ndarray, rhs, residual_tol: float = 1e-10):
+    """Direct dense solve a @ x = rhs with a residual guarantee.
 
     ``rhs`` may carry multiple right-hand sides as columns; they share one
     pivoted LU factorization.  Raises SingularOperatorError when the
@@ -318,7 +254,6 @@ def solve_density(op: DenseOperator, rhs, residual_tol: float = 1e-10):
     max|rhs|, exceeds ``residual_tol``.
     """
     rhs = np.asarray(rhs)
-    a = op.matrix
     try:
         lu, piv = sla.lu_factor(a)
         x = sla.lu_solve((lu, piv), rhs)
@@ -339,11 +274,10 @@ def solve_density(op: DenseOperator, rhs, residual_tol: float = 1e-10):
     return x
 
 
-def evaluate_single_layer(grid, density, targets, kernel="laplace", tol: float = 1e-12):
-    """Evaluate S[density] at off-boundary target points."""
+def evaluate_single_layer(grid, density, targets, k=None, tol: float = 1e-12):
+    """Evaluate S[density] at off-boundary target points; k=None is Laplace."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     cfg = greens.LatticeConfig(L=grid.L, tol=tol)
-    k = _as_wavenumber(kernel)
     x = targets[:, None, :]
     y = grid.nodes[None, :, :]
     if k is None:

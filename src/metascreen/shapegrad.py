@@ -104,9 +104,10 @@ def gradient_densities(cap: CapacitanceData, materials, kstar=None) -> ShapeGrad
     if cap.lam is None or cap.m is None:
         raise ValueError("capacitance data must carry moments and eigenpairs")
     grid = cap.grid
-    K = kstar if kstar is not None else layerpot.assemble_adjoint_double_layer(grid)
+    if kstar is None:
+        kstar = layerpot.AssemblyContext(grid).adjoint_double_layer_laplace()
     psi, psi_t = cap.psi, cap.psi_tilde
-    kk = K.matrix @ np.column_stack([psi, psi_t])
+    kk = kstar @ np.column_stack([psi, psi_t])
     kp, kpt = kk[:, :-1], kk[:, -1]
     gC = psi[:, :, None] * kp[:, None, :] + psi[:, None, :] * kp[:, :, None]
     gm = psi * kpt[:, None] + psi_t[:, None] * kp - grid.normals[:, 1][:, None] * psi
@@ -115,33 +116,45 @@ def gradient_densities(cap: CapacitanceData, materials, kstar=None) -> ShapeGrad
     return ShapeGradients(gC=gC, gm=gm, glam0=glam0, gu=gu, glam1=glam1)
 
 
-def grad_reflection(model: RomModel, grads: ShapeGradients, omega):
-    """Complex density of r(omega):
+def _reflection_weights(model: RomModel, omega):
+    """Per-mode weights (c0, c1) with g^r = g^lam0 c0 + g^lam1 c1 at each omega.
 
-    g^r = - sum_j 2 i omega [(lam_j - lam(omega)) g^lam1_j - lam1_j g^lam0_j]
-          / (lam_j - i omega lam1_j - lam(omega))^2.
+    g^r is linear in the eigenvalue densities:
+
+        g^r = - sum_j 2 i omega [(lam_j - lam(omega)) g^lam1_j - lam1_j g^lam0_j]
+              / (lam_j - i omega lam1_j - lam(omega))^2,
+
+    so c0_j = 2 i omega lam1_j / den_j^2 and c1_j = -2 i omega (lam_j - lam(omega)) / den_j^2.
+    The weights carry the omega axes first and the mode axis last.
     """
-    omega = float(omega)
-    lam_w = lambda_of_omega(model, omega)
-    den = model.lam - 1j * omega * model.lam1 - lam_w
+    om = np.asarray(omega, dtype=float)[..., None]
+    lam_w = lambda_of_omega(model, om)
+    den = model.lam - 1j * om * model.lam1 - lam_w
     if np.any(den == 0):
         raise ValueError("resonant singularity: modal denominator vanished")
-    num = (model.lam - lam_w) * grads.glam1 - model.lam1 * grads.glam0
-    return -np.sum(2j * omega * num / den**2, axis=1)
+    scale = 2j * om / den**2
+    return scale * model.lam1, -scale * (model.lam - lam_w)
+
+
+def grad_reflection(model: RomModel, grads: ShapeGradients, omega):
+    """Complex density of r(omega) at one frequency (see _reflection_weights)."""
+    c0, c1 = _reflection_weights(model, float(omega))
+    return grads.glam0 @ c0 + grads.glam1 @ c1
 
 
 def grad_objective_ref(model: RomModel, grads: ShapeGradients, band, n_quad: int = 64):
     """Real density of the band-averaged reflectance J^ref.
 
     g^ref = (2 / (omega_max - omega_min)) int Re(conj(r) g^r) domega, on the
-    same Gauss-Legendre nodes as the objective value.
+    same Gauss-Legendre nodes as the objective value.  g^r is linear in
+    g^lam0 and g^lam1, so the quadrature is applied to the per-mode weights
+    and each density is contracted once.
     """
     nodes, weights = band_quadrature(band, n_quad)
-    out = np.zeros(grads.glam0.shape[0])
-    for om, wq in zip(nodes, weights):
-        r = rom.reflection_rom(model, float(om), warn_band=False)
-        gr = grad_reflection(model, grads, om)
-        out += wq * np.real(np.conj(r) * gr)
+    r = rom.reflection_rom(model, nodes, warn_band=False)
+    c0, c1 = _reflection_weights(model, nodes)
+    wr = weights * np.conj(r)
+    out = grads.glam0 @ np.real(wr @ c0) + grads.glam1 @ np.real(wr @ c1)
     return 2.0 * out / (band[1] - band[0])
 
 
@@ -161,15 +174,9 @@ def grad_objective_res(model: RomModel, grads: ShapeGradients, targets):
     re_l, im_l = np.real(lam_w), np.imag(lam_w)
     if np.any(im_l == 0):
         raise ValueError("J^res undefined: Im lambda(omega*) = 0 (lossless material)")
-    out = np.zeros(grads.glam0.shape[0])
-    for j in range(m_t):
-        out += (model.lam[j] / re_l[j] - 1.0) * grads.glam0[:, j] / re_l[j]
-        out += (
-            (targets[j] * model.lam1[j] / im_l[j] - 1.0)
-            * targets[j]
-            * grads.glam1[:, j]
-            / im_l[j]
-        )
+    c0 = (model.lam[:m_t] / re_l - 1.0) / re_l
+    c1 = (targets * model.lam1[:m_t] / im_l - 1.0) * targets / im_l
+    out = grads.glam0[:, :m_t] @ c0 + grads.glam1[:, :m_t] @ c1
     return (2.0 / m_t) * out
 
 

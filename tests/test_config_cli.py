@@ -163,13 +163,6 @@ class TestCli:
 
         assert band_absorptance("spectrum_best.csv") >= band_absorptance("spectrum_initial.csv")
 
-    def test_optimize_zero_iters_keeps_initial(self, tmp_path):
-        text = BASE + "optimizer.max_iters = 0\n"
-        assert run_cli(tmp_path, text, "optimize") == 0
-        out = tmp_path / "out"
-        assert (out / "spectrum_initial.csv").read_bytes() == (out / "spectrum_best.csv").read_bytes()
-        assert len((out / "history.csv").read_text().splitlines()) == 3
-
     def test_optimize_spectra_follow_band_samples(self, tmp_path):
         text = "solver.n_pts = 32\noptimizer.max_iters = 0\nband.samples = 50\n"
         assert run_cli(tmp_path, text, "spectrum", "--model", "rom") == 0

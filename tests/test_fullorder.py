@@ -196,11 +196,11 @@ class TestTotalField:
         def outer(delta):
             x = grid.nodes[pick] + delta * grid.normals[pick]
             ut = -2j * np.sin(om * MATS.tau_m * x[:, 1])
-            return lp.evaluate_single_layer(fine, ext_f, x, kernel=km) + ut
+            return lp.evaluate_single_layer(fine, ext_f, x, k=km) + ut
 
         def inner(delta):
             x = grid.nodes[pick] - delta * grid.normals[pick]
-            return lp.evaluate_single_layer(fine, phi_f, x, kernel=kb)
+            return lp.evaluate_single_layer(fine, phi_f, x, k=kb)
 
         # normal derivatives jump across the interface, so each side is
         # extrapolated to the boundary (3-point Richardson) before comparing

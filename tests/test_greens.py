@@ -188,13 +188,6 @@ class TestConfigObjects:
     def test_lattice_validation(self):
         with pytest.raises(ValueError):
             greens.LatticeConfig(L=-1.0)
-        with pytest.raises(ValueError):
-            greens.LatticeConfig(L=20.0, alpha=1.0)
-
-    def test_oblique_unsupported(self):
-        cfg = greens.LatticeConfig(L=20.0, alpha=0.1)
-        with pytest.raises(ValueError, match="oblique"):
-            greens.laplace_gs(np.array([1.0, 2.0]), np.array([3.0, 1.0]), cfg)
 
     def test_wave_branch_rule(self):
         with pytest.raises(ValueError):

@@ -39,33 +39,33 @@ class TestKressWeights:
 
 class TestSingleLayerLaplace:
     def test_round_trip_constant(self, circle_grid, circle_ctx):
-        S = lp.assemble_single_layer(circle_grid, context=circle_ctx)
+        S = circle_ctx.single_layer_laplace()
         psi = lp.solve_density(S, np.ones(circle_grid.n_total))
-        assert np.abs(S.matrix @ psi - 1.0).max() < 1e-10
+        assert np.abs(S @ psi - 1.0).max() < 1e-10
 
     def test_self_convergence(self, circle_half):
         # spectral convergence: doubling the node count changes values <= 1e-10
         vals = {}
         for n in (64, 128):
             grid = geo.discretize([circle_half], n, L)
-            S = lp.assemble_single_layer(grid)
+            S = lp.AssemblyContext(grid).single_layer_laplace()
             dens = smooth_density(grid)
-            vals[n] = (S.matrix @ dens)[:: n // 64]
+            vals[n] = (S @ dens)[:: n // 64]
         assert np.abs(vals[64] - vals[128]).max() < 1e-10
 
     def test_spectral_convergence_tripling(self, circle_half):
         vals = {}
         for n in (32, 96):
             grid = geo.discretize([circle_half], n, L)
-            S = lp.assemble_single_layer(grid)
+            S = lp.AssemblyContext(grid).single_layer_laplace()
             dens = smooth_density(grid)
-            vals[n] = (S.matrix @ dens)[:: n // 32]
+            vals[n] = (S @ dens)[:: n // 32]
         assert np.abs(vals[32] - vals[96]).max() < 1e-10
 
     def test_mirror_symmetry(self, circle_grid, circle_ctx):
         # circle centered on x_l = 0: the lateral reflection x_l -> -x_l is a
         # symmetry of the half-space cell and permutes nodes by t -> pi - t
-        S = lp.assemble_single_layer(circle_grid, context=circle_ctx).matrix
+        S = circle_ctx.single_layer_laplace()
         n = circle_grid.n_pts
         perm = (n // 2 - np.arange(n)) % n
         assert np.abs(S[np.ix_(perm, perm)] - S).max() < 1e-13
@@ -75,7 +75,7 @@ class TestSingleLayerLaplace:
         # integrate the smooth remainder with a fine trapezoid and the log
         # part exactly through the Fourier coefficients of the density
         grid = geo.discretize([circle_half], 32, L)
-        S = lp.assemble_single_layer(grid)
+        S = lp.AssemblyContext(grid).single_layer_laplace()
         i = 5
         dens = lambda s: np.cos(s) + 0.3 * np.sin(2 * s) + 1.5
         nf = 16384
@@ -102,25 +102,25 @@ class TestSingleLayerLaplace:
             -(2 * np.pi / m) * 2 * np.real(coeffs[m] * np.exp(1j * m * grid.t[i])) / (4 * np.pi)
             for m in range(1, 2000)
         )
-        mine = (S.matrix @ dens(grid.t))[i]
+        mine = (S @ dens(grid.t))[i]
         assert abs(mine - (part1 + part2)) < 1e-10
 
 
 class TestAdjointDoubleLayer:
     def test_row_sum_identity(self, circle_grid, circle_ctx):
         # integral of (-1/2 I + K*)[psi] over each boundary vanishes
-        K = lp.assemble_adjoint_double_layer(circle_grid, context=circle_ctx)
+        K = circle_ctx.adjoint_double_layer_laplace()
         rng = np.random.default_rng(0)
         psi = rng.standard_normal(circle_grid.n_total)
-        val = -0.5 * psi + K.matrix @ psi
+        val = -0.5 * psi + K @ psi
         assert abs(np.sum(val * circle_grid.weights)) < 1e-10
 
     def test_row_sum_identity_two_resonators(self, two_res_shapes):
         grid = geo.discretize(two_res_shapes, 48, L)
-        K = lp.assemble_adjoint_double_layer(grid)
+        K = lp.AssemblyContext(grid).adjoint_double_layer_laplace()
         rng = np.random.default_rng(1)
         psi = rng.standard_normal(grid.n_total)
-        val = -0.5 * psi + K.matrix @ psi
+        val = -0.5 * psi + K @ psi
         for j in range(2):
             b = grid.block(j)
             assert abs(np.sum(val[b] * grid.weights[b])) < 1e-10
@@ -141,11 +141,11 @@ class TestAdjointDoubleLayer:
 
     def test_green_identity_interior(self, circle_grid, circle_ctx):
         # oint (-1/2 + K*)[psi] g = oint S[psi] dg/dnu for harmonic g
-        S = lp.assemble_single_layer(circle_grid, context=circle_ctx)
-        K = lp.assemble_adjoint_double_layer(circle_grid, context=circle_ctx)
+        S = circle_ctx.single_layer_laplace()
+        K = circle_ctx.adjoint_double_layer_laplace()
         dens = smooth_density(circle_grid)
-        u = S.matrix @ dens
-        dn = -0.5 * dens + K.matrix @ dens
+        u = S @ dens
+        dn = -0.5 * dens + K @ dens
         w = circle_grid.weights
         g = circle_grid.nodes[:, 0] * circle_grid.nodes[:, 1]
         dg = np.stack([circle_grid.nodes[:, 1], circle_grid.nodes[:, 0]], axis=-1)
@@ -153,14 +153,16 @@ class TestAdjointDoubleLayer:
         rhs = np.sum(u * np.einsum("ki,ki->k", dg, circle_grid.normals) * w)
         assert abs(lhs - rhs) < 1e-12
 
-    @pytest.mark.parametrize("kernel", ["laplace", 0.1, KB])
-    def test_jump_relation_oracle(self, circle_half, kernel):
+    @pytest.mark.parametrize("k", [pytest.param(None, id="laplace"), 0.1, KB])
+    def test_jump_relation_oracle(self, circle_half, k):
         # K*[psi] equals the Richardson-extrapolated central difference of the
         # single-layer potential straddling the boundary
         grid = geo.discretize([circle_half], 64, L)
         ctx = lp.AssemblyContext(grid)
-        S = lp.assemble_single_layer(grid, kernel, context=ctx)
-        K = lp.assemble_adjoint_double_layer(grid, kernel, context=ctx)
+        if k is None:
+            K = ctx.adjoint_double_layer_laplace()
+        else:
+            K = ctx.adjoint_double_layer_helmholtz(k)
         dens = smooth_density(grid)
         fine = geo.discretize([circle_half], 8192, L)
         df = trig_upsample(dens, 8192)
@@ -168,13 +170,13 @@ class TestAdjointDoubleLayer:
         def straddle(delta):
             xp = grid.nodes + delta * grid.normals
             xm = grid.nodes - delta * grid.normals
-            pp = lp.evaluate_single_layer(fine, df, xp, kernel=kernel)
-            pm = lp.evaluate_single_layer(fine, df, xm, kernel=kernel)
+            pp = lp.evaluate_single_layer(fine, df, xp, k=k)
+            pm = lp.evaluate_single_layer(fine, df, xm, k=k)
             return (pp - pm) / (2 * delta)
 
         g1 = straddle(1e-3)
         g2 = straddle(2e-3)
-        target = K.matrix @ dens
+        target = K @ dens
         err = np.abs(2 * g1 - g2 - target).max() / np.abs(target).max()
         assert err < 1e-5
 
@@ -182,17 +184,17 @@ class TestAdjointDoubleLayer:
         # one-sided normal derivatives of S[psi] differ by the density itself
         grid = geo.discretize([circle_half], 64, L)
         ctx = lp.AssemblyContext(grid)
-        S = lp.assemble_single_layer(grid, KB, context=ctx)
+        S = ctx.single_layer_helmholtz(KB)
         dens = smooth_density(grid)
-        p_on = S.matrix @ dens
+        p_on = S @ dens
         fine = geo.discretize([circle_half], 8192, L)
         df = trig_upsample(dens, 8192)
 
         def jump_estimate(delta):
             xp = grid.nodes + delta * grid.normals
             xm = grid.nodes - delta * grid.normals
-            pp = lp.evaluate_single_layer(fine, df, xp, kernel=KB)
-            pm = lp.evaluate_single_layer(fine, df, xm, kernel=KB)
+            pp = lp.evaluate_single_layer(fine, df, xp, k=KB)
+            pm = lp.evaluate_single_layer(fine, df, xm, k=KB)
             return (pp + pm - 2 * p_on) / delta
 
         jump = 2 * jump_estimate(1e-3) - jump_estimate(2e-3)  # Richardson
@@ -203,23 +205,23 @@ class TestHelmholtzOperators:
     def test_green_identity(self, circle_grid, circle_ctx):
         # oint (-1/2 + K*)[psi] g = oint S[psi] dg/dnu for g = exp(i k x_d)
         for k in (0.1, KB):
-            S = lp.assemble_single_layer(circle_grid, k, context=circle_ctx)
-            K = lp.assemble_adjoint_double_layer(circle_grid, k, context=circle_ctx)
+            S = circle_ctx.single_layer_helmholtz(k)
+            K = circle_ctx.adjoint_double_layer_helmholtz(k)
             dens = smooth_density(circle_grid)
             g = np.exp(1j * k * circle_grid.nodes[:, 1])
             dg = 1j * k * g * circle_grid.normals[:, 1]
             w = circle_grid.weights
-            lhs = np.sum((-0.5 * dens + K.matrix @ dens) * g * w)
-            rhs = np.sum((S.matrix @ dens) * dg * w)
+            lhs = np.sum((-0.5 * dens + K @ dens) * g * w)
+            rhs = np.sum((S @ dens) * dg * w)
             assert abs(lhs - rhs) < 1e-12
 
     def test_self_convergence(self, circle_half):
         vals = {}
         for n in (64, 128):
             grid = geo.discretize([circle_half], n, L)
-            S = lp.assemble_single_layer(grid, KB)
+            S = lp.AssemblyContext(grid).single_layer_helmholtz(KB)
             dens = smooth_density(grid)
-            vals[n] = (S.matrix @ dens)[:: n // 64]
+            vals[n] = (S @ dens)[:: n // 64]
         assert np.abs(vals[64] - vals[128]).max() < 1e-10
 
     @pytest.mark.parametrize("k", [0.1, KB])
@@ -228,8 +230,8 @@ class TestHelmholtzOperators:
         # the point kernel, so they must agree with helmholtz_gs(_grad)
         grid = geo.discretize(two_res_shapes, 32, L)
         ctx = lp.AssemblyContext(grid)
-        S = ctx.single_layer_helmholtz(k).matrix
-        K = ctx.adjoint_double_layer_helmholtz(k).matrix
+        S = ctx.single_layer_helmholtz(k)
+        K = ctx.adjoint_double_layer_helmholtz(k)
         wave = greens.WaveParams(k=k)
         cfg = greens.LatticeConfig(L=L)
         for i, j in ((0, 1), (1, 0)):
@@ -242,22 +244,31 @@ class TestHelmholtzOperators:
             assert np.abs(S[bi, bj] - s_ref).max() <= 1e-13 * np.abs(s_ref).max()
             assert np.abs(K[bi, bj] - k_ref).max() <= 1e-13 * np.abs(k_ref).max()
 
-    def test_multi_mode_rejected(self, circle_grid):
+    def test_multi_mode_rejected(self, circle_ctx):
         with pytest.raises(ValueError, match="multiple propagating"):
-            lp.assemble_single_layer(circle_grid, 0.5)
+            circle_ctx.single_layer_helmholtz(0.5)
+
+    @pytest.mark.parametrize("k", [0.31, 0.5])
+    @pytest.mark.parametrize("op", ["single_layer_helmholtz", "adjoint_double_layer_helmholtz"])
+    def test_single_mode_checked_before_cache(self, circle_grid, no_helmholtz_cache, op, k):
+        # 2 pi / L = 0.314: k = 0.31 is within 5 % of the first diffraction
+        # cutoff and k = 0.5 lies beyond it; both are refused before any
+        # Helmholtz table is built
+        ctx = lp.AssemblyContext(circle_grid)
+        with pytest.raises(ValueError, match="multiple propagating|diffraction cutoff"):
+            getattr(ctx, op)(k)
 
 
 class TestSolveDensity:
     def test_identity(self):
-        op = lp.DenseOperator(np.eye(8), "single_layer", None, "x")
         rhs = np.arange(8.0)
-        assert np.array_equal(lp.solve_density(op, rhs), rhs)
+        assert np.array_equal(lp.solve_density(np.eye(8), rhs), rhs)
 
     def test_capacitance_cross_check(self, circle_grid, circle_ctx):
         # the density solving S[psi] = 1 integrates to -Cap(D)
         from metascreen import capacitance as cap
 
-        S = lp.assemble_single_layer(circle_grid, context=circle_ctx)
+        S = circle_ctx.single_layer_laplace()
         psi = lp.solve_density(S, np.ones(circle_grid.n_total))
         data = cap.compute_capacitance(circle_grid, context=circle_ctx)
         assert abs(-np.sum(psi * circle_grid.weights) - data.C[0, 0]) < 1e-12
@@ -265,8 +276,8 @@ class TestSolveDensity:
     def test_block_permutation(self, two_res_shapes):
         gab = geo.discretize(two_res_shapes, 32, L)
         gba = geo.discretize(two_res_shapes[::-1], 32, L)
-        Sab = lp.assemble_single_layer(gab)
-        Sba = lp.assemble_single_layer(gba)
+        Sab = lp.AssemblyContext(gab).single_layer_laplace()
+        Sba = lp.AssemblyContext(gba).single_layer_laplace()
         rhs = np.zeros(gab.n_total)
         rhs[gab.block(0)] = 1.0
         rhs_swapped = np.zeros(gab.n_total)
@@ -285,7 +296,7 @@ class TestSolveDensity:
         rng = np.random.default_rng(4)
         u, _ = np.linalg.qr(rng.standard_normal((n, n)))
         v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        op = lp.DenseOperator((u * np.logspace(0, -13, n)) @ v.T, "single_layer", None, "x")
+        op = (u * np.logspace(0, -13, n)) @ v.T
         big, weak = 1e10 * u[:, 0], u[:, -1]
         lp.solve_density(op, big)
         with pytest.raises(lp.SingularOperatorError):
@@ -295,23 +306,22 @@ class TestSolveDensity:
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_rejected(self):
-        op = lp.DenseOperator(np.zeros((4, 4)), "single_layer", None, "x")
         with pytest.raises(lp.SingularOperatorError):
-            lp.solve_density(op, np.ones(4))
+            lp.solve_density(np.zeros((4, 4)), np.ones(4))
 
-    def test_nonfinite_matrix_rejected(self):
-        mat = np.eye(3)
-        mat[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            lp.DenseOperator(mat, "single_layer", None, "x")
+    def test_nonfinite_matrix_rejected(self, circle_grid):
+        ctx = lp.AssemblyContext(circle_grid)
+        ctx.laplace["img"][0][3, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ctx.single_layer_laplace()
 
 
 class TestLazyHelmholtzCache:
     def test_laplace_operators_skip_helmholtz_cache(self, circle_grid, no_helmholtz_cache):
         ctx = lp.AssemblyContext(circle_grid)
-        lp.assemble_single_layer(circle_grid, context=ctx)
-        K = lp.assemble_adjoint_double_layer(circle_grid, context=ctx)
-        assert K.k is None
+        S = ctx.single_layer_laplace()
+        K = ctx.adjoint_double_layer_laplace()
+        assert S.dtype == K.dtype == np.float64
 
     def test_helmholtz_operators_independent_of_laplace_work(self, two_res_shapes):
         from metascreen import capacitance as cap
@@ -322,10 +332,7 @@ class TestLazyHelmholtzCache:
         used.adjoint_double_layer_laplace()
         fresh = lp.AssemblyContext(grid)
         for k in (0.1, KB):
+            assert np.array_equal(used.single_layer_helmholtz(k), fresh.single_layer_helmholtz(k))
             assert np.array_equal(
-                used.single_layer_helmholtz(k).matrix, fresh.single_layer_helmholtz(k).matrix
-            )
-            assert np.array_equal(
-                used.adjoint_double_layer_helmholtz(k).matrix,
-                fresh.adjoint_double_layer_helmholtz(k).matrix,
+                used.adjoint_double_layer_helmholtz(k), fresh.adjoint_double_layer_helmholtz(k)
             )

@@ -15,7 +15,6 @@ def synthetic_cap(C, areas, m, L=20.0):
         grid=grid, C=C, areas=areas, psi=np.zeros((grid.n_total, len(areas))), asymmetry=0.0
     )
     data.m = np.atleast_1d(np.asarray(m, dtype=float))
-    data.m_hat = np.linalg.solve(C, data.m)
     cap.eigendecompose(data)
     return data
 

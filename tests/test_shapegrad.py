@@ -102,7 +102,7 @@ class TestDensityStructure:
         w = grid.weights * vn
         pu = np.tensordot(w, grads.gu, axes=(0, 0))  # (modes, comps)
         pV = np.diag(np.bincount(grid.block_index(), weights=w))
-        D = data.u.T @ data.V @ pu.T
+        D = data.u.T @ np.diag(data.areas) @ pu.T
         resid = D + D.T + data.u.T @ pV @ data.u
         assert np.abs(resid).max() < 1e-8
 
@@ -132,7 +132,6 @@ class TestDensityStructure:
             grid=grid, C=data.C, areas=data.areas, psi=data.psi, asymmetry=data.asymmetry
         )
         flipped.m = data.m
-        flipped.m_hat = data.m_hat
         flipped.psi_tilde = data.psi_tilde
         flipped.lam = data.lam
         flipped.u = -data.u
@@ -147,7 +146,6 @@ class TestDensityStructure:
             grid=grid, C=np.eye(2), areas=np.ones(2), psi=data.psi, asymmetry=0.0
         )
         fake.m = np.ones(2)
-        fake.m_hat = np.ones(2)
         fake.psi_tilde = data.psi_tilde
         with pytest.warns(UserWarning, match="degenerate"):
             cap.eigendecompose(fake)
@@ -183,6 +181,36 @@ class TestReflectionDensity:
         )
         dens = sg.grad_objective_res(model, grads, [omega_star])
         assert np.abs(dens).max() < 1e-10
+
+    @pytest.mark.parametrize("fixture", ["design", "three_design"])
+    def test_objective_densities_match_loops(self, fixture, request):
+        # reference: the defining sums, one frequency node or target at a
+        # time; the library contracts each eigenvalue density once, which
+        # only reorders the sums
+        _, _, model, grads, _ = request.getfixturevalue(fixture)
+        nodes, weights = rom.band_quadrature(BAND, N_QUAD)
+        ref = np.zeros(grads.glam0.shape[0])
+        for om, wq in zip(nodes, weights):
+            lam_w = rom.lambda_of_omega(model, om)
+            den = model.lam - 1j * om * model.lam1 - lam_w
+            num = (model.lam - lam_w) * grads.glam1 - model.lam1 * grads.glam0
+            gr = -np.sum(2j * om * num / den**2, axis=1)
+            r = rom.reflection_rom(model, om, warn_band=False)
+            ref += wq * np.real(np.conj(r) * gr)
+        ref *= 2.0 / (BAND[1] - BAND[0])
+        got = sg.grad_objective_ref(model, grads, BAND, N_QUAD)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+        targets = uniform_targets(BAND, 2)
+        lam_w = rom.lambda_of_omega(model, targets)
+        ref = np.zeros(grads.glam0.shape[0])
+        for j, t in enumerate(targets):
+            re_l, im_l = lam_w[j].real, lam_w[j].imag
+            ref += (model.lam[j] / re_l - 1.0) * grads.glam0[:, j] / re_l
+            ref += (t * model.lam1[j] / im_l - 1.0) * t * grads.glam1[:, j] / im_l
+        ref *= 2.0 / len(targets)
+        got = sg.grad_objective_res(model, grads, targets)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_res_lossless_rejected(self, design):
         _, _, _, grads, _ = design
