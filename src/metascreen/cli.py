@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import pathlib
 import sys
 from dataclasses import replace
@@ -44,26 +43,6 @@ def _load_config(args) -> RunConfig:
     if args.seed is not None:
         cfg = replace(cfg, optimizer=replace(cfg.optimizer, seed=args.seed))
     return cfg
-
-
-def _apply_threads(args):
-    """Limit the BLAS pool to --threads, else to METASCREEN_THREADS, if either is set."""
-    raw = args.threads if args.threads is not None else os.environ.get("METASCREEN_THREADS") or None
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError(f"thread count must be a positive integer, got {raw!r}")
-    try:
-        import threadpoolctl
-
-        return threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:  # pragma: no cover - depends on environment
-        print("warning: threadpoolctl unavailable, --threads ignored", file=sys.stderr)
-        return None
 
 
 def _outdir(cfg: RunConfig) -> pathlib.Path:
@@ -139,7 +118,7 @@ _SPECTRUM_HEADER = ["omega", "re_r", "im_r", "abs_r", "absorptance", "model"]
 
 def _spectrum_rows(omegas, rvals, tag):
     return [
-        [_fmt(om), _fmt(rv.real), _fmt(rv.imag), _fmt(abs(rv)), _fmt(1.0 - abs(rv) ** 2), tag]
+        [_fmt(om), _fmt(rv.real), _fmt(rv.imag), _fmt(abs(rv)), _fmt(rom.absorptance(rv)), tag]
         for om, rv in zip(omegas, rvals)
     ]
 
@@ -291,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="path to a key = value configuration file")
     parser.add_argument("--output-dir", help="directory for CSV artifacts (default from config)")
-    parser.add_argument("--threads", help="BLAS thread count (overrides METASCREEN_THREADS)")
     parser.add_argument("--seed", type=int, help="random seed override for the optimizer")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("capmat", help="capacitance matrix, volumes, moments, eigenpairs")
@@ -308,7 +286,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        limits = _apply_threads(args)  # noqa: F841 - keeps the thread limit alive
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,7 +28,6 @@ __all__ = [
     "ScatteringSolution",
     "incident_trace",
     "solve_scattering",
-    "reflection_exact",
     "total_field",
 ]
 
@@ -113,17 +112,11 @@ def solve_scattering(
 
 
 def _reflection_from_density(grid, omega, materials, phi_ext):
+    """r = -1 - oint sin(omega tau_m y_d) phi_ext / (omega tau_m |Y|) dsigma."""
     km = omega * materials.tau_m
     yd = grid.nodes[:, 1]
     integ = np.sum(np.sin(km * yd) * phi_ext * grid.weights)
     return complex(-1.0 - integ / (km * grid.cell_measure))
-
-
-def reflection_exact(
-    sol: ScatteringSolution, grid: BoundaryGrid, omega: float, materials: MaterialParams
-) -> complex:
-    """r = -1 - oint sin(omega tau_m y_d) phi_ext / (omega tau_m |Y|) dsigma."""
-    return _reflection_from_density(grid, omega, materials, sol.phi_ext)
 
 
 def _inside_which(grid: BoundaryGrid, x) -> int | None:

@@ -16,13 +16,22 @@ where the constant makes it equal to the spectral mode sum.  The Helmholtz
 kernel is evaluated by Kummer subtraction against the Laplace kernel: the
 propagating mode is exact, and the evanescent mode differences are summed with
 their large-mode expansion through order k^6 removed and restored in closed
-form via polylogarithms Li_1..Li_7 (zeta-series evaluation, valid for
-|z| < L).  The remaining modal series then decays like |eta|^-9 and a few
-terms reach 1e-12 even on the boundary diagonal, where the plain |eta|^-3
-Kummer tail would need ~1e5 modes.  The single-mode condition
-(WaveParams.check_single_mode) is checked by the point kernels and by
-layerpot.AssemblyContext before they build any table; gper_helmholtz itself
-does not check it.
+form via polylogarithms Li_p(e^-mu), p = 1..7, mu = 2 pi (|z_d| - i z_l) / L.
+The remaining modal series then decays like |eta|^-9 and a few terms reach
+1e-12 even on the boundary diagonal, where the plain |eta|^-3 Kummer tail
+would need ~1e5 modes.
+
+All seven orders come from one pass (_polylog_stack): Li_1 in closed form,
+near pairs (Re mu <= ln 2) by the zeta expansion (Crandall, "Note on fast
+polylogarithm computation", 2006), far pairs (|e^-mu| < 1/2) by the defining
+series, each power formed once and shared by the orders.  Pair separations
+are minimum-image, so |Im mu| <= pi and a near pair has |mu| <= hypot(ln 2,
+pi) = 3.217, which bounds the zeta expansion at 59 terms; a larger |mu| is
+refused.
+
+The single-mode condition (WaveParams.check_single_mode) is checked by the
+point kernels and by layerpot.AssemblyContext before they build any table;
+gper_helmholtz itself does not check it.
 
 gper_helmholtz is the one place this kernel and its gradient are composed.
 It reads only wavenumber-independent pair tables: the closed-form Laplace
@@ -51,30 +60,44 @@ __all__ = [
 ]
 
 _LN4_4PI = math.log(4.0) / (4.0 * math.pi)
-_EULER = float(np.euler_gamma)
+_LN2 = math.log(2.0)
+_HARMONIC = [0.0, 1.0, 1.5, 11.0 / 6.0, 25.0 / 12.0, 137.0 / 60.0, 49.0 / 20.0]
 
-_MAX_ZETA_J = 120
+
+def _series_terms(ratio: float) -> int:
+    """Terms of a power series in ``ratio`` that bring ratio^n below 1e-17."""
+    return math.ceil(math.log(1e-17) / math.log(max(ratio, 1e-17)))
+
+
+# Near pairs (Re mu <= ln 2) of a minimum-image table have |Im mu| <= pi, so
+# |mu| <= hypot(ln 2, pi) = 3.217 and the zeta expansion needs at most 59 terms.
+_MAX_ZETA_J = _series_terms(math.hypot(_LN2, math.pi) / (2.0 * math.pi))
 
 
 def _build_zeta_table(max_j: int):
-    """Riemann zeta at integers 7, 6, ..., 7 - max_j (argument 1 excluded)."""
-    table = {}
-    bern = special.bernoulli(max_j + 2)
-    for v in range(7, 6 - max_j, -1):
-        if v == 1:
-            continue
-        if v >= 2:
-            table[v] = float(special.zeta(v))
-        elif v == 0:
-            table[v] = -0.5
-        else:
-            m = -v
-            table[v] = -float(bern[m + 1]) / (m + 1)  # zero for even m
+    """Coefficients of (-mu)^j / j! in Li_p(e^-mu): rows p = 2..7, columns j = 0..max_j.
+
+    The entry is zeta(p - j), except H_{p-1} at j = p - 1, where the term
+    also carries -ln(mu).
+    """
+    bern = special.bernoulli(max_j)
+    table = np.empty((6, max_j + 1))
+    for row, p in enumerate(range(2, 8)):
+        for j in range(max_j + 1):
+            v = p - j
+            if v >= 2:
+                table[row, j] = special.zeta(v)
+            elif v == 1:
+                table[row, j] = _HARMONIC[p - 1]
+            elif v == 0:
+                table[row, j] = -0.5
+            else:
+                table[row, j] = -bern[1 - v] / (1 - v)  # zeta(-m), zero for even m
     return table
 
 
 _ZETA = _build_zeta_table(_MAX_ZETA_J)
-_HARMONIC = [0.0, 1.0, 1.5, 11.0 / 6.0, 25.0 / 12.0, 137.0 / 60.0, 49.0 / 20.0]
+_ORDERS = np.arange(2.0, 8.0)
 
 
 @dataclass(frozen=True)
@@ -87,10 +110,6 @@ class LatticeConfig:
     def __post_init__(self):
         if self.L <= 0:
             raise ValueError("period L must be positive")
-
-    @property
-    def cell_measure(self) -> float:
-        return self.L
 
 
 @dataclass(frozen=True)
@@ -109,10 +128,6 @@ class WaveParams:
         if k.real <= 0 or k.imag < 0:
             raise ValueError("wavenumber must satisfy Re k > 0, Im k >= 0")
         object.__setattr__(self, "k", k)
-
-    @classmethod
-    def from_speed(cls, omega: float, speed: complex) -> "WaveParams":
-        return cls(k=omega / speed)
 
     def check_single_mode(self, cfg: LatticeConfig) -> None:
         eta1 = 2.0 * np.pi / cfg.L
@@ -144,87 +159,59 @@ def _closed_laplace(zl, zd, L, want_grad=False):
 
 
 # ---------------------------------------------------------------------------
-# Polylogarithms Li_p(e^-mu) by the zeta expansion, |mu| < 2 pi
+# Polylogarithms Li_1..Li_7(e^-mu), one pass over the powers
 
 
-def _polylog_series(p: int, q):
-    """Direct defining series of Li_p(q); intended for |q| <= 0.5."""
-    q = np.asarray(q, dtype=complex)
-    maxq = float(np.max(np.abs(q))) if q.size else 0.0
-    if maxq == 0.0:
-        return np.zeros_like(q)
-    n_terms = int(np.ceil(np.log(1e-17) / np.log(min(maxq, 0.6))))
-    ns = np.arange(1, n_terms + 1)
-    acc = np.zeros_like(q)
-    power = np.ones_like(q)
-    for n in ns:
-        power = power * q
-        acc = acc + power / float(n) ** p
-    return acc
+def _polylog_stack(mu):
+    """Li_1..Li_7(e^-mu) stacked on a new first axis.
 
+    ``mu`` = 2 pi (|z_d| - i z_l) / L of minimum-image pairs, so Re mu >= 0
+    and |Im mu| <= pi.  Li_1 is the closed form -ln(1 - e^-mu).  Near pairs
+    (Re mu <= ln 2) use the zeta expansion
 
-def _polylog_zeta(p: int, mu):
-    """Zeta expansion of Li_p(e^-mu); needs |mu| < 2 pi, mu not on (-inf, 0]."""
-    mu = np.asarray(mu, dtype=complex)
-    ratio = float(np.max(np.abs(mu))) / (2.0 * np.pi) if mu.size else 0.0
-    if ratio >= 0.97:
-        raise ValueError("polylog expansion needs |mu| < 2 pi (points too far apart)")
-    if ratio < 1e-300:
-        n_terms = p + 2
-    else:
-        n_terms = int(np.ceil(np.log(1e-17) / np.log(max(ratio, 1e-17))))
-        n_terms = min(max(n_terms, p + 4), _MAX_ZETA_J)
-    neg_mu = -mu
-    term = np.ones_like(mu)
-    acc = np.zeros_like(mu)
-    for j in range(n_terms + 1):
-        if j != p - 1:
-            acc = acc + _ZETA[p - j] * term
-        term = term * neg_mu / (j + 1)
-    log_mu = np.log(mu)
-    extra = neg_mu ** (p - 1) / math.factorial(p - 1) * (_HARMONIC[p - 1] - log_mu)
-    return acc + extra
+        Li_p(e^-mu) = sum_j c_pj (-mu)^j / j! - (-mu)^{p-1} / (p-1)! ln(mu),
 
-
-def _polylog_exp(p: int, mu):
-    """Li_p(e^-mu) for complex mu with Re mu >= 0, |mu| < 2 pi off (-inf, 0].
-
-    Distant points (Re mu > ln 2, so |q| < 1/2) use the defining series; the
-    zeta expansion covers the slowly converging near-unit-circle regime.
+    with c_pj from _build_zeta_table; each term (-mu)^j / j! is formed once
+    and added to all six orders.  Far pairs (|e^-mu| < 1/2) use the defining
+    series sum_n q^n n^-p, each power q^n formed once.  mu = 0 gives
+    Li_p(1) = zeta(p), and inf for p = 1.
     """
     mu = np.asarray(mu, dtype=complex)
-    if p == 1:
-        return -np.log(-np.expm1(-mu))
-    near = mu.real <= math.log(2.0)
-    if np.all(near):
-        return _polylog_zeta(p, mu)
-    if not np.any(near):
-        return _polylog_series(p, np.exp(-mu))
-    out = np.empty_like(mu)
-    out[near] = _polylog_zeta(p, mu[near])
-    out[~near] = _polylog_series(p, np.exp(-mu[~near]))
-    return out
-
-
-def _li_stack(zl, zd, L, orders=(1, 2, 3, 4, 5, 6, 7)):
-    """Li_p(q) with q = exp(2 pi i (z_l + i |z_d|) / L) for the listed orders.
-
-    Entries with z = 0 are returned as zeta(p) (p >= 2) or inf (p = 1); the
-    caller is responsible for masking coincident points.
-    """
-    d = np.abs(zd)
-    mu = 2.0 * np.pi * (d - 1j * zl) / L
-    mu = np.asarray(mu, dtype=complex)
-    zero = np.abs(mu) == 0.0
-    any_zero = bool(np.any(zero))
-    safe = np.where(zero, 1.0, mu) if any_zero else mu
-    out = {}
-    for p in orders:
-        li = _polylog_exp(p, safe)
-        if any_zero:
-            li = np.where(zero, _ZETA[p] if p >= 2 else np.inf, li)
-        out[p] = li
-    return out
+    li = np.empty((7,) + mu.shape, dtype=complex)
+    zero = mu == 0.0
+    with np.errstate(divide="ignore"):
+        li[0] = -np.log(-np.expm1(-mu))
+    li[0, zero] = np.inf
+    li[1:, zero] = _ZETA[:, :1]
+    near = (mu.real <= _LN2) & ~zero
+    z = mu[near]
+    if z.size:
+        # at least 11 terms, so every order runs past its ln(mu) term at j = p - 1
+        n_terms = max(_series_terms(float(np.abs(z).max()) / (2.0 * np.pi)), 11)
+        if n_terms > _MAX_ZETA_J:
+            raise ValueError(
+                "polylog zeta expansion needs |mu| <= hypot(ln 2, pi) "
+                "(pair separations must be minimum-image)"
+            )
+        log_z = np.log(z)
+        acc = np.zeros((6, z.size), dtype=complex)
+        term = np.ones_like(z)
+        for j in range(n_terms + 1):
+            acc += _ZETA[:, j, None] * term
+            if 1 <= j <= 6:
+                acc[j - 1] -= term * log_z
+            term = term * (-z) / (j + 1)
+        li[1:, near] = acc
+    far = mu.real > _LN2
+    q = np.exp(-mu[far])
+    if q.size:
+        acc = np.zeros((6, q.size), dtype=complex)
+        power = np.ones_like(q)
+        for n in range(1, _series_terms(float(np.abs(q).max())) + 1):
+            power = power * q
+            acc += (float(n) ** -_ORDERS)[:, None] * power
+        li[1:, far] = acc
+    return li
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +228,10 @@ def subtracted_combos(zl, zd, L):
     """
     zl = np.asarray(zl, dtype=float)
     d = np.abs(np.asarray(zd, dtype=float))
-    li = _li_stack(zl, zd, L)
+    li = _polylog_stack(2.0 * np.pi * (d - 1j * zl) / L)
     fac = [None] + [(L / (2.0 * np.pi)) ** p for p in range(1, 8)]
-    sig = {p: fac[p] * np.real(li[p]) for p in range(1, 8)}
-    sig_s = {p: fac[p] * np.imag(li[p]) for p in range(1, 7)}
+    sig = {p: fac[p] * np.real(li[p - 1]) for p in range(1, 8)}
+    sig_s = {p: fac[p] * np.imag(li[p - 1]) for p in range(1, 7)}
     with np.errstate(invalid="ignore"):
         d_sig1 = np.where(d == 0.0, 0.0, d * sig[1])
     d2 = d * d

@@ -1,4 +1,4 @@
-"""Reduced-order model: resonances, reflection coefficient, absorptance, impedance.
+"""Reduced-order model: resonances, reflection coefficient, absorptance.
 
 Everything frequency-dependent costs O(N) per frequency once the capacitance
 quantities are known.  The modal reflection coefficient is
@@ -29,8 +29,6 @@ __all__ = [
     "build_rom",
     "reflection_rom",
     "absorptance",
-    "impedance_from_reflection",
-    "impedance_gamma",
     "band_quadrature",
 ]
 
@@ -161,25 +159,13 @@ def reflection_rom(model: RomModel, omega, warn_band: bool = True):
     return complex(r) if omega.ndim == 0 else r
 
 
-def absorptance(model: RomModel, omega):
-    """A(omega) = 1 - |r|^2, returned unclamped (may be slightly negative)."""
-    r = reflection_rom(model, omega)
-    return 1.0 - np.abs(r) ** 2
+def absorptance(r):
+    """A = 1 - |r|^2 of a reflection coefficient, returned unclamped (may be slightly negative).
 
-
-def impedance_from_reflection(r, omega, tau_m):
-    """gamma = (1 + r) / (i omega tau_m (1 - r)); infinite at r = 1."""
-    r = np.asarray(r)
-    if np.any(r == 1.0):
-        raise ValueError("sound-hard limit, impedance infinite")
-    return (1.0 + r) / ((1.0 - r) * 1j * np.asarray(omega, dtype=float) * tau_m)
-
-
-def impedance_gamma(model: RomModel, omega):
-    """Effective impedance of the macroscopic boundary condition at omega."""
-    return impedance_from_reflection(
-        reflection_rom(model, omega), omega, model.materials.tau_m
-    )
+    Built-in abs: on a numpy scalar it is the modulus the CLI writes as abs_r,
+    which can differ from np.abs in the last bit.
+    """
+    return 1.0 - abs(r) ** 2
 
 
 def band_quadrature(band, n_quad: int):

@@ -196,20 +196,6 @@ class TestCli:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "nope.txt"), "capmat"]) == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("value", ["two", "0"])
-    def test_bad_threads_flag_is_config_error(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.delenv("METASCREEN_THREADS", raising=False)
-        assert run_cli(tmp_path, BASE, "--threads", value, "capmat") == cli.EXIT_CONFIG
-        assert "config error: " in capsys.readouterr().err
-        assert not (tmp_path / "out" / "capmat.csv").exists()
-
-    @pytest.mark.parametrize("value", ["two", "0"])
-    def test_bad_threads_env_is_config_error(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("METASCREEN_THREADS", value)
-        assert run_cli(tmp_path, BASE, "capmat") == cli.EXIT_CONFIG
-        assert "config error: " in capsys.readouterr().err
-        assert not (tmp_path / "out" / "capmat.csv").exists()
-
     def test_metadata_line(self, tmp_path):
         run_cli(tmp_path, BASE, "capmat")
         first = (tmp_path / "out" / "capmat.csv").read_text().splitlines()[0]

@@ -115,19 +115,8 @@ class TestInvariance:
 class TestReflectionExact:
     def test_zero_density_gives_bare_wall(self, circle_setup):
         grid, _ = circle_setup
-        sol = fo.ScatteringSolution(
-            omega=0.05,
-            phi=np.zeros(grid.n_total, complex),
-            phi_ext=np.zeros(grid.n_total, complex),
-            r=0.0,
-            residual=0.0,
-        )
-        assert fo.reflection_exact(sol, grid, 0.05, MATS) == -1.0
-
-    def test_matches_solution_field(self, circle_setup):
-        grid, ctx = circle_setup
-        sol = fo.solve_scattering(grid, 0.06, MATS, context=ctx)
-        assert abs(sol.r - fo.reflection_exact(sol, grid, 0.06, MATS)) == 0.0
+        phi_ext = np.zeros(grid.n_total, complex)
+        assert fo._reflection_from_density(grid, 0.05, MATS, phi_ext) == -1.0
 
     def test_far_field_probe_oracle(self, circle_setup):
         # independent route: read r off the total field high above the

@@ -194,7 +194,7 @@ class TestConfigObjects:
             greens.WaveParams(k=-0.1)
         with pytest.raises(ValueError):
             greens.WaveParams(k=0.1 - 0.01j)
-        w = greens.WaveParams.from_speed(0.1, 1.0 - 0.05j)
+        w = greens.WaveParams(k=0.1 / (1.0 - 0.05j))
         assert w.k.imag > 0
 
 
@@ -209,6 +209,25 @@ class TestPolylog:
                 mu = 2 * np.pi * (d - 1j * zl) / L
                 if abs(mu) >= 0.9 * 2 * np.pi:
                     continue
-                mine = greens._polylog_exp(p, np.array([mu]))[0]
+                mine = greens._polylog_stack(np.array([mu]))[p - 1, 0]
                 ref = complex(mp.polylog(p, complex(np.exp(-mu))))
                 assert abs(mine - ref) < 1e-12
+        # regime edges, all seven orders of one call: both sides of the
+        # near/far split at the largest near |mu| (which sets the zeta term
+        # count), a tiny |mu|, and one far point.  e^-mu is formed in mpmath,
+        # since rounding it to double is 1e-8 off at |mu| = 1e-8.
+        ln2 = np.log(2.0)
+        mus = np.array(
+            [ln2 + s * 1e-9 + t * 1j * np.pi for s in (-1, 1) for t in (-1, 1)]
+            + [6e-9 - 8e-9j, 2.5 + 1.0j]
+        )
+        li = greens._polylog_stack(mus)
+        with mp.workdps(30):
+            for i, mu in enumerate(mus):
+                q = mp.exp(-mp.mpc(mu.real, mu.imag))
+                for p in range(1, 8):
+                    assert abs(li[p - 1, i] - complex(mp.polylog(p, q))) < 1e-12
+
+    def test_beyond_minimum_image_refused(self):
+        with pytest.raises(ValueError, match="minimum-image"):
+            greens._polylog_stack(np.array([0.5 + 4.8j]))

@@ -190,38 +190,9 @@ class TestAbsorptanceImpedance:
     def test_absorptance_limits(self):
         mats = critical_coupling_materials(1.0, 0.5, 0.05)
         model = rom.RomModel(lam=[1.0], lam1=[0.5], materials=mats, cell_measure=L)
-        assert abs(rom.absorptance(model, 0.05) - 1.0) < 1e-12
+        assert abs(rom.absorptance(rom.reflection_rom(model, 0.05)) - 1.0) < 1e-12
         dark = rom.RomModel(lam=[2.0], lam1=[0.0], materials=rom.MaterialParams(), cell_measure=L)
-        assert abs(rom.absorptance(dark, 0.05)) < 1e-15  # r = -1 exactly
-
-    def test_impedance_absorbing_limit(self):
-        mats = critical_coupling_materials(1.0, 0.5, 0.05)
-        model = rom.RomModel(lam=[1.0], lam1=[0.5], materials=mats, cell_measure=L)
-        gamma = rom.impedance_gamma(model, 0.05)
-        assert abs(gamma - 1.0 / (1j * 0.05 * mats.tau_m)) < 1e-10
-
-    def test_impedance_dirichlet_limit(self):
-        dark = rom.RomModel(lam=[2.0], lam1=[0.0], materials=rom.MaterialParams(), cell_measure=L)
-        assert abs(rom.impedance_gamma(dark, 0.05)) < 1e-14  # r = -1 gives gamma = 0
-
-    def test_impedance_generic_value(self):
-        # gamma = (1 + r)/((1 - r) i omega tau): r = 0.5, omega = 0.05 -> -60i
-        gamma = rom.impedance_from_reflection(0.5, 0.05, 1.0)
-        assert abs(gamma - (-60j)) < 1e-12
-        assert abs(rom.impedance_from_reflection(-1.0, 0.05, 1.0)) == 0.0
-        with pytest.raises(ValueError, match="sound-hard"):
-            rom.impedance_from_reflection(1.0, 0.05, 1.0)
-
-    def test_impedance_sound_hard_error(self):
-        omega = 0.05
-        delta = 0.001
-        lam1 = omega**2 / delta
-        model = rom.RomModel(
-            lam=[lam1], lam1=[0.4], materials=rom.MaterialParams(v_b=1.0, delta=delta),
-            cell_measure=L,
-        )
-        with pytest.raises(ValueError, match="sound-hard"):
-            rom.impedance_gamma(model, omega)
+        assert abs(rom.absorptance(rom.reflection_rom(dark, 0.05))) < 1e-15  # r = -1 exactly
 
 
 class TestBandQuadrature:
