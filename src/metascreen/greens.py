@@ -74,15 +74,15 @@ def _series_terms(ratio: float) -> int:
 _MAX_ZETA_J = _series_terms(math.hypot(_LN2, math.pi) / (2.0 * math.pi))
 
 
-def _build_zeta_table(max_j: int):
-    """Coefficients of (-mu)^j / j! in Li_p(e^-mu): rows p = 2..7, columns j = 0..max_j.
+def _build_zeta_table(orders, max_j: int):
+    """Coefficients of (-mu)^j / j! in Li_p(e^-mu): a row per p in ``orders``, columns j = 0..max_j.
 
     The entry is zeta(p - j), except H_{p-1} at j = p - 1, where the term
     also carries -ln(mu).
     """
     bern = special.bernoulli(max_j)
-    table = np.empty((6, max_j + 1))
-    for row, p in enumerate(range(2, 8)):
+    table = np.empty((len(orders), max_j + 1))
+    for row, p in enumerate(orders):
         for j in range(max_j + 1):
             v = p - j
             if v >= 2:
@@ -96,7 +96,13 @@ def _build_zeta_table(max_j: int):
     return table
 
 
-_ZETA = _build_zeta_table(_MAX_ZETA_J)
+# Zeta-expansion rows, odd orders first.  zeta(p - j) = 0 for even p - j < 0,
+# so from j = 8 on term j reaches only the orders of one parity: _ZETA_ROWS[j]
+# is the contiguous run of rows with a nonzero coefficient.
+_ZETA_ORDERS = (3, 5, 7, 2, 4, 6)
+_ZETA = _build_zeta_table(_ZETA_ORDERS, _MAX_ZETA_J)
+_ZETA_ROWS = [slice(int(nz[0]), int(nz[-1]) + 1) for nz in map(np.flatnonzero, _ZETA.T)]
+_BY_ORDER = np.argsort(_ZETA_ORDERS)  # the rows of p = 2..7
 _ORDERS = np.arange(2.0, 8.0)
 
 
@@ -172,9 +178,9 @@ def _polylog_stack(mu):
         Li_p(e^-mu) = sum_j c_pj (-mu)^j / j! - (-mu)^{p-1} / (p-1)! ln(mu),
 
     with c_pj from _build_zeta_table; each term (-mu)^j / j! is formed once
-    and added to all six orders.  Far pairs (|e^-mu| < 1/2) use the defining
-    series sum_n q^n n^-p, each power q^n formed once.  mu = 0 gives
-    Li_p(1) = zeta(p), and inf for p = 1.
+    and added to the orders whose c_pj is nonzero.  Far pairs (|e^-mu| <
+    1/2) use the defining series sum_n q^n n^-p, each power q^n formed once.
+    mu = 0 gives Li_p(1) = zeta(p), and inf for p = 1.
     """
     mu = np.asarray(mu, dtype=complex)
     li = np.empty((7,) + mu.shape, dtype=complex)
@@ -182,7 +188,7 @@ def _polylog_stack(mu):
     with np.errstate(divide="ignore"):
         li[0] = -np.log(-np.expm1(-mu))
     li[0, zero] = np.inf
-    li[1:, zero] = _ZETA[:, :1]
+    li[1:, zero] = _ZETA[_BY_ORDER, :1]
     near = (mu.real <= _LN2) & ~zero
     z = mu[near]
     if z.size:
@@ -197,11 +203,12 @@ def _polylog_stack(mu):
         acc = np.zeros((6, z.size), dtype=complex)
         term = np.ones_like(z)
         for j in range(n_terms + 1):
-            acc += _ZETA[:, j, None] * term
+            rows = _ZETA_ROWS[j]
+            acc[rows] += _ZETA[rows, j, None] * term
             if 1 <= j <= 6:
-                acc[j - 1] -= term * log_z
+                acc[_BY_ORDER[j - 1]] -= term * log_z
             term = term * (-z) / (j + 1)
-        li[1:, near] = acc
+        li[1:, near] = acc[_BY_ORDER]
     far = mu.real > _LN2
     q = np.exp(-mu[far])
     if q.size:

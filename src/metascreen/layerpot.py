@@ -8,7 +8,7 @@ and use the plain trapezoid rule with the shared weights
 (2 pi / n_pts) |x'(t_k)|.
 
 Laplace and Helmholtz share the rule: one body assembles S and one assembles
-K*, each from a kernel bundle {"dir", "img"} -> (value, d/dz_l, d/dz_d) on all
+K*, each from a kernel bundle {"dir", "img"} -> (value, d/dz_l, d/dz_d) on the
 node pairs and the log factor A on each diagonal block.  For Laplace, A is
 1/(4 pi) for S and 0 for K*; for Helmholtz, A is J_0(kr)/(4 pi) for S and
 -(k^2/(4 pi)) (J_1(kr)/(kr)) (z . nu) for K*.  Operators are plain ndarrays.
@@ -23,6 +23,17 @@ the shape gradients never pays for it.  A Helmholtz operator checks the
 single-mode condition on k before it builds anything.  The Helmholtz bundle
 comes from greens.gper_helmholtz, the same function the point kernels
 (greens.helmholtz_gs / helmholtz_gs_grad) call.
+
+The sound-soft kernel is reciprocal, G_s(x, y) = G_s(y, x), so every pair
+quantity is stored for the np.triu_indices(n) pairs (i <= j) only, as 1-D
+arrays, and the kernel bundles are computed there.  Swapping i and j negates
+z_l and z_d and keeps the image z_d, so the tables have a fixed parity:
+the values are symmetric (direct and image), d/dz_l is antisymmetric (direct
+and image), and d/dz_d is antisymmetric for the direct part and symmetric for
+the image part.  The two Nystrom bodies expand to n x n only the tables they
+read, on the direct - image difference where the parities agree; the
+separations the log factor needs on a diagonal block come from that block's
+own nodes.
 """
 
 from __future__ import annotations
@@ -94,30 +105,45 @@ def _j1c_small(w):
     return acc
 
 
+# Parity under i <-> j of the (value, d/dz_l, d/dz_d) tables of each part:
+# swapping the nodes negates z_l and the direct z_d and keeps the image z_d.
+_PARITY = {"dir": (1, -1, -1), "img": (1, -1, 1)}
+
+
+def _pair_separations(x, i, j, L):
+    """Minimum-image z_l, direct z_d and image z_d of the node pairs (x[i], x[j])."""
+    zl = x[i, 0] - x[j, 0]
+    zl -= L * np.round(zl / L)  # minimum image; kernels are L-periodic
+    return zl, x[i, 1] - x[j, 1], x[i, 1] + x[j, 1]
+
+
 class AssemblyContext:
-    """Cached pairwise geometry and kernel pieces for one BoundaryGrid."""
+    """Cached pairwise geometry and kernel pieces for one BoundaryGrid.
+
+    Pair tables (zl, dd, di, laplace, the Helmholtz cache and the kernel
+    bundles) are 1-D arrays over the np.triu_indices(n_total) pairs.
+    """
 
     def __init__(self, grid: BoundaryGrid, tol: float = 1e-12):
         self.grid = grid
         self.tol = tol
         L = grid.L
-        x = grid.nodes
-
-        zl = x[:, 0, None] - x[None, :, 0]
-        zl -= L * np.round(zl / L)  # minimum image; kernels are L-periodic
-        dd = x[:, 1, None] - x[None, :, 1]
-        di = x[:, 1, None] + x[None, :, 1]
-        self.zl = zl
-        self.dd = dd
-        self.di = di
+        n = grid.n_total
+        i, j = np.triu_indices(n)
+        self._upper = np.triu(np.ones((n, n), dtype=bool))  # the stored pairs, row-major
+        self._diag = np.flatnonzero(i == j)  # where the pairs i == j sit in a table
+        self.zl, self.dd, self.di = _pair_separations(grid.nodes, i, j, L)
 
         # Laplace kernel bundle in closed form; the direct diagonal is
         # singular and masked to 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            direct = greens._closed_laplace(zl, dd, L, want_grad=True)
+            direct = greens._closed_laplace(self.zl, self.dd, L, want_grad=True)
         for arr in direct:
-            np.fill_diagonal(arr, 0.0)
-        self.laplace = {"dir": direct, "img": greens._closed_laplace(zl, di, L, want_grad=True)}
+            arr[self._diag] = 0.0
+        self.laplace = {
+            "dir": direct,
+            "img": greens._closed_laplace(self.zl, self.di, L, want_grad=True),
+        }
 
         # ln(4 sin^2((t_i - t_j)/2)) on one block (shared by all resonators)
         tpar = grid.t[: grid.n_pts]
@@ -131,7 +157,32 @@ class AssemblyContext:
         self._helm: dict | None = None
         self._bundles: dict = {}
 
-    # -- kernel value/gradient matrices -----------------------------------
+    def _expand(self, tri, parity):
+        """n x n matrix of a triangle table whose (j, i) entry is parity * (i, j)."""
+        n = self.grid.n_total
+        mat = np.empty((n, n), dtype=tri.dtype)
+        mat.T[self._upper] = tri if parity > 0 else -tri
+        mat[self._upper] = tri  # the diagonal keeps the table's own entries
+        return mat
+
+    def _difference(self, bundle, c):
+        """n x n direct - image difference of table c of a bundle (0 value, 1 d/dz_l, 2 d/dz_d).
+
+        Expanded once when the two parts share a parity, else part by part.
+        """
+        p_dir, p_img = _PARITY["dir"][c], _PARITY["img"][c]
+        t_dir, t_img = bundle["dir"][c], bundle["img"][c]
+        if p_dir == p_img:
+            return self._expand(t_dir - t_img, p_dir)
+        return self._expand(t_dir, p_dir) - self._expand(t_img, p_img)
+
+    def _block_separations(self, b):
+        """Minimum-image (z_l, z_d) of the node pairs of diagonal block b."""
+        idx = np.arange(self.grid.n_total)[b]
+        zl, dd, _ = _pair_separations(self.grid.nodes, idx[:, None], idx[None, :], self.grid.L)
+        return zl, dd
+
+    # -- kernel value/gradient tables ----------------------------------------
 
     def helmholtz_cache(self) -> dict:
         """Wavenumber-independent pieces only the Helmholtz operators read.
@@ -148,7 +199,7 @@ class AssemblyContext:
         return self._helm
 
     def _kernel_bundle(self, k: complex):
-        """(value, d/dz_l, d/dz_d) of G_per^k on all node pairs, cached per k.
+        """(value, d/dz_l, d/dz_d) of G_per^k on the triangle pairs, cached per k.
 
         k must satisfy the single-mode condition; it is checked before any
         cache is built.  One greens.gper_helmholtz call per part ("dir",
@@ -181,7 +232,7 @@ class AssemblyContext:
     def _single_layer(self, bundle, log_coef):
         """S from a kernel bundle; log_coef(b) is the log factor A on block b."""
         grid = self.grid
-        val = bundle["dir"][0] - bundle["img"][0]
+        val = self._difference(bundle, 0)
         mat = self.w_t * val
         for j in range(grid.n_res):
             b = grid.block(j)
@@ -196,13 +247,13 @@ class AssemblyContext:
     def _adjoint_double_layer(self, bundle, log_coef):
         """K* from a kernel bundle; log_coef(b) is the log factor A on block b."""
         grid = self.grid
-        (_, gl_dir, gd_dir), (_, gl_img, gd_img) = bundle["dir"], bundle["img"]
+        _, gl_img, gd_img = bundle["img"]
         nx = grid.normals[:, 0, None]
         ny = grid.normals[:, 1, None]
-        ker = nx * (gl_dir - gl_img) + ny * (gd_dir - gd_img)
+        ker = nx * self._difference(bundle, 1) + ny * self._difference(bundle, 2)
         # on the diagonal the direct part tends to curvature / (4 pi)
         diag = grid.curvature * _INV_4PI - (
-            grid.normals[:, 0] * np.diagonal(gl_img) + grid.normals[:, 1] * np.diagonal(gd_img)
+            grid.normals[:, 0] * gl_img[self._diag] + grid.normals[:, 1] * gd_img[self._diag]
         )
         np.fill_diagonal(ker, diag)
         mat = self.w_t * ker
@@ -221,7 +272,7 @@ class AssemblyContext:
 
     def single_layer_helmholtz(self, k: complex) -> np.ndarray:
         def log_coef(b):
-            return _INV_4PI * _j0_small(k * np.hypot(self.zl[b, b], self.dd[b, b]))
+            return _INV_4PI * _j0_small(k * np.hypot(*self._block_separations(b)))
 
         return self._single_layer(self._kernel_bundle(k), log_coef)
 
@@ -232,7 +283,7 @@ class AssemblyContext:
         normals = self.grid.normals
 
         def log_coef(b):
-            zl, dd = self.zl[b, b], self.dd[b, b]
+            zl, dd = self._block_separations(b)
             zdotnu = zl * normals[b, 0, None] + dd * normals[b, 1, None]
             return -(k * k * _INV_4PI) * _j1c_small(k * np.hypot(zl, dd)) * zdotnu
 

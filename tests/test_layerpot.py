@@ -259,6 +259,47 @@ class TestHelmholtzOperators:
             getattr(ctx, op)(k)
 
 
+class TestReciprocity:
+    @pytest.fixture(scope="class")
+    def two_res_ctx(self, two_res_shapes):
+        return lp.AssemblyContext(geo.discretize(two_res_shapes, 32, L))
+
+    @pytest.mark.parametrize("k", [pytest.param(None, id="laplace"), 0.1, KB])
+    def test_single_layer_symmetric(self, two_res_ctx, k):
+        # G_s(x, y) = G_s(y, x) and the Kress weights are symmetric, so S is
+        # symmetric once the speed of the source node is divided out.  The
+        # operator 2-norm: the computed Kress matrix itself is symmetric only
+        # to about 1e-15 of its largest entry.
+        ctx = two_res_ctx
+        S = ctx.single_layer_laplace() if k is None else ctx.single_layer_helmholtz(k)
+        a = S / ctx.grid.speed[None, :]
+        assert np.linalg.norm(a - a.T, 2) <= 1e-15 * np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("k", [0.1, KB])
+    def test_triangle_bundle_matches_full_tables(self, two_res_ctx, k):
+        # the reference runs gper_helmholtz on all n x n node pairs; the
+        # triangle bundle expanded with the parity rule must equal it bit for bit
+        ctx = two_res_ctx
+        x = ctx.grid.nodes
+        zl = x[:, 0, None] - x[None, :, 0]
+        zl -= L * np.round(zl / L)
+        seps = {"dir": x[:, 1, None] - x[None, :, 1], "img": x[:, 1, None] + x[None, :, 1]}
+        full = {}
+        for part, zd in seps.items():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lap = greens._closed_laplace(zl, zd, L, want_grad=True)
+            if part == "dir":
+                for arr in lap:
+                    np.fill_diagonal(arr, 0.0)
+            kummer = greens.kummer_tables(zl, zd, L)
+            full[part] = greens.gper_helmholtz(k, L, lap, kummer, want_grad=True)
+        bundle = ctx._kernel_bundle(k)
+        for part, ref in full.items():
+            for tri, parity, table in zip(bundle[part], lp._PARITY[part], ref):
+                assert tri.ndim == 1
+                assert np.array_equal(ctx._expand(tri, parity), table)
+
+
 class TestSolveDensity:
     def test_identity(self):
         rhs = np.arange(8.0)
@@ -311,7 +352,8 @@ class TestSolveDensity:
 
     def test_nonfinite_matrix_rejected(self, circle_grid):
         ctx = lp.AssemblyContext(circle_grid)
-        ctx.laplace["img"][0][3, 5] = np.nan
+        i, j = np.triu_indices(circle_grid.n_total)
+        ctx.laplace["img"][0][(i == 3) & (j == 5)] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             ctx.single_layer_laplace()
 
