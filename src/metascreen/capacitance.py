@@ -58,10 +58,6 @@ class CapacitanceData:
     def n_res(self) -> int:
         return len(self.areas)
 
-    @property
-    def cell_measure(self) -> float:
-        return self.grid.cell_measure
-
 
 def relative_gap(lam) -> float:
     """Smallest spacing of the eigenvalues over the largest |lambda| (inf if N < 2)."""

@@ -116,7 +116,7 @@ def _reflection_from_density(grid, omega, materials, phi_ext):
     km = omega * materials.tau_m
     yd = grid.nodes[:, 1]
     integ = np.sum(np.sin(km * yd) * phi_ext * grid.weights)
-    return complex(-1.0 - integ / (km * grid.cell_measure))
+    return complex(-1.0 - integ / (km * grid.L))
 
 
 def _inside_which(grid: BoundaryGrid, x) -> int | None:

@@ -148,11 +148,6 @@ class BoundaryGrid:
     def n_total(self) -> int:
         return self.n_res * self.n_pts
 
-    @property
-    def cell_measure(self) -> float:
-        """Measure |Y| of the unit cell (the period L in 2D)."""
-        return self.L
-
     def block(self, j: int) -> slice:
         return slice(j * self.n_pts, (j + 1) * self.n_pts)
 

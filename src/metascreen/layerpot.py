@@ -7,19 +7,22 @@ coupling different resonators (and the wall-image contributions) are smooth
 and use the plain trapezoid rule with the shared weights
 (2 pi / n_pts) |x'(t_k)|.
 
-Laplace and Helmholtz share the rule: one body assembles S and one assembles
-K*, each from a kernel bundle {"dir", "img"} -> (value, d/dz_l, d/dz_d) on the
-node pairs and the log factor A on each diagonal block.  For Laplace, A is
-1/(4 pi) for S and 0 for K*; for Helmholtz, A is J_0(kr)/(4 pi) for S and
--(k^2/(4 pi)) (J_1(kr)/(kr)) (z . nu) for K*.  Operators are plain ndarrays.
+Laplace and Helmholtz share one Nystrom body: it takes an n x n kernel, its
+diagonal and the log factor A of each diagonal block.  Every kernel bundle has
+the keys {"dir", "img", "log"}: (value, d/dz_l, d/dz_d) of the direct and
+image parts on the node pairs, and the factors A of S and of K*.  For Laplace,
+A is 1/(4 pi) for S and 0 for K*; for Helmholtz, A is J_0(kr)/(4 pi) for S and
+-(k^2/(4 pi)) (J_1(kr)/(kr)) (z . nu) for K*, one table per block computed once
+per wavenumber.  Operators are plain ndarrays.
 
 An AssemblyContext caches every wavenumber-independent pair quantity, so
 frequency sweeps only pay for the k-dependent arithmetic.  The Laplace half
 (minimum-image separations, the closed-form Laplace bundle, the log
 quadrature) is built with the context; the Helmholtz half (greens.kummer_tables
-of the direct and image separations) is built on the first Helmholtz operator
-or helmholtz_cache() call, so Laplace-only work such as the optimizer loop and
-the shape gradients never pays for it.  A Helmholtz operator checks the
+of the direct and image separations, and r and z . nu on each diagonal block)
+is built on the first Helmholtz operator or helmholtz_cache() call, so
+Laplace-only work such as the optimizer loop and the shape gradients never
+pays for it.  A Helmholtz operator checks the
 single-mode condition on k before it builds anything.  The Helmholtz bundle
 comes from greens.gper_helmholtz, the same function the point kernels
 (greens.helmholtz_gs / helmholtz_gs_grad) call.
@@ -30,10 +33,10 @@ arrays, and the kernel bundles are computed there.  Swapping i and j negates
 z_l and z_d and keeps the image z_d, so the tables have a fixed parity:
 the values are symmetric (direct and image), d/dz_l is antisymmetric (direct
 and image), and d/dz_d is antisymmetric for the direct part and symmetric for
-the image part.  The two Nystrom bodies expand to n x n only the tables they
-read, on the direct - image difference where the parities agree; the
-separations the log factor needs on a diagonal block come from that block's
-own nodes.
+the image part.  Each operator scatters its kernel to n x n from two triangle
+halves, the (i, j) entries and the (j, i) entries, with these signs: S the
+value difference v_dir - v_img to both halves; K* the d/dz_l difference gl as
+(gl, -gl) and d/dz_d as (gd_dir - gd_img, -(gd_dir + gd_img)).
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
 ]
 
 _INV_4PI = 1.0 / (4.0 * np.pi)
+_HALF_ULP = 2.0**-54  # a term below this times a component of a sum leaves it unchanged
 
 
 class SingularOperatorError(np.linalg.LinAlgError):
@@ -81,33 +85,32 @@ def kress_log_weights(n_pts: int) -> np.ndarray:
     return sla.circulant(r).T  # symmetric in |i - j|; transpose for clarity
 
 
-def _j0_small(w):
-    """J_0(w) by power series; accurate for |w| <= 2.5."""
+def _negligible(t, acc, real):
+    """True when |t| is below half an ulp of each component of acc (only the real one if real)."""
+    scale = np.abs(acc.real) if real else np.minimum(np.abs(acc.real), np.abs(acc.imag))
+    return np.all(np.abs(t) <= _HALF_ULP * scale)
+
+
+def _bessel_j0_j1c(w):
+    """J_0(w) and J_1(w)/w by their power series in z = -w^2/4; for |w| <= 2.5.
+
+    A series stops once its next term is negligible in each component of its
+    sum.  Every later term is smaller still (|z| < 4), so the values are bit
+    for bit those of the full 15-term series.
+    """
     w = np.asarray(w)
     z = -(w * w) / 4.0
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
+    real = np.isrealobj(z) or np.all(z.imag == 0.0)  # then every term is real
+    t0, j0 = np.ones_like(z), np.ones_like(z)
+    t1, j1c = np.full_like(z, 0.5), np.full_like(z, 0.5)
     for m in range(1, 16):
-        term = term * z / (m * m)
-        acc = acc + term
-    return acc
-
-
-def _j1c_small(w):
-    """J_1(w)/w by power series; accurate for |w| <= 2.5 (value 1/2 at 0)."""
-    w = np.asarray(w)
-    z = -(w * w) / 4.0
-    term = np.full_like(z, 0.5)
-    acc = np.full_like(z, 0.5)
-    for m in range(1, 16):
-        term = term * z / (m * (m + 1))
-        acc = acc + term
-    return acc
-
-
-# Parity under i <-> j of the (value, d/dz_l, d/dz_d) tables of each part:
-# swapping the nodes negates z_l and the direct z_d and keeps the image z_d.
-_PARITY = {"dir": (1, -1, -1), "img": (1, -1, 1)}
+        t0 = t0 * z / (m * m)
+        t1 = t1 * z / (m * (m + 1))
+        if _negligible(t0, j0, real) and _negligible(t1, j1c, real):
+            break
+        j0 = j0 + t0
+        j1c = j1c + t1
+    return j0, j1c
 
 
 def _pair_separations(x, i, j, L):
@@ -120,8 +123,10 @@ def _pair_separations(x, i, j, L):
 class AssemblyContext:
     """Cached pairwise geometry and kernel pieces for one BoundaryGrid.
 
-    Pair tables (zl, dd, di, laplace, the Helmholtz cache and the kernel
-    bundles) are 1-D arrays over the np.triu_indices(n_total) pairs.
+    Pair tables (zl, dd, di, the dir/img parts of the kernel bundles and the
+    Kummer tables) are 1-D arrays over the np.triu_indices(n_total) pairs;
+    the Helmholtz log factors and the r, z . nu they are computed from are
+    (n_res, n_pts, n_pts), one slice per diagonal block.
     """
 
     def __init__(self, grid: BoundaryGrid, tol: float = 1e-12):
@@ -135,7 +140,8 @@ class AssemblyContext:
         self.zl, self.dd, self.di = _pair_separations(grid.nodes, i, j, L)
 
         # Laplace kernel bundle in closed form; the direct diagonal is
-        # singular and masked to 0
+        # singular and masked to 0.  The log factor is 1/(4 pi) for S and 0
+        # for K* on every block.
         with np.errstate(divide="ignore", invalid="ignore"):
             direct = greens._closed_laplace(self.zl, self.dd, L, want_grad=True)
         for arr in direct:
@@ -143,6 +149,7 @@ class AssemblyContext:
         self.laplace = {
             "dir": direct,
             "img": greens._closed_laplace(self.zl, self.di, L, want_grad=True),
+            "log": (np.full(grid.n_res, _INV_4PI), np.zeros(grid.n_res)),
         }
 
         # ln(4 sin^2((t_i - t_j)/2)) on one block (shared by all resonators)
@@ -157,30 +164,13 @@ class AssemblyContext:
         self._helm: dict | None = None
         self._bundles: dict = {}
 
-    def _expand(self, tri, parity):
-        """n x n matrix of a triangle table whose (j, i) entry is parity * (i, j)."""
+    def _scatter(self, upper, lower):
+        """n x n matrix with each stored pair (i, j) at [i, j] from upper, at [j, i] from lower."""
         n = self.grid.n_total
-        mat = np.empty((n, n), dtype=tri.dtype)
-        mat.T[self._upper] = tri if parity > 0 else -tri
-        mat[self._upper] = tri  # the diagonal keeps the table's own entries
+        mat = np.empty((n, n), dtype=upper.dtype)
+        mat.T[self._upper] = lower
+        mat[self._upper] = upper  # the diagonal takes the upper entries
         return mat
-
-    def _difference(self, bundle, c):
-        """n x n direct - image difference of table c of a bundle (0 value, 1 d/dz_l, 2 d/dz_d).
-
-        Expanded once when the two parts share a parity, else part by part.
-        """
-        p_dir, p_img = _PARITY["dir"][c], _PARITY["img"][c]
-        t_dir, t_img = bundle["dir"][c], bundle["img"][c]
-        if p_dir == p_img:
-            return self._expand(t_dir - t_img, p_dir)
-        return self._expand(t_dir, p_dir) - self._expand(t_img, p_img)
-
-    def _block_separations(self, b):
-        """Minimum-image (z_l, z_d) of the node pairs of diagonal block b."""
-        idx = np.arange(self.grid.n_total)[b]
-        zl, dd, _ = _pair_separations(self.grid.nodes, idx[:, None], idx[None, :], self.grid.L)
-        return zl, dd
 
     # -- kernel value/gradient tables ----------------------------------------
 
@@ -188,24 +178,30 @@ class AssemblyContext:
         """Wavenumber-independent pieces only the Helmholtz operators read.
 
         Built on the first call and kept: greens.kummer_tables of the direct
-        ("dir") and image ("img") separations.
+        ("dir") and image ("img") separations, and on each diagonal block the
+        distance r and z . nu of its node pairs, which the log factors read.
         """
         if self._helm is None:
-            L = self.grid.L
+            grid = self.grid
+            idx = np.arange(grid.n_total).reshape(grid.n_res, grid.n_pts)
+            zl, dd, _ = _pair_separations(grid.nodes, idx[:, :, None], idx[:, None, :], grid.L)
+            nrm = grid.normals.reshape(grid.n_res, grid.n_pts, 1, 2)
             self._helm = {
-                "dir": greens.kummer_tables(self.zl, self.dd, L),
-                "img": greens.kummer_tables(self.zl, self.di, L),
+                "dir": greens.kummer_tables(self.zl, self.dd, grid.L),
+                "img": greens.kummer_tables(self.zl, self.di, grid.L),
+                "r": np.hypot(zl, dd),
+                "zdotnu": zl * nrm[..., 0] + dd * nrm[..., 1],
             }
         return self._helm
 
     def _kernel_bundle(self, k: complex):
-        """(value, d/dz_l, d/dz_d) of G_per^k on the triangle pairs, cached per k.
+        """Kernel bundle of G_per^k, with the keys of self.laplace; cached per k.
 
         k must satisfy the single-mode condition; it is checked before any
         cache is built.  One greens.gper_helmholtz call per part ("dir",
-        "img") serves both the single-layer and the adjoint-double-layer
-        assembly at this wavenumber; the two most recent bundles are kept so
-        sweeps alternating k_b / k_m stay cached.  Nothing is masked: with the
+        "img") and one Bessel pass for "log" serve both operators at this
+        wavenumber; the two most recent bundles are kept so sweeps
+        alternating k_b / k_m stay cached.  Nothing is masked: with the
         closed-form Laplace part zeroed on the direct diagonal, the direct
         value there is the smooth remainder 1/(2ikL) + ln(4)/(4 pi) + C(0)
         and the direct gradient is 0.
@@ -222,72 +218,68 @@ class AssemblyContext:
             )
             for part in ("dir", "img")
         }
+        j0, j1c = _bessel_j0_j1c(k * helm["r"])
+        out["log"] = (_INV_4PI * j0, -(k * k * _INV_4PI) * j1c * helm["zdotnu"])
         if len(self._bundles) >= 2:
             self._bundles.pop(next(iter(self._bundles)))
         self._bundles[key] = out
         return out
 
-    # -- the two Nystrom bodies ---------------------------------------------
+    # -- the Nystrom body ----------------------------------------------------
 
-    def _single_layer(self, bundle, log_coef):
-        """S from a kernel bundle; log_coef(b) is the log factor A on block b."""
-        grid = self.grid
-        val = self._difference(bundle, 0)
-        mat = self.w_t * val
-        for j in range(grid.n_res):
-            b = grid.block(j)
-            a_blk = log_coef(b)
-            block_val = val[b, b] - a_blk * self.lnsin
-            # the kernel diagonal holds the smooth remainder of the direct part minus the image
-            diag = np.log(np.pi * grid.speed[b] / grid.L) / (2.0 * np.pi) + np.diagonal(val[b, b])
-            np.fill_diagonal(block_val, diag)
-            mat[b, b] = self.kress * a_blk + self.w_t * block_val
-        return _finite(mat * grid.speed[None, :])
+    def _nystrom(self, ker, diag, log_a):
+        """Operator matrix of an n x n kernel whose diagonal is diag.
 
-    def _adjoint_double_layer(self, bundle, log_coef):
-        """K* from a kernel bundle; log_coef(b) is the log factor A on block b."""
+        The trapezoid rule everywhere, then on diagonal block j the
+        Kussmaul-Martensen split with log factor log_a[j]: the Kress weights
+        integrate log_a[j] ln(4 sin^2((t-s)/2)), the trapezoid rule the rest.
+        """
         grid = self.grid
-        _, gl_img, gd_img = bundle["img"]
-        nx = grid.normals[:, 0, None]
-        ny = grid.normals[:, 1, None]
-        ker = nx * self._difference(bundle, 1) + ny * self._difference(bundle, 2)
-        # on the diagonal the direct part tends to curvature / (4 pi)
-        diag = grid.curvature * _INV_4PI - (
-            grid.normals[:, 0] * gl_img[self._diag] + grid.normals[:, 1] * gd_img[self._diag]
-        )
         np.fill_diagonal(ker, diag)
         mat = self.w_t * ker
         for j in range(grid.n_res):
             b = grid.block(j)
-            a_blk = log_coef(b)
-            block_val = ker[b, b] - a_blk * self.lnsin
+            block_val = ker[b, b] - log_a[j] * self.lnsin
             np.fill_diagonal(block_val, diag[b])
-            mat[b, b] = self.kress * a_blk + self.w_t * block_val
+            mat[b, b] = self.kress * log_a[j] + self.w_t * block_val
         return _finite(mat * grid.speed[None, :])
+
+    def _single_layer(self, bundle):
+        """S from a kernel bundle."""
+        grid = self.grid
+        val = bundle["dir"][0] - bundle["img"][0]
+        # the kernel diagonal holds the smooth remainder of the direct part minus the image
+        diag = np.log(np.pi * grid.speed / grid.L) / (2.0 * np.pi) + val[self._diag]
+        return self._nystrom(self._scatter(val, val), diag, bundle["log"][0])
+
+    def _adjoint_double_layer(self, bundle):
+        """K* from a kernel bundle: nu_x . grad_x of the kernel."""
+        grid = self.grid
+        _, gl_dir, gd_dir = bundle["dir"]
+        _, gl_img, gd_img = bundle["img"]
+        gl = gl_dir - gl_img
+        nx = grid.normals[:, 0, None]
+        ny = grid.normals[:, 1, None]
+        ker = nx * self._scatter(gl, -gl) + ny * self._scatter(gd_dir - gd_img, -(gd_dir + gd_img))
+        # on the diagonal the direct part tends to curvature / (4 pi)
+        diag = grid.curvature * _INV_4PI - (
+            grid.normals[:, 0] * gl_img[self._diag] + grid.normals[:, 1] * gd_img[self._diag]
+        )
+        return self._nystrom(ker, diag, bundle["log"][1])
 
     # -- the four operators ------------------------------------------------
 
     def single_layer_laplace(self) -> np.ndarray:
-        return self._single_layer(self.laplace, lambda b: _INV_4PI)
+        return self._single_layer(self.laplace)
 
     def single_layer_helmholtz(self, k: complex) -> np.ndarray:
-        def log_coef(b):
-            return _INV_4PI * _j0_small(k * np.hypot(*self._block_separations(b)))
-
-        return self._single_layer(self._kernel_bundle(k), log_coef)
+        return self._single_layer(self._kernel_bundle(k))
 
     def adjoint_double_layer_laplace(self) -> np.ndarray:
-        return self._adjoint_double_layer(self.laplace, lambda b: 0.0)
+        return self._adjoint_double_layer(self.laplace)
 
     def adjoint_double_layer_helmholtz(self, k: complex) -> np.ndarray:
-        normals = self.grid.normals
-
-        def log_coef(b):
-            zl, dd = self._block_separations(b)
-            zdotnu = zl * normals[b, 0, None] + dd * normals[b, 1, None]
-            return -(k * k * _INV_4PI) * _j1c_small(k * np.hypot(zl, dd)) * zdotnu
-
-        return self._adjoint_double_layer(self._kernel_bundle(k), log_coef)
+        return self._adjoint_double_layer(self._kernel_bundle(k))
 
 
 def _finite(mat):

@@ -119,7 +119,7 @@ def radiative_widths(cap: CapacitanceData, materials: MaterialParams) -> np.ndar
     if cap.u is None or cap.m is None:
         raise ValueError("capacitance data must carry moments and eigenpairs")
     mtu = cap.m @ cap.u
-    return materials.tau_m * mtu**2 / cap.cell_measure
+    return materials.tau_m * mtu**2 / cap.grid.L
 
 
 def resonant_frequencies(cap: CapacitanceData, materials: MaterialParams) -> np.ndarray:
@@ -133,7 +133,7 @@ def resonant_frequencies(cap: CapacitanceData, materials: MaterialParams) -> np.
     mats = materials
     mtu = cap.m @ cap.u
     lead = mats.v_b * np.sqrt(mats.delta * cap.lam.astype(complex))
-    damp = 1j * mats.tau_m * mats.v_b**2 * mtu**2 * mats.delta / (2.0 * cap.cell_measure)
+    damp = 1j * mats.tau_m * mats.v_b**2 * mtu**2 * mats.delta / (2.0 * cap.grid.L)
     return lead - damp
 
 
@@ -142,7 +142,7 @@ def build_rom(cap: CapacitanceData, materials: MaterialParams) -> RomModel:
         lam=cap.lam.copy(),
         lam1=radiative_widths(cap, materials),
         materials=materials,
-        cell_measure=cap.cell_measure,
+        cell_measure=cap.grid.L,
     )
 
 

@@ -92,7 +92,7 @@ def grad_radiative_widths(cap: CapacitanceData, gu, gm, materials):
     mtu = cap.m @ cap.u
     m_gu = np.einsum("b,xjb->xj", cap.m, gu)
     u_gm = gm @ cap.u
-    return (2.0 * materials.tau_m / cap.cell_measure) * mtu[None, :] * (m_gu + u_gm)
+    return (2.0 * materials.tau_m / cap.grid.L) * mtu[None, :] * (m_gu + u_gm)
 
 
 def gradient_densities(cap: CapacitanceData, materials, kstar=None) -> ShapeGradients:

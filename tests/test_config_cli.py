@@ -141,6 +141,25 @@ class TestCli:
         text = BASE + "band.omega_max = 0.5\n"
         assert run_cli(tmp_path, text, "spectrum", "--model", "exact") == cli.EXIT_NUMERICAL
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("band.omega_max = 0.3\n", "diffraction cutoff"),
+            ("materials.v_b = 0.5\nband.omega_max = 0.16\n", "multiple propagating"),
+        ],
+        ids=["near-cutoff", "interior-k"],
+    )
+    def test_exact_band_checked_before_solving(self, tmp_path, monkeypatch, capsys, extra, message):
+        # the band is refused up front with the solver's own rule on k_m and k_b
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_scattering reached")
+
+        monkeypatch.setattr(cli.fullorder, "solve_scattering", no_solve)
+        code = run_cli(tmp_path, BASE + extra, "spectrum", "--model", "exact")
+        assert code == cli.EXIT_NUMERICAL
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "spectrum.csv").exists()
+
     def test_optimize_artifacts(self, tmp_path):
         text = BASE + "optimizer.objective = ref\noptimizer.max_iters = 3\n"
         assert run_cli(tmp_path, text, "optimize") == 0

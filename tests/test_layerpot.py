@@ -37,6 +37,56 @@ class TestKressWeights:
             lp.kress_log_weights(33)
 
 
+def bessel_series_15(w):
+    """J_0(w) and J_1(w)/w summed over all 15 terms of their power series."""
+    z = -(w * w) / 4.0
+    t0, j0 = np.ones_like(z), np.ones_like(z)
+    t1, j1c = np.full_like(z, 0.5), np.full_like(z, 0.5)
+    for m in range(1, 16):
+        t0 = t0 * z / (m * m)
+        t1 = t1 * z / (m * (m + 1))
+        j0 = j0 + t0
+        j1c = j1c + t1
+    return j0, j1c
+
+
+class TestBesselSeries:
+    @pytest.fixture(scope="class")
+    def w(self):
+        rng = np.random.default_rng(11)
+        w = 2.5 * np.sqrt(rng.random(400)) * np.exp(2j * np.pi * rng.random(400))
+        return np.concatenate([w, [2.5, 2.404825557695773, 2.5j, 1e-3 + 1e-4j, 0.0]])
+
+    def test_matches_scipy(self, w):
+        # rounding in the sum scales with the sum of the term moduli,
+        # I_0(|w|) for J_0 and 2 I_1(|w|)/|w| for J_1/w: 1 at w = 0, 3.3 at |w| = 2.5
+        from scipy import special
+
+        w = w[w != 0]
+        j0, j1c = lp._bessel_j0_j1c(w)
+        a = np.abs(w)
+        assert np.all(np.abs(j0 - special.jv(0, w)) <= 1e-15 * special.i0(a))
+        assert np.all(np.abs(j1c - special.jv(1, w) / w) <= 1e-15 * 2.0 * special.i1(a) / a)
+
+    def test_zero_argument(self):
+        j0, j1c = lp._bessel_j0_j1c(0.0)
+        assert j0 == 1.0 and j1c == 0.5
+
+    @pytest.mark.parametrize("kind", ["complex", "near-real", "real", "real-valued complex"])
+    def test_early_stop_keeps_full_series_bits(self, w, kind):
+        # near-real: the phase of k_b = omega / v_b, where Im J_0 << |J_0|
+        w = {
+            "complex": w,
+            "near-real": np.abs(w) / (1 - 0.05j),
+            "real": np.abs(w),
+            "real-valued complex": np.abs(w) + 0j,
+        }[kind]
+        # the largest |w| sets the term count, so each scale is its own call
+        for scale in (1.0, 0.1, 0.013):
+            for got, ref in zip(lp._bessel_j0_j1c(scale * w), bessel_series_15(scale * w)):
+                assert np.array_equal(got, ref)
+
+
 class TestSingleLayerLaplace:
     def test_round_trip_constant(self, circle_grid, circle_ctx):
         S = circle_ctx.single_layer_laplace()
@@ -278,7 +328,10 @@ class TestReciprocity:
     @pytest.mark.parametrize("k", [0.1, KB])
     def test_triangle_bundle_matches_full_tables(self, two_res_ctx, k):
         # the reference runs gper_helmholtz on all n x n node pairs; the
-        # triangle bundle expanded with the parity rule must equal it bit for bit
+        # triangle bundle scattered with the parity of each table under
+        # i <-> j must equal it bit for bit.  Swapping the nodes negates z_l
+        # and the direct z_d and keeps the image z_d.
+        parity = {"dir": (1, -1, -1), "img": (1, -1, 1)}
         ctx = two_res_ctx
         x = ctx.grid.nodes
         zl = x[:, 0, None] - x[None, :, 0]
@@ -295,9 +348,19 @@ class TestReciprocity:
             full[part] = greens.gper_helmholtz(k, L, lap, kummer, want_grad=True)
         bundle = ctx._kernel_bundle(k)
         for part, ref in full.items():
-            for tri, parity, table in zip(bundle[part], lp._PARITY[part], ref):
+            for tri, p, table in zip(bundle[part], parity[part], ref):
                 assert tri.ndim == 1
-                assert np.array_equal(ctx._expand(tri, parity), table)
+                assert np.array_equal(ctx._scatter(tri, p * tri), table)
+
+    def test_bundles_share_keys(self, two_res_ctx):
+        ctx = two_res_ctx
+        n_res, n_pts = ctx.grid.n_res, ctx.grid.n_pts
+        bundle = ctx._kernel_bundle(KB)
+        assert set(bundle) == set(ctx.laplace) == {"dir", "img", "log"}
+        for a in bundle["log"]:
+            assert a.shape == (n_res, n_pts, n_pts)
+        for a in ctx.laplace["log"]:
+            assert a.shape == (n_res,)
 
 
 class TestSolveDensity:
