@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import layerpot
 from .geometry import BoundaryGrid
@@ -122,7 +121,7 @@ def eigendecompose(data_or_C, V=None):
     isq = 1.0 / np.sqrt(vdiag)
     Wm = isq[:, None] * C * isq[None, :]
     Wm = 0.5 * (Wm + Wm.T)
-    lam, wvec = sla.eigh(Wm)
+    lam, wvec = np.linalg.eigh(Wm)
     u = isq[:, None] * wvec
     for j in range(u.shape[1]):
         lead = np.argmax(np.abs(u[:, j]))

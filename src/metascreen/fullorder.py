@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import layerpot
 from .geometry import BoundaryGrid
@@ -91,11 +90,11 @@ def solve_scattering(
     b = np.concatenate([u, delta * dudn])
 
     try:
-        x = sla.solve(A, b)
+        x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise layerpot.SingularOperatorError(f"scattering solve failed: {exc}") from None
     residual = float(np.abs(A @ x - b).max() / np.abs(b).max())
-    if residual > _RESIDUAL_TOL:
+    if not np.isfinite(residual) or residual > _RESIDUAL_TOL:
         raise layerpot.SingularOperatorError(
             f"scattering residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}",
             cond=np.linalg.cond(A),

@@ -27,7 +27,9 @@ polylogarithm computation", 2006), far pairs (|e^-mu| < 1/2) by the defining
 series, each power formed once and shared by the orders.  Pair separations
 are minimum-image, so |Im mu| <= pi and a near pair has |mu| <= hypot(ln 2,
 pi) = 3.217, which bounds the zeta expansion at 59 terms; a larger |mu| is
-refused.
+refused.  Its coefficients need no special-function library: zeta(2) ..
+zeta(7) are float literals, and zeta(-m) = -B_{m+1}/(m+1) comes from exact
+Bernoulli numbers, each rounded once.
 
 The single-mode condition (WaveParams.check_single_mode) is checked by the
 point kernels and by layerpot.AssemblyContext before they build any table;
@@ -46,9 +48,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "LatticeConfig",
@@ -74,25 +76,44 @@ def _series_terms(ratio: float) -> int:
 _MAX_ZETA_J = _series_terms(math.hypot(_LN2, math.pi) / (2.0 * math.pi))
 
 
+# zeta(2) .. zeta(7), each the double nearest the exact value.
+_ZETA_POS = {
+    2: 1.6449340668482264,
+    3: 1.2020569031595942,
+    4: 1.0823232337111381,
+    5: 1.03692775514337,
+    6: 1.0173430619844492,
+    7: 1.008349277381923,
+}
+
+
+def _bernoulli(n: int) -> list[Fraction]:
+    """Exact Bernoulli numbers B_0..B_n from sum_{k<=m} C(m+1, k) B_k = 0 (m >= 1)."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):  # B_k = 0 for odd k > 1: those terms are skipped
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m) if b[k]) / (m + 1))
+    return b
+
+
 def _build_zeta_table(orders, max_j: int):
     """Coefficients of (-mu)^j / j! in Li_p(e^-mu): a row per p in ``orders``, columns j = 0..max_j.
 
     The entry is zeta(p - j), except H_{p-1} at j = p - 1, where the term
     also carries -ln(mu).
     """
-    bern = special.bernoulli(max_j)
+    bern = _bernoulli(max_j)
     table = np.empty((len(orders), max_j + 1))
     for row, p in enumerate(orders):
         for j in range(max_j + 1):
             v = p - j
             if v >= 2:
-                table[row, j] = special.zeta(v)
+                table[row, j] = _ZETA_POS[v]
             elif v == 1:
                 table[row, j] = _HARMONIC[p - 1]
             elif v == 0:
                 table[row, j] = -0.5
             else:
-                table[row, j] = -bern[1 - v] / (1 - v)  # zeta(-m), zero for even m
+                table[row, j] = float(-bern[1 - v] / (1 - v))  # zeta(-m), zero for even m
     return table
 
 

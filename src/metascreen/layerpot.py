@@ -42,7 +42,6 @@ value difference v_dir - v_img to both halves; K* the d/dz_l difference gl as
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import greens
 from .geometry import BoundaryGrid
@@ -71,18 +70,21 @@ class SingularOperatorError(np.linalg.LinAlgError):
 def kress_log_weights(n_pts: int) -> np.ndarray:
     """Quadrature matrix R_ij for the 2pi-periodic ln(4 sin^2((t-s)/2)) factor.
 
-    R is circulant with R[i, j] = R((t_i - t_j)), exact for trigonometric
-    polynomials of degree < n_pts/2 on the uniform grid t_j = 2 pi j / n_pts
-    (n_pts even).
+    R is circulant with R[i, j] = r[(j - i) mod n_pts], exact for
+    trigonometric polynomials of degree < n_pts/2 on the uniform grid
+    t_j = 2 pi j / n_pts (n_pts even).  r is computed for the offsets
+    0..n_pts/2 and mirrored, r[n_pts - m] = r[m], so R is exactly symmetric.
     """
     if n_pts % 2:
         raise ValueError("log-singular quadrature requires an even node count")
     half = n_pts // 2
-    t = 2.0 * np.pi * np.arange(n_pts) / n_pts
+    t = 2.0 * np.pi * np.arange(half + 1) / n_pts
     m = np.arange(1, half)
     r = -(4.0 * np.pi / n_pts) * np.cos(np.outer(t, m)) @ (1.0 / m)
     r -= (4.0 * np.pi / n_pts**2) * np.cos(half * t)
-    return sla.circulant(r).T  # symmetric in |i - j|; transpose for clarity
+    r = np.concatenate([r, r[half - 1 : 0 : -1]])
+    i = np.arange(n_pts)
+    return r[(i[None, :] - i[:, None]) % n_pts]
 
 
 def _negligible(t, acc, real):
@@ -291,21 +293,19 @@ def _finite(mat):
 def solve_density(a: np.ndarray, rhs, residual_tol: float = 1e-10):
     """Direct dense solve a @ x = rhs with a residual guarantee.
 
-    ``rhs`` may carry multiple right-hand sides as columns; they share one
-    pivoted LU factorization.  Raises SingularOperatorError when the
-    infinity-norm residual of any column, relative to that column's own
-    max|rhs|, exceeds ``residual_tol``.
+    ``rhs`` may carry multiple right-hand sides as columns; they share the
+    one pivoted LU factorization of np.linalg.solve (LAPACK gesv).  Raises
+    SingularOperatorError when the infinity-norm residual of any column,
+    relative to that column's own max|rhs|, exceeds ``residual_tol``.
     """
     rhs = np.asarray(rhs)
     try:
-        lu, piv = sla.lu_factor(a)
-        x = sla.lu_solve((lu, piv), rhs)
+        x = np.linalg.solve(a, rhs)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SingularOperatorError(f"dense solve failed: {exc}") from None
     if not np.all(np.isfinite(x)):
-        raise SingularOperatorError(
-            "dense solve produced non-finite values", cond=np.linalg.cond(a)
-        )
+        cond = np.linalg.cond(a) if np.all(np.isfinite(a)) else None  # the SVD of a non-finite a fails
+        raise SingularOperatorError("dense solve produced non-finite values", cond=cond)
     resid = np.abs(a @ x - rhs).max(axis=0)
     scale = np.maximum(np.abs(rhs).max(axis=0), np.finfo(float).tiny)
     worst = np.max(resid / scale)

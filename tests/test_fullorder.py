@@ -79,6 +79,13 @@ class TestSolveScattering:
         )
         assert abs(sol.r - r_lim) < 0.05 * abs(coarse.r - r_lim)  # O(delta) decay
 
+    def test_nonfinite_solve_rejected(self, circle_setup, monkeypatch):
+        # NaN > tol is False: the residual guard must refuse a NaN residual
+        grid, ctx = circle_setup
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+        with pytest.raises(lp.SingularOperatorError, match="residual nan"):
+            fo.solve_scattering(grid, 0.05, MATS, context=ctx)
+
     def test_multi_mode_rejected(self, circle_setup):
         grid, ctx = circle_setup
         with pytest.raises(ValueError):

@@ -228,6 +228,22 @@ class TestPolylog:
                 for p in range(1, 8):
                     assert abs(li[p - 1, i] - complex(mp.polylog(p, q))) < 1e-12
 
+    def test_zeta_table_against_mpmath(self):
+        # every coefficient of the zeta expansion is the double nearest the
+        # exact value: zeta(p - j), H_{p-1} at j = p - 1, -1/2 at j = p
+        mp = pytest.importorskip("mpmath")
+        ref = np.empty_like(greens._ZETA)
+        with mp.workdps(50):
+            for row, p in enumerate(greens._ZETA_ORDERS):
+                for j in range(ref.shape[1]):
+                    if j == p - 1:
+                        ref[row, j] = float(mp.harmonic(p - 1))
+                    elif j == p:
+                        ref[row, j] = -0.5
+                    else:
+                        ref[row, j] = float(mp.zeta(p - j))
+        assert np.array_equal(greens._ZETA, ref)
+
     def test_beyond_minimum_image_refused(self):
         with pytest.raises(ValueError, match="minimum-image"):
             greens._polylog_stack(np.array([0.5 + 4.8j]))

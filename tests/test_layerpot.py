@@ -36,6 +36,13 @@ class TestKressWeights:
         with pytest.raises(ValueError):
             lp.kress_log_weights(33)
 
+    @pytest.mark.parametrize("n", [32, 48, 64, 128])
+    def test_exactly_symmetric(self, n):
+        # R depends on |t_i - t_j| only, so R[i, j] and R[j, i] must be the
+        # same double, not two roundings of one cos sum
+        R = lp.kress_log_weights(n)
+        assert np.array_equal(R, R.T)
+
 
 def bessel_series_15(w):
     """J_0(w) and J_1(w)/w summed over all 15 terms of their power series."""
@@ -317,9 +324,9 @@ class TestReciprocity:
     @pytest.mark.parametrize("k", [pytest.param(None, id="laplace"), 0.1, KB])
     def test_single_layer_symmetric(self, two_res_ctx, k):
         # G_s(x, y) = G_s(y, x) and the Kress weights are symmetric, so S is
-        # symmetric once the speed of the source node is divided out.  The
-        # operator 2-norm: the computed Kress matrix itself is symmetric only
-        # to about 1e-15 of its largest entry.
+        # symmetric once the speed of the source node is divided out, up to
+        # the rounding of that weighting and division (~2e-16 of the largest
+        # entry), which the operator 2-norm measures.
         ctx = two_res_ctx
         S = ctx.single_layer_laplace() if k is None else ctx.single_layer_helmholtz(k)
         a = S / ctx.grid.speed[None, :]
@@ -391,7 +398,6 @@ class TestSolveDensity:
         assert np.abs(xa[gab.block(0)] - xb[gba.block(1)]).max() < 1e-12
         assert np.abs(xa[gab.block(1)] - xb[gba.block(0)]).max() < 1e-12
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_residual_guard_per_column(self):
         # an ill-conditioned S: the column along the smallest singular
         # direction leaves a residual of ~1e-4 of its own size; stacked next
@@ -408,10 +414,17 @@ class TestSolveDensity:
         with pytest.raises(lp.SingularOperatorError):
             lp.solve_density(op, np.column_stack([big, weak]))
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_rejected(self):
         with pytest.raises(lp.SingularOperatorError):
             lp.solve_density(np.zeros((4, 4)), np.ones(4))
+
+    def test_nonfinite_operator_rejected(self):
+        # a SingularOperatorError, not the LinAlgError of a condition
+        # estimate (an SVD) of the non-finite matrix
+        op = np.eye(4)
+        op[1, 2] = np.nan
+        with pytest.raises(lp.SingularOperatorError):
+            lp.solve_density(op, np.ones(4))
 
     def test_nonfinite_matrix_rejected(self, circle_grid):
         ctx = lp.AssemblyContext(circle_grid)
