@@ -21,13 +21,17 @@ The remaining modal series then decays like |eta|^-9 and a few terms reach
 1e-12 even on the boundary diagonal, where the plain |eta|^-3 Kummer tail
 would need ~1e5 modes.
 
-All seven orders come from one pass (_polylog_stack): Li_1 in closed form,
-near pairs (Re mu <= ln 2) by the zeta expansion (Crandall, "Note on fast
-polylogarithm computation", 2006), far pairs (|e^-mu| < 1/2) by the defining
-series, each power formed once and shared by the orders.  Pair separations
+All seven orders come from one pass (_polylog_stack) over running powers
+with precomputed coefficients, each power formed once and shared by the
+orders: the zeta expansion in mu (Crandall, "Note on fast polylogarithm
+computation", 2006) or the defining series in e^-mu (Wood, "The computation
+of polylogarithms", Kent CS report 15-92, 1992), whichever needs fewer terms;
+near pairs (Re mu <= ln 2) always take the zeta expansion.  Each pair runs to
+its own term count, and the pairs are summed in cache-sized blocks sorted by
+that count, so a pair's value depends on its own mu alone.  Pair separations
 are minimum-image, so |Im mu| <= pi and a near pair has |mu| <= hypot(ln 2,
 pi) = 3.217, which bounds the zeta expansion at 59 terms; a larger |mu| is
-refused.  Its coefficients need no special-function library: zeta(2) ..
+refused.  The zeta coefficients need no special-function library: zeta(2) ..
 zeta(7) are float literals, and zeta(-m) = -B_{m+1}/(m+1) comes from exact
 Bernoulli numbers, each rounded once.
 
@@ -47,6 +51,7 @@ one code path.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,14 +71,21 @@ _LN2 = math.log(2.0)
 _HARMONIC = [0.0, 1.0, 1.5, 11.0 / 6.0, 25.0 / 12.0, 137.0 / 60.0, 49.0 / 20.0]
 
 
-def _series_terms(ratio: float) -> int:
-    """Terms of a power series in ``ratio`` that bring ratio^n below 1e-17."""
-    return math.ceil(math.log(1e-17) / math.log(max(ratio, 1e-17)))
+def _series_terms(ratio):
+    """Terms of a power series in ``ratio`` that bring ratio^n below 1e-17.
+
+    Takes a float or an array.  Ratios are clipped to [1e-17, 0.9]; the 372
+    terms of 0.9 are more than either polylog expansion ever runs, so a pair
+    with a larger ratio never takes that expansion.
+    """
+    return np.ceil(np.log(1e-17) / np.log(np.clip(ratio, 1e-17, 0.9))).astype(int)
 
 
 # Near pairs (Re mu <= ln 2) of a minimum-image table have |Im mu| <= pi, so
 # |mu| <= hypot(ln 2, pi) = 3.217 and the zeta expansion needs at most 59 terms.
-_MAX_ZETA_J = _series_terms(math.hypot(_LN2, math.pi) / (2.0 * math.pi))
+_MAX_ZETA_J = int(_series_terms(math.hypot(_LN2, math.pi) / (2.0 * math.pi)))
+# Far pairs (Re mu > ln 2) have |e^-mu| < 1/2: at most 57 series terms.
+_MAX_SERIES_N = int(_series_terms(0.5))
 
 
 # zeta(2) .. zeta(7), each the double nearest the exact value.
@@ -117,14 +129,16 @@ def _build_zeta_table(orders, max_j: int):
     return table
 
 
-# Zeta-expansion rows, odd orders first.  zeta(p - j) = 0 for even p - j < 0,
-# so from j = 8 on term j reaches only the orders of one parity: _ZETA_ROWS[j]
-# is the contiguous run of rows with a nonzero coefficient.
-_ZETA_ORDERS = (3, 5, 7, 2, 4, 6)
+# Both expansions are sums of running powers x^j with a coefficient table of
+# a row per order p = 1..7: zeta(p - j) / j! for x = -mu, j^-p for x = e^-mu.
+_ZETA_ORDERS = (1, 2, 3, 4, 5, 6, 7)
+_P = np.array(_ZETA_ORDERS)
 _ZETA = _build_zeta_table(_ZETA_ORDERS, _MAX_ZETA_J)
-_ZETA_ROWS = [slice(int(nz[0]), int(nz[-1]) + 1) for nz in map(np.flatnonzero, _ZETA.T)]
-_BY_ORDER = np.argsort(_ZETA_ORDERS)  # the rows of p = 2..7
-_ORDERS = np.arange(2.0, 8.0)
+_INV_FACT = np.array([1.0 / math.factorial(j) for j in range(_MAX_ZETA_J + 1)])
+_ZETA_COEF = _ZETA * _INV_FACT
+_SERIES_COEF = np.zeros((7, _MAX_SERIES_N + 1))
+_SERIES_COEF[:, 1:] = np.arange(1.0, _MAX_SERIES_N + 1) ** -_P[:, None]
+_BLOCK = 8192  # pairs per block of the polylog pass: its (7, _BLOCK) sums stay in cache
 
 
 @dataclass(frozen=True)
@@ -189,57 +203,103 @@ def _closed_laplace(zl, zd, L, want_grad=False):
 # Polylogarithms Li_1..Li_7(e^-mu), one pass over the powers
 
 
-def _polylog_stack(mu):
-    """Li_1..Li_7(e^-mu) stacked on a new first axis.
+def _nonzero_terms(coef):
+    """Per column j of ``coef``, the (row, coefficient) pairs whose coefficient is nonzero."""
+    return [[(r, c) for r, c in enumerate(col) if c] for col in coef.T.tolist()]
+
+
+def _blocks(idx, counts):
+    """The pairs ``idx`` in blocks of at most _BLOCK, sorted (stably) by descending term count."""
+    order = idx[np.argsort(-counts[idx].astype(np.int16), kind="stable")]  # a radix sort
+    for start in range(0, order.size, _BLOCK):
+        sel = order[start : start + _BLOCK]
+        yield sel, counts[sel]
+
+
+def _power_sums(out, sel, x, n, terms, log_mu=None, log_terms=()):
+    """out[r, sel[i]] = sum_{j <= n_i} c_rj x_i^j for each pair i of a block.
+
+    ``terms[j]`` lists the (r, c_rj) with c_rj != 0.  ``n`` is descending, so
+    the pairs that take term j are a prefix of the block and every update is
+    an axpy on a contiguous slice; the running power x^j is one in-place
+    multiply per term.  ``log_terms[j]`` = (r, c) adds c x^j ln(mu) to row r.
+    """
+    acc = np.zeros((7, x.size), dtype=complex)
+    acc_f = acc.view(float)  # axpys with real coefficients on (re, im) pairs
+    power = np.ones_like(x)
+    power_f = power.view(float)
+    prod = np.empty_like(x)
+    tmp = np.empty(2 * x.size)
+    # active[j]: the pairs with n_i >= j (a prefix), as a count of floats
+    active = (2 * np.searchsorted(-n, -np.arange(n[0] + 2), side="right")).tolist()
+
+    def axpy(r, c, src, m):
+        np.multiply(src[:m], c, out=tmp[:m])
+        acc_f[r, :m] += tmp[:m]
+
+    for j in range(n[0] + 1):
+        m = active[j]
+        for r, c in terms[j]:
+            axpy(r, c, power_f, m)
+        if j < len(log_terms):
+            np.multiply(power[: m // 2], log_mu[: m // 2], out=prod[: m // 2])
+            axpy(*log_terms[j], prod.view(float), m)
+        k = active[j + 1] // 2
+        np.multiply(power[:k], x[:k], out=power[:k])
+    for r in range(7):  # row by row: one scatter of the (7, block) sums is slower
+        out[r, sel] = acc[r]
+
+
+def _polylog_stack(mu, scale=1.0):
+    """scale^p Li_p(e^-mu) for p = 1..7, stacked on a new first axis.
 
     ``mu`` = 2 pi (|z_d| - i z_l) / L of minimum-image pairs, so Re mu >= 0
-    and |Im mu| <= pi.  Li_1 is the closed form -ln(1 - e^-mu).  Near pairs
-    (Re mu <= ln 2) use the zeta expansion
+    and |Im mu| <= pi.  Two expansions, each a sum of running powers x^j:
 
-        Li_p(e^-mu) = sum_j c_pj (-mu)^j / j! - (-mu)^{p-1} / (p-1)! ln(mu),
+      * zeta (Crandall 2006), x = -mu:
+            Li_p(e^-mu) = sum_j zeta(p - j) x^j / j! - x^{p-1} / (p-1)! ln(mu),
+        with H_{p-1} for zeta(1) (_build_zeta_table) and at least 11 terms,
+        so every order runs past its ln(mu) term;
+      * the defining series, x = e^-mu: Li_p(e^-mu) = sum_{j >= 1} x^j j^-p.
 
-    with c_pj from _build_zeta_table; each term (-mu)^j / j! is formed once
-    and added to the orders whose c_pj is nonzero.  Far pairs (|e^-mu| <
-    1/2) use the defining series sum_n q^n n^-p, each power q^n formed once.
-    mu = 0 gives Li_p(1) = zeta(p), and inf for p = 1.
+    Each pair runs to its own term count, by the 1e-17 rule of _series_terms
+    on |mu| / 2 pi (zeta) or |e^-mu| (series), and takes the cheaper
+    expansion: zeta for Re mu <= ln 2, where a minimum-image pair needs at
+    most 59 terms (a larger |mu| is refused); for Re mu > ln 2 zeta when it
+    needs no more terms than the series.  The coefficient tables carry 1/j!
+    and scale^p, and the pairs of each expansion are summed in cache-sized
+    blocks sorted by term count.  A pair's value depends only on its own mu,
+    not on the other pairs in the array or their order.  mu = 0 gives
+    scale^p zeta(p), and inf for p = 1.
     """
     mu = np.asarray(mu, dtype=complex)
-    li = np.empty((7,) + mu.shape, dtype=complex)
-    zero = mu == 0.0
-    with np.errstate(divide="ignore"):
-        li[0] = -np.log(-np.expm1(-mu))
+    flat = mu.ravel()
+    s = float(scale) ** _P
+    li = np.empty((7, flat.size), dtype=complex)
+    zero = flat == 0.0
     li[0, zero] = np.inf
-    li[1:, zero] = _ZETA[_BY_ORDER, :1]
-    near = (mu.real <= _LN2) & ~zero
-    z = mu[near]
-    if z.size:
-        # at least 11 terms, so every order runs past its ln(mu) term at j = p - 1
-        n_terms = max(_series_terms(float(np.abs(z).max()) / (2.0 * np.pi)), 11)
-        if n_terms > _MAX_ZETA_J:
-            raise ValueError(
-                "polylog zeta expansion needs |mu| <= hypot(ln 2, pi) "
-                "(pair separations must be minimum-image)"
-            )
-        log_z = np.log(z)
-        acc = np.zeros((6, z.size), dtype=complex)
-        term = np.ones_like(z)
-        for j in range(n_terms + 1):
-            rows = _ZETA_ROWS[j]
-            acc[rows] += _ZETA[rows, j, None] * term
-            if 1 <= j <= 6:
-                acc[_BY_ORDER[j - 1]] -= term * log_z
-            term = term * (-z) / (j + 1)
-        li[1:, near] = acc[_BY_ORDER]
-    far = mu.real > _LN2
-    q = np.exp(-mu[far])
-    if q.size:
-        acc = np.zeros((6, q.size), dtype=complex)
-        power = np.ones_like(q)
-        for n in range(1, _series_terms(float(np.abs(q).max())) + 1):
-            power = power * q
-            acc += (float(n) ** -_ORDERS)[:, None] * power
-        li[1:, far] = acc
-    return li
+    li[1:, zero] = (s * _ZETA[:, 0])[1:, None]
+    n_zeta = np.maximum(_series_terms(np.abs(flat) / (2.0 * np.pi)), 11)
+    n_series = _series_terms(np.exp(-flat.real))
+    series = (flat.real > _LN2) & (n_series < n_zeta)
+    zeta = ~(series | zero)
+    if np.any(n_zeta[zeta] > _MAX_ZETA_J):
+        raise ValueError(
+            "polylog zeta expansion needs |mu| <= hypot(ln 2, pi) "
+            "(pair separations must be minimum-image)"
+        )
+    zeta_terms = _nonzero_terms(_ZETA_COEF * s[:, None])
+    log_terms = [(j, -s[j] * _INV_FACT[j]) for j in range(7)]
+    for sel, n in _blocks(np.flatnonzero(zeta), n_zeta):
+        z = flat[sel]
+        log_z = np.empty_like(z)  # from real log and arctan2: complex log is 15x slower
+        np.log(np.abs(z), out=log_z.real)
+        np.arctan2(z.imag, z.real, out=log_z.imag)
+        _power_sums(li, sel, -z, n, zeta_terms, log_z, log_terms)
+    series_terms = _nonzero_terms(_SERIES_COEF * s[:, None])
+    for sel, n in _blocks(np.flatnonzero(series), n_series):
+        _power_sums(li, sel, np.exp(-flat[sel]), n, series_terms)
+    return li.reshape((7,) + mu.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +316,9 @@ def subtracted_combos(zl, zd, L):
     """
     zl = np.asarray(zl, dtype=float)
     d = np.abs(np.asarray(zd, dtype=float))
-    li = _polylog_stack(2.0 * np.pi * (d - 1j * zl) / L)
-    fac = [None] + [(L / (2.0 * np.pi)) ** p for p in range(1, 8)]
-    sig = {p: fac[p] * np.real(li[p - 1]) for p in range(1, 8)}
-    sig_s = {p: fac[p] * np.imag(li[p - 1]) for p in range(1, 7)}
+    li = _polylog_stack(2.0 * np.pi * (d - 1j * zl) / L, scale=L / (2.0 * np.pi))
+    sig = dict(enumerate(li.real, start=1))  # (L / 2 pi)^p Re Li_p, views of the stack
+    sig_s = dict(enumerate(li.imag, start=1))
     with np.errstate(invalid="ignore"):
         d_sig1 = np.where(d == 0.0, 0.0, d * sig[1])
     d2 = d * d
@@ -364,8 +423,6 @@ def modal_residual(cache, k, L, tol=1e-12, want_grad=False, n_modes=None):
             converged = True
             break
     if n_modes is None and not converged:
-        import warnings
-
         warnings.warn("modal correction hit the mode cap before reaching tol")
     if want_grad:
         return val, gl, gdd

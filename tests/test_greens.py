@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,67 @@ class TestPolylog:
     def test_beyond_minimum_image_refused(self):
         with pytest.raises(ValueError, match="minimum-image"):
             greens._polylog_stack(np.array([0.5 + 4.8j]))
+
+    def test_against_mpmath_at_branch_switch(self):
+        # far pairs (Re mu > ln 2) run the zeta expansion when it needs no
+        # more terms than the series: check far pairs it takes, both sides of
+        # the switch on three lines Im mu = const, and a pair with q ~ 1e-10
+        mp = pytest.importorskip("mpmath")
+
+        def takes_zeta(mu):
+            n_zeta = np.maximum(greens._series_terms(np.abs(mu) / (2 * np.pi)), 11)
+            return n_zeta <= greens._series_terms(np.exp(-mu.real))
+
+        far_zeta = np.array([0.7 + 0.0j, 0.9 + 0.5j, 1.2 - 0.3j, 1.0 + 1.0j, 0.75 - 2.8j])
+        assert np.all(far_zeta.real > np.log(2.0)) and np.all(takes_zeta(far_zeta))
+        switch = []
+        for im in (0.0, 1.5, -2.5):
+            line = np.linspace(0.7, 2.0, 4001) + 1j * im
+            zeta = takes_zeta(line)
+            i = np.flatnonzero(zeta[:-1] != zeta[1:])[0]
+            switch += [line[i], line[i + 1]]
+        mus = np.concatenate([far_zeta, switch, [23.0 + 0.4j]])
+        li = greens._polylog_stack(mus)
+        with mp.workdps(30):
+            for i, mu in enumerate(mus):
+                q = mp.exp(-mp.mpc(mu.real, mu.imag))
+                for p in range(1, 8):
+                    assert abs(li[p - 1, i] - complex(mp.polylog(p, q))) < 1e-12
+
+    def test_pair_value_independent_of_layout(self):
+        # a pair's Li_1..Li_7 depend on its own mu only, bit for bit: not on
+        # its place in the array, its block or the term counts of the pairs
+        # around it.  Zero, near, far-zeta and far-series pairs, and near
+        # pairs on |1 - e^-mu| = 1, where Re Li_1 = 0 is what is left of
+        # cancelling O(1) terms, so one term more moves its last bits.
+        b = np.linspace(1.06, 1.31, 40)
+        pairs = np.concatenate(
+            [[0.0, 1e-9j, 0.3 + 2.0j, 0.9 + 0.2j, 1.2 - 0.5j, 2.5 + 1.0j, 40.0 + 0.5j],
+             -np.log(2.0 * np.cos(b)) + 1j * b]
+        )
+        ref = greens._polylog_stack(pairs)
+        n = pairs.size
+        shifted = greens._polylog_stack(np.concatenate([[0.5 + 1.0j], pairs]))[:, 1:]
+        assert np.array_equal(shifted, ref)
+        reversed_ = greens._polylog_stack(pairs[::-1].copy())[:, ::-1]
+        assert np.array_equal(reversed_, ref)
+        # more than a block of pairs from every regime, up to 59 zeta terms
+        rng = np.random.default_rng(5)
+        others = rng.uniform(0.0, 3.0, 3 * greens._BLOCK) + 1j * rng.uniform(
+            -np.pi, np.pi, 3 * greens._BLOCK
+        )
+        for at in (0, greens._BLOCK - n // 2, others.size):
+            li = greens._polylog_stack(np.concatenate([others[:at], pairs, others[at:]]))
+            assert np.array_equal(li[:, at : at + n], ref)
+
+    def test_no_runtime_warnings(self):
+        # mu = 0, |mu| = 1e-9 and Re mu = 40 in one array
+        mus = np.array([0.0, 1e-9, 1e-9j, 40.0 + 0.5j, 0.5 - 1.0j])
+        zl, zd = -mus.imag * L / (2 * np.pi), mus.real * L / (2 * np.pi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            li = greens._polylog_stack(mus)
+            combos = greens.subtracted_combos(zl, zd, L)
+        assert np.isinf(li[0, 0])
+        assert np.all(np.isfinite(li[1:])) and np.all(np.isfinite(li[:, 1:]))
+        assert all(np.all(np.isfinite(v)) for v in combos.values())
