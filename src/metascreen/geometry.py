@@ -95,9 +95,12 @@ def parametrize(p: ShapeParams, t):
     """Boundary point x(t) = center + r(t) (cos t, sin t); 2pi-periodic in t."""
     t = np.asarray(t, dtype=float)
     r, _, _ = p.radius(t)
-    return np.stack(
-        [p.center[0] + r * np.cos(t), p.center[1] + r * np.sin(t)], axis=-1
-    )
+    return _boundary_points(p, r, np.cos(t), np.sin(t))
+
+
+def _boundary_points(p: ShapeParams, r, cos_t, sin_t):
+    """center + r (cos t, sin t) from the radial profile r at the angles t."""
+    return np.stack([p.center[0] + r * cos_t, p.center[1] + r * sin_t], axis=-1)
 
 
 def boundary_frame(p: ShapeParams, t):
@@ -109,7 +112,7 @@ def boundary_frame(p: ShapeParams, t):
     t = np.asarray(t, dtype=float)
     r, dr, ddr = p.radius(t)
     ct, st = np.cos(t), np.sin(t)
-    x = np.stack([p.center[0] + r * ct, p.center[1] + r * st], axis=-1)
+    x = _boundary_points(p, r, ct, st)
     dx = np.stack([dr * ct - r * st, dr * st + r * ct], axis=-1)
     speed = np.hypot(dx[..., 0], dx[..., 1])
     normal = np.stack([dx[..., 1], -dx[..., 0]], axis=-1) / speed[..., None]
@@ -306,6 +309,7 @@ def validate_geometry(
                     f"exceeds {cb:g}"
                 )
     t = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
+    cos_t, sin_t = np.cos(t), np.sin(t)
     boundaries = []
     rmax = []
     for idx, p in enumerate(shapes):
@@ -317,7 +321,7 @@ def validate_geometry(
             boundaries.append(None)
             rmax.append(0.0)
             continue
-        x = parametrize(p, t)
+        x = _boundary_points(p, r, cos_t, sin_t)
         boundaries.append(x)
         rmax.append(float(np.max(r)))
         min_height = float(np.min(x[:, 1]))

@@ -337,107 +337,217 @@ def subtracted_combos(zl, zd, L):
     }
 
 
+def _group_sum(coefs, tables):
+    """sum_i coefs[i] * tables[i] in a new array, through one scratch buffer."""
+    out = tables[0] * coefs[0]
+    tmp = np.empty_like(out)
+    for c, table in zip(coefs[1:], tables[1:]):
+        out += np.multiply(table, c, out=tmp)
+    return out
+
+
 def modal_closed_part(combos, k, L, want_grad=False):
-    """Closed-form (polylog) part of the modal correction for wavenumber k."""
+    """Closed-form (polylog) part of the modal correction for wavenumber k.
+
+    The k^2/2, k^4/8 and k^6/48 group scalars carry the -1/L (value) and 1/L
+    (gradient) factors, so each output is three scalar-times-table products
+    summed in place.
+    """
     k2 = k * k
     k4 = k2 * k2
     k6 = k4 * k2
-    c2, c4, c6 = k2 / 2.0, k4 / 8.0, k6 / 48.0
-    val = -(1.0 / L) * (c2 * combos["Ca"] + c4 * combos["Cb"] + c6 * combos["Cc"])
+    c = (k2 / (2.0 * L), k4 / (8.0 * L), k6 / (48.0 * L))
+    val = _group_sum([-x for x in c], [combos[key] for key in ("Ca", "Cb", "Cc")])
     if not want_grad:
         return val
-    gl = (1.0 / L) * (c2 * combos["Da"] + c4 * combos["Db"] + c6 * combos["Dc"])
-    gdd = (1.0 / L) * (c2 * combos["Ea"] + c4 * combos["Eb"] + c6 * combos["Ec"])
+    gl = _group_sum(c, [combos[key] for key in ("Da", "Db", "Dc")])
+    gdd = _group_sum(c, [combos[key] for key in ("Ea", "Eb", "Ec")])
     return val, gl, gdd  # gdd is d/d(d); caller applies sign(z_d)
 
 
 def residual_cache(zl, zd, L):
-    """Geometry-only arrays reused by modal_residual across wavenumbers."""
+    """Geometry-only arrays reused by modal_residual across wavenumbers.
+
+    ``zd`` may be the |z_d| table of subtracted_combos: a nonnegative float
+    array of the pair shape is kept as the "d" table, not copied.
+    """
     zl = np.asarray(zl, dtype=float)
-    d = np.abs(np.asarray(zd, dtype=float))
+    zd = np.asarray(zd, dtype=float)
+    shape = np.broadcast_shapes(zl.shape, zd.shape)
+    if zd.shape == shape and not np.any(np.signbit(zd)):
+        d = zd
+    else:
+        d = np.broadcast_to(np.abs(zd), shape).copy()
     theta = (2.0 * np.pi / L) * zl
-    d_b = np.broadcast_to(d, np.broadcast(zl, d).shape).astype(float)
     return {
-        "d": d_b,
-        "d2": d_b * d_b,
-        "d3": d_b * d_b * d_b,
-        "e1": np.exp(-(2.0 * np.pi / L) * d_b),
+        "d": d,
+        "e1": np.exp(-(2.0 * np.pi / L) * d),
         "cos1": np.cos(theta),
         "sin1": np.sin(theta),
     }
 
 
+def _horner(out, d, coefs):
+    """out = coefs[0] + coefs[1] d + ... + coefs[-1] d^m, in place by Horner in d."""
+    np.multiply(d, coefs[-1], out=out)
+    for c in coefs[-2:0:-1]:
+        out += c
+        out *= d
+    out += coefs[0]
+    return out
+
+
+_RES_BLOCK = 16384  # most pairs per block of the residual series: its scratch stays in cache
+_SHORT_CIS = 0.03  # |theta| up to which cos/sin(theta) take their Taylor terms through theta^7
+
+
+def _exp_scaled(out, d, a, d_max, buf):
+    """out = e^{a d} for a complex scalar a and a nonnegative real table d, max d <= d_max.
+
+    The modulus e^{Re(a) d} comes from the real exp, and cos / sin of
+    theta = Im(a) d from their Taylor polynomials through theta^6 / theta^7
+    when |theta| <= _SHORT_CIS (the first omitted terms are below 2e-17
+    relative there), else from np.cos / np.sin.  The complex exp costs two to
+    three times as much.  ``buf`` holds four real scratch arrays shaped like d.
+    """
+    mag, theta, c, s = buf
+    np.multiply(d, a.imag, out=theta)
+    if abs(a.imag) * d_max <= _SHORT_CIS:
+        t2 = np.multiply(theta, theta, out=mag)
+        _horner(c, t2, (1.0, -1.0 / 2, 1.0 / 24, -1.0 / 720))
+        _horner(s, t2, (1.0, -1.0 / 6, 1.0 / 120, -1.0 / 5040))
+        s *= theta
+    else:
+        np.cos(theta, out=c)
+        np.sin(theta, out=s)
+    np.exp(np.multiply(d, a.real, out=mag), out=mag)
+    np.multiply(mag, c, out=out.real)
+    np.multiply(mag, s, out=out.imag)
+    return out
+
+
+def _next_chebyshev(two_c1, cur, prev, tmp):
+    """prev <- 2 cos(theta) cur - prev: the next term of a cos/sin(n theta) recurrence."""
+    return np.subtract(np.multiply(two_c1, cur, out=tmp), prev, out=prev)
+
+
 def modal_residual(cache, k, L, tol=1e-12, want_grad=False, n_modes=None):
     """Residual modal series after the k^2..k^6 subtraction; |eta|^-9 decay.
 
-    Reads the pair tables of residual_cache.  One mode at a time with running
-    powers e1^n and Chebyshev recurrences for cos/sin(n theta), keeping
-    temporaries at the pair-array size.
+    Reads the pair tables of residual_cache and evaluates in place, in
+    buffers allocated once per call: the running power E = e1^n and the
+    Chebyshev recurrences for cos/sin(n theta) are updated, and at mode n
+
+        res  = e^{-gamma_n d} / gamma_n - E (1/eta_n + c0 + c1 d + c2 d^2 + c3 d^3),
+        resp = E (1 + b1 d + b2 d^2 + b3 d^3) - e^{-gamma_n d},
+
+    each polynomial by Horner in d.  Each mode takes the pairs in blocks of
+    at most _RES_BLOCK, so its scratch stays in cache.  The sums run without
+    the -1/L and 1/L factors, applied once after the loop.  For a complex k
+    the tables are cast to complex once, so no ufunc call mixes real and
+    complex operands.  Without ``n_modes`` the loop runs at least 4 modes and
+    stops at the first whose max |res| (and |resp|) over all pairs is below
+    tol / 4.
     """
-    d, d2, d3 = cache["d"], cache["d2"], cache["d3"]
-    e1, cos1, sin1 = cache["e1"], cache["cos1"], cache["sin1"]
     k2 = k * k
     k4 = k2 * k2
     k6 = k4 * k2
     two_pi_L = 2.0 * np.pi / L
     dtype = complex if np.iscomplexobj(np.asarray(k2)) else float
-    val = np.zeros(d.shape, dtype=dtype)
-    gl = np.zeros(d.shape, dtype=dtype) if want_grad else None
-    gdd = np.zeros(d.shape, dtype=dtype) if want_grad else None
+    shape = np.shape(cache["d"])
+    d_real = np.ravel(cache["d"])
+    d, e1, cos1, sin1 = (
+        np.ravel(np.asarray(cache[key], dtype=dtype)) for key in ("d", "e1", "cos1", "sin1")
+    )
+    size = d.size
+    n_blocks = -(-size // _RES_BLOCK)
+    blocks = [slice(i * size // n_blocks, (i + 1) * size // n_blocks) for i in range(n_blocks)]
+    width = -(-size // max(n_blocks, 1))
+    res_, e_gam_, tmp_, tmp2_, resp_ = (np.empty(width, dtype) for _ in range(5))
+    buf_ = [np.empty(width) for _ in range(4)]  # real scratch; buf[0] also takes |res|
+    d_max = float(d_real.max(initial=0.0))
+    val, E = np.zeros(size, dtype), np.ones(size, dtype)
+    two_cos1 = 2.0 * cos1
+    cos_cur, cos_prev = np.array(cos1), np.ones(size, dtype)
+    if want_grad:
+        gl, gdd = np.zeros(size, dtype), np.zeros(size, dtype)
+        sin_cur, sin_prev = np.array(sin1), np.zeros(size, dtype)
     cap = n_modes if n_modes is not None else 4000
+    check = n_modes is None
     stop_tol = tol / 4.0
-    inv_L = 1.0 / L
-    E = np.ones_like(e1)
-    cos_nm1 = np.ones_like(cos1)
-    sin_nm1 = np.zeros_like(sin1)
-    cos_n = None
     converged = False
     for n in range(1, cap + 1):
         eta = two_pi_L * n
         gam = np.sqrt(eta * eta - k2)  # principal branch, Re >= 0
-        E = E * e1
-        if n == 1:
-            cos_n, sin_n = cos1, sin1
-        else:
-            cos_n, cos_nm1 = 2.0 * cos1 * cos_n - cos_nm1, cos_n
-            sin_n, sin_nm1 = 2.0 * cos1 * sin_n - sin_nm1, sin_n
-        e_gam = np.exp(-gam * d)
         # scalar polynomial coefficients of the subtracted groups at this mode
-        c0 = k2 / (2 * eta**3) + 3 * k4 / (8 * eta**5) + 15 * k6 / (48 * eta**7)
+        c0 = 1.0 / eta + k2 / (2 * eta**3) + 3 * k4 / (8 * eta**5) + 15 * k6 / (48 * eta**7)
         c1 = k2 / (2 * eta**2) + 3 * k4 / (8 * eta**4) + 15 * k6 / (48 * eta**6)
         c2 = k4 / (8 * eta**3) + 6 * k6 / (48 * eta**5)
         c3 = k6 / (48 * eta**4)
-        res = e_gam / gam - E / eta - E * (c0 + c1 * d + c2 * d2 + c3 * d3)
-        val -= inv_L * (cos_n * res)
-        worst = float(np.max(np.abs(res))) if res.size else 0.0
-        if want_grad:
-            gl += (inv_L * eta) * (sin_n * res)
-            b1 = k2 / (2 * eta) + k4 / (8 * eta**3) + 3 * k6 / (48 * eta**5)
-            b2 = k4 / (8 * eta**2) + 3 * k6 / (48 * eta**4)
-            b3 = k6 / (48 * eta**3)
-            resp = E - e_gam + E * (b1 * d + b2 * d2 + b3 * d3)
-            gdd -= inv_L * (cos_n * resp)
-            if res.size:
-                worst = max(worst, float(np.max(np.abs(resp))))
-        if n_modes is None and worst < stop_tol and n >= 4:
+        b1 = k2 / (2 * eta) + k4 / (8 * eta**3) + 3 * k6 / (48 * eta**5)
+        b2 = k4 / (8 * eta**2) + 3 * k6 / (48 * eta**4)
+        b3 = k6 / (48 * eta**3)
+        worst = 0.0
+        for sl in blocks:
+            m = sl.stop - sl.start
+            res, e_gam, tmp, tmp2, resp = res_[:m], e_gam_[:m], tmp_[:m], tmp2_[:m], resp_[:m]
+            buf = [b[:m] for b in buf_]
+            db, Eb, vb = d[sl], E[sl], val[sl]
+            Eb *= e1[sl]
+            cos_n = cos_cur[sl]
+            if n > 1:
+                cos_n = _next_chebyshev(two_cos1[sl], cos_n, cos_prev[sl], tmp)
+            if dtype is complex:
+                _exp_scaled(e_gam, d_real[sl], -gam, d_max, buf)
+            else:
+                np.exp(np.multiply(db, -gam, out=e_gam), out=e_gam)
+            _horner(res, db, (c0, c1, c2, c3))
+            res *= Eb
+            np.subtract(np.multiply(e_gam, 1.0 / gam, out=tmp), res, out=res)
+            vb += np.multiply(res, cos_n, out=tmp)
+            if check:
+                worst = np.maximum(worst, np.abs(res, out=buf[0]).max())  # NaN propagates
+            if not want_grad:
+                continue
+            sin_n = sin_cur[sl]
+            if n > 1:
+                sin_n = _next_chebyshev(two_cos1[sl], sin_n, sin_prev[sl], tmp)
+            glb, gddb = gl[sl], gdd[sl]
+            glb += np.multiply(res, np.multiply(sin_n, eta, out=tmp2), out=tmp)
+            _horner(resp, db, (1.0, b1, b2, b3))
+            resp *= Eb
+            resp -= e_gam
+            gddb += np.multiply(resp, cos_n, out=tmp)
+            if check:
+                worst = np.maximum(worst, np.abs(resp, out=buf[0]).max())
+        if n > 1:  # the new terms were written over the previous ones
+            cos_cur, cos_prev = cos_prev, cos_cur
+            if want_grad:
+                sin_cur, sin_prev = sin_prev, sin_cur
+        if check and worst < stop_tol and n >= 4:
             converged = True
             break
-    if n_modes is None and not converged:
+    if check and not converged:
         warnings.warn("modal correction hit the mode cap before reaching tol")
-    if want_grad:
-        return val, gl, gdd
-    return val
+    val *= -1.0 / L
+    if not want_grad:
+        return val.reshape(shape)
+    gl *= 1.0 / L
+    gdd *= -1.0 / L
+    return val.reshape(shape), gl.reshape(shape), gdd.reshape(shape)
 
 
 def kummer_tables(zl, zd, L):
     """Wavenumber-independent Kummer tables of G_per^k on a pair array.
 
     The polylog combinations (subtracted_combos), the residual-series cache
-    (residual_cache) and sign z_d; ``zl`` must be the minimum image.
+    (residual_cache, sharing the |z_d| table of the combinations) and
+    sign z_d; ``zl`` must be the minimum image.
     """
+    combos = subtracted_combos(zl, zd, L)
     return {
-        "combos": subtracted_combos(zl, zd, L),
-        "rescache": residual_cache(zl, zd, L),
+        "combos": combos,
+        "rescache": residual_cache(zl, combos["d"], L),
         "sgn": np.sign(np.asarray(zd, dtype=float)),
     }
 
@@ -457,11 +567,14 @@ def gper_helmholtz(k, L, lap, kummer, tol=1e-12, n_modes=None, want_grad=False):
     where the order k^2, k^4 and k^6 parts of f_n are removed term by term and
     restored through polylogarithm closed forms (modal_closed_part), leaving
     an |eta|^-9 residual series (modal_residual).  Returns G, or
-    (G, dG/dz_l, dG/dz_d) when ``want_grad``.
+    (G, dG/dz_l, dG/dz_d) when ``want_grad``.  The sums are formed in place
+    in the arrays those two return, which the caller does not see.
     """
     combos = kummer["combos"]
     d = combos["d"]
-    e_ikd = np.exp(1j * k * d)
+    e_ikd = np.empty(np.shape(d), dtype=complex)
+    buf = [np.empty(np.shape(d)) for _ in range(4)]
+    _exp_scaled(e_ikd, d, 1j * k, float(d.max(initial=0.0)), buf)
     closed = modal_closed_part(combos, k, L, want_grad=want_grad)
     resid = modal_residual(
         kummer["rescache"], k, L, tol=tol, want_grad=want_grad, n_modes=n_modes
@@ -470,13 +583,24 @@ def gper_helmholtz(k, L, lap, kummer, tol=1e-12, n_modes=None, want_grad=False):
         (lv, lgl, lgd), (cv, cl, cdd), (rv, rl, rdd) = lap, closed, resid
     else:
         lv, cv, rv = lap, closed, resid
-    val = e_ikd / (2j * k * L) - d / (2.0 * L) + lv + _LN4_4PI + cv + rv
+    val = e_ikd * (1.0 / (2j * k * L))
+    val -= d * (0.5 / L)
+    val += lv
+    val += _LN4_4PI
+    val += cv
+    val += rv
     if not want_grad:
         return val
-    gl = lgl + cl + rl
+    cl += rl
+    cl += lgl
     # the |z_d|-dependent terms pick up d|z_d|/dz_d = sign z_d
-    gd = lgd + kummer["sgn"] * (cdd + rdd + (e_ikd - 1.0) / (2.0 * L))
-    return val, gl, gd
+    e_ikd -= 1.0
+    e_ikd *= 0.5 / L
+    e_ikd += cdd
+    e_ikd += rdd
+    e_ikd *= kummer["sgn"]
+    e_ikd += lgd
+    return val, cl, e_ikd
 
 
 # ---------------------------------------------------------------------------

@@ -87,10 +87,17 @@ def kress_log_weights(n_pts: int) -> np.ndarray:
     return r[(i[None, :] - i[:, None]) % n_pts]
 
 
-def _negligible(t, acc, real):
-    """True when |t| is below half an ulp of each component of acc (only the real one if real)."""
-    scale = np.abs(acc.real) if real else np.minimum(np.abs(acc.real), np.abs(acc.imag))
-    return np.all(np.abs(t) <= _HALF_ULP * scale)
+def _negligible(t, acc, real, buf):
+    """True when |t| is below half an ulp of each component of acc (only the real one if real).
+
+    ``buf`` holds two real scratch arrays and one boolean scratch array of the shape of t.
+    """
+    scale, mag, flag = buf
+    np.abs(acc.real, out=scale)
+    if not real:
+        np.minimum(scale, np.abs(acc.imag, out=mag), out=scale)
+    scale *= _HALF_ULP
+    return bool(np.less_equal(np.abs(t, out=mag), scale, out=flag).all())
 
 
 def _bessel_j0_j1c(w):
@@ -98,20 +105,26 @@ def _bessel_j0_j1c(w):
 
     A series stops once its next term is negligible in each component of its
     sum.  Every later term is smaller still (|z| < 4), so the values are bit
-    for bit those of the full 15-term series.
+    for bit those of the full 15-term series.  Terms and sums are updated in
+    place.
     """
     w = np.asarray(w)
-    z = -(w * w) / 4.0
+    z = np.asarray(w * w)  # an array also for a scalar w, so it can be updated in place
+    np.negative(z, out=z)
+    z /= 4.0
     real = np.isrealobj(z) or np.all(z.imag == 0.0)  # then every term is real
     t0, j0 = np.ones_like(z), np.ones_like(z)
     t1, j1c = np.full_like(z, 0.5), np.full_like(z, 0.5)
+    buf = (np.empty(z.shape), np.empty(z.shape), np.empty(z.shape, dtype=bool))
     for m in range(1, 16):
-        t0 = t0 * z / (m * m)
-        t1 = t1 * z / (m * (m + 1))
-        if _negligible(t0, j0, real) and _negligible(t1, j1c, real):
+        t0 *= z
+        t0 /= m * m
+        t1 *= z
+        t1 /= m * (m + 1)
+        if _negligible(t0, j0, real, buf) and _negligible(t1, j1c, real, buf):
             break
-        j0 = j0 + t0
-        j1c = j1c + t1
+        j0 += t0
+        j1c += t1
     return j0, j1c
 
 
@@ -221,7 +234,11 @@ class AssemblyContext:
             for part in ("dir", "img")
         }
         j0, j1c = _bessel_j0_j1c(k * helm["r"])
-        out["log"] = (_INV_4PI * j0, -(k * k * _INV_4PI) * j1c * helm["zdotnu"])
+        # scaled in place, scalar first: the complex loops round x * s and s * x differently
+        np.multiply(_INV_4PI, j0, out=j0)
+        np.multiply(-(k * k * _INV_4PI), j1c, out=j1c)
+        j1c *= helm["zdotnu"]
+        out["log"] = (j0, j1c)
         if len(self._bundles) >= 2:
             self._bundles.pop(next(iter(self._bundles)))
         self._bundles[key] = out

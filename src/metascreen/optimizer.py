@@ -210,9 +210,11 @@ def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> O
     """Execute the design loop; returns the final OptState and writes no files.
 
     A degenerate spectrum mid-run is retried with seeded 1e-4 Fourier jitter
-    (at most 3 times), then aborts.  The state keeps the (grid, RomModel) of
-    the first and of the best evaluation and the snapshot grids, so callers
-    can report them without evaluating again.
+    (at most 3 times), then aborts.  An iteration whose step was skipped
+    reuses the evaluation of the unchanged design, which is deterministic.
+    The state keeps the (grid, RomModel) of the first and of the best
+    evaluation and the snapshot grids, so callers can report them without
+    evaluating again.
     """
     shapes = tuple(shapes)
     violations = geometry.validate_geometry(
@@ -250,9 +252,12 @@ def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> O
         raise AssertionError("unreachable")
 
     plateau = 0
+    last = None  # (params, evaluation) of the last evaluation
     for it in range(config.max_iters + 1):
         t0 = time.perf_counter()
-        params, (value, gradient, model, grid) = evaluate_with_retry(state)
+        if last is None or not np.array_equal(state.params, last[0]):
+            last = evaluate_with_retry(state)  # a skipped step leaves the params, so reuse
+        params, (value, gradient, model, grid) = last
         if not np.array_equal(params, state.params):
             state = replace(state, params=params)
         grad_inf = float(np.abs(gradient).max()) if gradient.size else 0.0

@@ -13,6 +13,7 @@ contract.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -173,11 +174,19 @@ def band_quadrature(band, n_quad: int):
 
     Shared by the band-averaged objective and its shape gradient so that
     finite-difference checks see one and the same discrete functional.
+    Cached per (band, n_quad); the arrays are read-only.
     """
     lo, hi = band
     if not lo < hi:
         raise ValueError("band must satisfy omega_min < omega_max")
+    return _band_quadrature(float(lo), float(hi), int(n_quad))
+
+
+@functools.lru_cache(maxsize=16)
+def _band_quadrature(lo: float, hi: float, n_quad: int):
     x, w = np.polynomial.legendre.leggauss(n_quad)
     nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     weights = 0.5 * (hi - lo) * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights

@@ -215,9 +215,9 @@ class TestPolylog:
                 ref = complex(mp.polylog(p, complex(np.exp(-mu))))
                 assert abs(mine - ref) < 1e-12
         # regime edges, all seven orders of one call: both sides of the
-        # near/far split at the largest near |mu| (which sets the zeta term
-        # count), a tiny |mu|, and one far point.  e^-mu is formed in mpmath,
-        # since rounding it to double is 1e-8 off at |mu| = 1e-8.
+        # near/far split at the largest near |mu| (the pair that runs the
+        # most zeta terms), a tiny |mu|, and one far point.  e^-mu is formed
+        # in mpmath, since rounding it to double is 1e-8 off at |mu| = 1e-8.
         ln2 = np.log(2.0)
         mus = np.array(
             [ln2 + s * 1e-9 + t * 1j * np.pi for s in (-1, 1) for t in (-1, 1)]
@@ -313,3 +313,87 @@ class TestPolylog:
         assert np.isinf(li[0, 0])
         assert np.all(np.isfinite(li[1:])) and np.all(np.isfinite(li[:, 1:]))
         assert all(np.all(np.isfinite(v)) for v in combos.values())
+
+
+def modal_residual_reference(zl, zd, k, L, n_modes):
+    """The residual series as first written: one mode at a time, each term scaled on its own.
+
+    Returns (value, d/dz_l, d/d|z_d|) summed over modes 1..n_modes.
+    """
+    d = np.abs(zd)
+    theta = 2 * np.pi * zl / L
+    e1 = np.exp(-(2 * np.pi / L) * d)
+    k2 = k * k
+    k4 = k2 * k2
+    k6 = k4 * k2
+    val = gl = gdd = 0.0
+    for n in range(1, n_modes + 1):
+        eta = 2 * np.pi * n / L
+        gam = np.sqrt(eta * eta - k2)
+        E = e1**n
+        e_gam = np.exp(-gam * d)
+        c0 = k2 / (2 * eta**3) + 3 * k4 / (8 * eta**5) + 15 * k6 / (48 * eta**7)
+        c1 = k2 / (2 * eta**2) + 3 * k4 / (8 * eta**4) + 15 * k6 / (48 * eta**6)
+        c2 = k4 / (8 * eta**3) + 6 * k6 / (48 * eta**5)
+        c3 = k6 / (48 * eta**4)
+        res = e_gam / gam - E / eta - E * (c0 + c1 * d + c2 * d**2 + c3 * d**3)
+        b1 = k2 / (2 * eta) + k4 / (8 * eta**3) + 3 * k6 / (48 * eta**5)
+        b2 = k4 / (8 * eta**2) + 3 * k6 / (48 * eta**4)
+        b3 = k6 / (48 * eta**3)
+        resp = E - e_gam + E * (b1 * d + b2 * d**2 + b3 * d**3)
+        val = val - np.cos(n * theta) * res / L
+        gl = gl + eta * np.sin(n * theta) * res / L
+        gdd = gdd - np.cos(n * theta) * resp / L
+    return val, gl, gdd
+
+
+class TestModalResidual:
+    # a fixed pair table: z_l across the cell, |z_d| from the diagonal (0) to 3
+    ZL, ZD = (a.ravel() for a in np.meshgrid(np.linspace(-L / 2, L / 2, 21), np.linspace(0, 3, 16)))
+    # the default band [0.01, 0.1] with v_b = 1 - 0.05i: k_m = omega (real), k_b complex
+    WAVENUMBERS = {"bottom-real": 0.01, "bottom-complex": 0.01 / (1 - 0.05j),
+                   "top-real": 0.1, "top-complex": KB}
+
+    @pytest.mark.parametrize("name, modes", [("bottom-real", 4), ("bottom-complex", 4),
+                                             ("top-real", 9), ("top-complex", 9)])
+    def test_stop_rule_mode_count(self, name, modes):
+        # the adaptive series equals the fixed-count one, bit for bit, at
+        # exactly one count: the mode it stopped at
+        k = self.WAVENUMBERS[name]
+        cache = greens.residual_cache(self.ZL, self.ZD, L)
+        adaptive = greens.modal_residual(cache, k, L, tol=CFG.tol, want_grad=True)
+        for n in (modes - 1, modes, modes + 1):
+            fixed = greens.modal_residual(cache, k, L, want_grad=True, n_modes=n)
+            same = all(np.array_equal(a, f) for a, f in zip(adaptive, fixed))
+            assert same == (n == modes), n
+
+    @pytest.mark.parametrize("name", list(WAVENUMBERS))
+    def test_matches_reference_formula(self, name):
+        # to 1e-15 of the largest |G_per^k| on the table (the coincident pair
+        # left out): the residual itself is what is left of O(1/(eta L)) terms
+        k = self.WAVENUMBERS[name]
+        far = np.hypot(self.ZL, self.ZD) > 0
+        zl, zd = self.ZL[far], self.ZD[far]
+        lap, kummer = greens._closed_laplace(zl, zd, L), greens.kummer_tables(zl, zd, L)
+        kernel = greens.gper_helmholtz(k, L, lap, kummer)
+        cache = greens.residual_cache(self.ZL, self.ZD, L)
+        mine = greens.modal_residual(cache, k, L, want_grad=True, n_modes=9)
+        ref = modal_residual_reference(self.ZL, self.ZD, k, L, 9)
+        for got, want in zip(mine, ref):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(kernel).max()
+
+    def test_cache_shares_d_table(self):
+        kummer = greens.kummer_tables(self.ZL, self.ZD - 1.5, L)
+        assert kummer["rescache"]["d"] is kummer["combos"]["d"]
+        assert set(kummer["rescache"]) == {"d", "e1", "cos1", "sin1"}
+
+    @pytest.mark.parametrize("phase", [0.0, 0.5, 1.0, 1.01, 30.0])
+    def test_exp_scaled_matches_complex_exp(self, phase):
+        # e^{a d} from the real exp and cos/sin of the phase Im(a) d: Taylor
+        # polynomials up to a largest phase of _SHORT_CIS, np.cos/np.sin above
+        d = np.linspace(0.0, 6.0, 601)
+        a = -0.31 + 1j * phase * greens._SHORT_CIS / d.max()
+        out = np.empty(d.shape, dtype=complex)
+        greens._exp_scaled(out, d, a, d.max(), [np.empty(d.shape) for _ in range(4)])
+        ref = np.exp(a * d)
+        assert np.all(np.abs(out - ref) <= 4e-16 * np.abs(ref))

@@ -185,6 +185,55 @@ class TestRun:
         state = opt.run(cfg, one_circle, MATS, L)
         assert calls["n"] == 1 and len(state.history) == 2
 
+    def test_skipped_step_reuses_evaluation(self, one_circle, monkeypatch):
+        # every step after the first evaluation is refused, so the design
+        # never moves: one evaluation serves every iteration, and the history
+        # and the plateau stop are those of evaluating each time
+        evaluations = []
+        real_evaluate = opt._evaluate
+
+        def counted(*args):
+            evaluations.append(1)
+            return real_evaluate(*args)
+
+        class StepsRefused:
+            """The geometry module as the optimizer sees it, with every trial step invalid."""
+
+            def __getattr__(self, name):
+                return getattr(geo, name)
+
+            @staticmethod
+            def validate_geometry(shapes, L_, margin=None, design_box=None):
+                if design_box is None:  # a trial step; the check of the initial design passes a box
+                    return ["synthetic violation"]
+                return geo.validate_geometry(shapes, L_, margin=margin, design_box=design_box)
+
+        def history(skip_steps, plateau_iters=0):
+            evaluations.clear()
+            with monkeypatch.context() as m:
+                m.setattr(opt, "_evaluate", counted)
+                if skip_steps:
+                    m.setattr(opt, "geometry", StepsRefused())
+                cfg = opt.OptConfig(
+                    objective="ref", max_iters=4, n_pts=32, plateau_iters=plateau_iters
+                )
+                state = opt.run(cfg, one_circle, MATS, L)
+            return state, len(evaluations)
+
+        state, n_eval = history(skip_steps=True)
+        assert n_eval == 1
+        assert [row[0] for row in state.history] == [0, 1, 2, 3, 4]
+        assert np.array_equal(state.params, opt.OptState.fresh(one_circle).params)
+        # the J column: the first evaluation's value on every row, as evaluating
+        # the unchanged design again gives
+        first, _ = history(skip_steps=False)
+        assert [row[1] for row in state.history] == [first.history[0][1]] * 5
+        assert state.history[0][1:3] == first.history[0][1:3]
+        assert state.best_value == first.history[0][1]
+        # J does not improve on a skipped step, so the plateau stop counts them
+        plateau, n_eval = history(skip_steps=True, plateau_iters=2)
+        assert n_eval == 1 and [row[0] for row in plateau.history] == [0, 1, 2]
+
     def test_invalid_initial_geometry_rejected(self):
         bad = (geo.ShapeParams((0.0, 0.3), 0.5),)
         with pytest.raises(geo.GeometryError):

@@ -205,3 +205,13 @@ class TestBandQuadrature:
     def test_bad_band(self):
         with pytest.raises(ValueError):
             rom.band_quadrature((0.1, 0.1), 8)
+
+    def test_cached_read_only(self):
+        # one (nodes, weights) pair per (band, n_quad), shared by every caller
+        nodes, weights = rom.band_quadrature((0.01, 0.1), 8)
+        again = rom.band_quadrature([0.01, 0.1], 8)
+        assert again[0] is nodes and again[1] is weights
+        for arr in (nodes, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
