@@ -14,6 +14,7 @@ spacing, base_height, fourier_order) or explicit per-resonator blocks
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .geometry import ShapeParams, grid_layout, validate_geometry
@@ -191,36 +192,81 @@ def parse_config_text(text: str) -> RunConfig:
     if errors:
         raise ConfigError("; ".join(errors))
 
+    objective = take("optimizer.objective", "ref")
+    m_targets_raw = take("optimizer.m_targets")
+    m_targets = _int(m_targets_raw, "optimizer.m_targets") if m_targets_raw else None
+    n_quad = _int(take("optimizer.n_quad", "64"), "optimizer.n_quad")
+    max_iters = _int(take("optimizer.max_iters", "100"), "optimizer.max_iters")
+    lr = _float(take("optimizer.lr", "0.02"), "optimizer.lr")
+    beta1 = _float(take("optimizer.beta1", "0.9"), "optimizer.beta1")
+    beta2 = _float(take("optimizer.beta2", "0.999"), "optimizer.beta2")
+    eps = _float(take("optimizer.eps", "1e-8"), "optimizer.eps")
     a0_min = _float(take("optimizer.a0_min", "0.1"), "optimizer.a0_min")
     a0_max = _float(take("optimizer.a0_max", "1.0"), "optimizer.a0_max")
     coeff_bound = _float(take("optimizer.coeff_bound", "1.0"), "optimizer.coeff_bound")
     margin_raw = take("optimizer.geometry_margin")
-    m_targets_raw = take("optimizer.m_targets")
-    opt = OptConfig(
-        objective=take("optimizer.objective", "ref"),
-        band=(omega_min, omega_max),
-        m_targets=_int(m_targets_raw, "optimizer.m_targets") if m_targets_raw else None,
-        n_quad=_int(take("optimizer.n_quad", "64"), "optimizer.n_quad"),
-        max_iters=_int(take("optimizer.max_iters", "100"), "optimizer.max_iters"),
-        lr=_float(take("optimizer.lr", "0.02"), "optimizer.lr"),
-        beta1=_float(take("optimizer.beta1", "0.9"), "optimizer.beta1"),
-        beta2=_float(take("optimizer.beta2", "0.999"), "optimizer.beta2"),
-        eps=_float(take("optimizer.eps", "1e-8"), "optimizer.eps"),
-        a0_bounds=(a0_min, a0_max),
-        coeff_bounds=(-coeff_bound, coeff_bound),
-        geometry_margin=_float(margin_raw, "optimizer.geometry_margin") if margin_raw else None,
-        freeze_centers=_bool(take("optimizer.freeze_centers", "false"), "optimizer.freeze_centers"),
-        plateau_iters=_int(take("optimizer.plateau_iters", "0"), "optimizer.plateau_iters"),
-        snapshot_every=_int(take("optimizer.snapshot_every", "0"), "optimizer.snapshot_every"),
-        seed=_int(take("optimizer.seed", "0"), "optimizer.seed"),
-        n_pts=n_pts,
-    )
-    if not 0 < a0_min < a0_max:
-        raise ConfigError("optimizer a0 bounds must satisfy 0 < a0_min < a0_max")
+    margin = _float(margin_raw, "optimizer.geometry_margin") if margin_raw else None
+    plateau_iters = _int(take("optimizer.plateau_iters", "0"), "optimizer.plateau_iters")
+    snapshot_every = _int(take("optimizer.snapshot_every", "0"), "optimizer.snapshot_every")
+    # each range is written so that NaN fails it
+    if objective not in ("ref", "res"):
+        errors.append("optimizer.objective must be 'ref' or 'res'")
+    if m_targets is not None and not 1 <= m_targets <= len(shapes):
+        errors.append(f"optimizer.m_targets must be in [1, {len(shapes)}] (the resonator count)")
+    if n_quad < 1:
+        errors.append("optimizer.n_quad must be at least 1")
+    if max_iters < 0:
+        errors.append("optimizer.max_iters must be nonnegative")
+    if not lr >= 0.0:
+        errors.append("optimizer.lr must be nonnegative")
+    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+        errors.append("optimizer.beta1 and optimizer.beta2 must be in [0, 1)")
+    if not eps > 0.0:
+        errors.append("optimizer.eps must be positive")
+    if not 0.0 < a0_min < a0_max:
+        errors.append("optimizer a0 bounds must satisfy 0 < a0_min < a0_max")
+    if not coeff_bound >= 0.0:
+        errors.append("optimizer.coeff_bound must be nonnegative")
+    if margin is not None and not margin >= 0.0:
+        errors.append("optimizer.geometry_margin must be nonnegative")
+    if plateau_iters < 0 or snapshot_every < 0:
+        errors.append("optimizer.plateau_iters and optimizer.snapshot_every must be nonnegative")
 
+    # greens-test point pair: both in the closed upper half-space, distinct
+    # modulo the period (the rule of greens._check_separated)
     greens_x = _floats(take("greens.x", "1.0 2.0"), "greens.x", 2)
     greens_y = _floats(take("greens.y", "3.0 1.0"), "greens.y", 2)
     greens_omega_raw = take("greens.omega")
+    greens_omega = _float(greens_omega_raw, "greens.omega") if greens_omega_raw else None
+    if not min(greens_x[1], greens_y[1]) >= 0.0:
+        errors.append("greens.x and greens.y must lie on or above the wall (x_d >= 0)")
+    dl = greens_x[0] - greens_y[0]
+    if math.hypot(dl - L * round(dl / L), greens_x[1] - greens_y[1]) < 1e-14:
+        errors.append("greens.x and greens.y must be distinct points (modulo the period)")
+    if greens_omega is not None and not greens_omega > 0.0:
+        errors.append("greens.omega must be positive")
+    if errors:
+        raise ConfigError("; ".join(errors))
+
+    opt = OptConfig(
+        objective=objective,
+        band=(omega_min, omega_max),
+        m_targets=m_targets,
+        n_quad=n_quad,
+        max_iters=max_iters,
+        lr=lr,
+        beta1=beta1,
+        beta2=beta2,
+        eps=eps,
+        a0_bounds=(a0_min, a0_max),
+        coeff_bounds=(-coeff_bound, coeff_bound),
+        geometry_margin=margin,
+        freeze_centers=_bool(take("optimizer.freeze_centers", "false"), "optimizer.freeze_centers"),
+        plateau_iters=plateau_iters,
+        snapshot_every=snapshot_every,
+        seed=_int(take("optimizer.seed", "0"), "optimizer.seed"),
+        n_pts=n_pts,
+    )
     canon = "\n".join(f"{k} = {pairs[k]}" for k in sorted(pairs))
     cfg_hash = hashlib.sha256(canon.encode()).hexdigest()[:12]
     return RunConfig(
@@ -234,7 +280,7 @@ def parse_config_text(text: str) -> RunConfig:
         optimizer=opt,
         output_dir=take("output.dir", "out"),
         greens_point=(greens_x[0], greens_x[1], greens_y[0], greens_y[1]),
-        greens_omega=_float(greens_omega_raw, "greens.omega") if greens_omega_raw else None,
+        greens_omega=greens_omega,
         config_hash=cfg_hash,
     )
 

@@ -14,14 +14,20 @@ has the closed form
 
 where the constant makes it equal to the spectral mode sum.  The Helmholtz
 kernel is evaluated by Kummer subtraction against the Laplace kernel: the
-propagating mode is exact, and the evanescent mode differences are summed with
-their large-mode expansion through order k^6 removed and restored in closed
-form via polylogarithms Li_p(e^-mu), p = 1..7, mu = 2 pi (|z_d| - i z_l) / L.
-The remaining modal series then decays like |eta|^-9 and a few terms reach
-1e-12 even on the boundary diagonal, where the plain |eta|^-3 Kummer tail
-would need ~1e5 modes.
+propagating mode is exact, and each evanescent mode e^{-gamma_n d}/gamma_n,
+gamma_n = sqrt(eta_n^2 - k^2), is expanded in k^2: its group of order k^2m
+is e^{-eta_n d} k^2m / (2^m m!) sum_{j<=m} a_mj d^j eta_n^-(2m+1-j), with the
+reverse Bessel coefficients a_mj = (2m-j)! / (j! (m-j)! 2^(m-j))
+(_kummer_groups).  The groups m = 1..P, P = KUMMER_ORDER, are removed from
+the mode sum and restored in closed form through the polylogarithms
+Li_p(e^-mu), p = 1..2P+1, mu = 2 pi (|z_d| - i z_l) / L.  The remaining modal
+series then decays like |eta|^-(2P+3) and a few terms reach 1e-12 even on the
+boundary diagonal, where the plain |eta|^-3 Kummer tail would need ~1e5
+modes.  KUMMER_ORDER is the one place the order is set: the group tables, the
+polylog orders and the residual polynomials are all derived from it at
+import.
 
-All seven orders come from one pass (_polylog_stack) over running powers
+All 2P+1 orders come from one pass (_polylog_stack) over running powers
 with precomputed coefficients, each power formed once and shared by the
 orders: the zeta expansion in mu (Crandall, "Note on fast polylogarithm
 computation", 2006) or the defining series in e^-mu (Wood, "The computation
@@ -32,8 +38,9 @@ that count, so a pair's value depends on its own mu alone.  Pair separations
 are minimum-image, so |Im mu| <= pi and a near pair has |mu| <= hypot(ln 2,
 pi) = 3.217, which bounds the zeta expansion at 59 terms; a larger |mu| is
 refused.  The zeta coefficients need no special-function library: zeta(2) ..
-zeta(7) are float literals, and zeta(-m) = -B_{m+1}/(m+1) comes from exact
-Bernoulli numbers, each rounded once.
+zeta(7) are float literals, the harmonic numbers are exact fractions, and
+zeta(-m) = -B_{m+1}/(m+1) comes from exact Bernoulli numbers, each rounded
+once.
 
 The single-mode condition (WaveParams.check_single_mode) is checked by the
 point kernels and by layerpot.AssemblyContext before they build any table;
@@ -66,9 +73,15 @@ __all__ = [
     "helmholtz_gs_grad",
 ]
 
+# The Kummer subtraction removes the groups k^2 .. k^(2 KUMMER_ORDER) of each
+# evanescent mode; the closed part then reads Li_1 .. Li_(2 KUMMER_ORDER + 1).
+KUMMER_ORDER = 3
+_N_LI = 2 * KUMMER_ORDER + 1
+
 _LN4_4PI = math.log(4.0) / (4.0 * math.pi)
 _LN2 = math.log(2.0)
-_HARMONIC = [0.0, 1.0, 1.5, 11.0 / 6.0, 25.0 / 12.0, 137.0 / 60.0, 49.0 / 20.0]
+# H_0 .. H_(_N_LI - 1), each the double nearest the exact value
+_HARMONIC = [float(sum(Fraction(1, i) for i in range(1, n + 1))) for n in range(_N_LI)]
 
 
 def _series_terms(ratio):
@@ -88,7 +101,8 @@ _MAX_ZETA_J = int(_series_terms(math.hypot(_LN2, math.pi) / (2.0 * math.pi)))
 _MAX_SERIES_N = int(_series_terms(0.5))
 
 
-# zeta(2) .. zeta(7), each the double nearest the exact value.
+# zeta(2) .. zeta(7), each the double nearest the exact value: enough for
+# KUMMER_ORDER <= 3 (a larger order fails at import, in _build_zeta_table).
 _ZETA_POS = {
     2: 1.6449340668482264,
     3: 1.2020569031595942,
@@ -130,15 +144,18 @@ def _build_zeta_table(orders, max_j: int):
 
 
 # Both expansions are sums of running powers x^j with a coefficient table of
-# a row per order p = 1..7: zeta(p - j) / j! for x = -mu, j^-p for x = e^-mu.
-_ZETA_ORDERS = (1, 2, 3, 4, 5, 6, 7)
+# a row per order p = 1.._N_LI: zeta(p - j) / j! for x = -mu, j^-p for x = e^-mu.
+_ZETA_ORDERS = tuple(range(1, _N_LI + 1))
 _P = np.array(_ZETA_ORDERS)
 _ZETA = _build_zeta_table(_ZETA_ORDERS, _MAX_ZETA_J)
 _INV_FACT = np.array([1.0 / math.factorial(j) for j in range(_MAX_ZETA_J + 1)])
 _ZETA_COEF = _ZETA * _INV_FACT
-_SERIES_COEF = np.zeros((7, _MAX_SERIES_N + 1))
+_SERIES_COEF = np.zeros((_N_LI, _MAX_SERIES_N + 1))
 _SERIES_COEF[:, 1:] = np.arange(1.0, _MAX_SERIES_N + 1) ** -_P[:, None]
-_BLOCK = 8192  # pairs per block of the polylog pass: its (7, _BLOCK) sums stay in cache
+_BLOCK = 8192  # pairs per block of the polylog pass: its (_N_LI, _BLOCK) sums stay in cache
+# Least zeta term count: 11 at KUMMER_ORDER = 3, always past the ln(mu) term
+# (j = p - 1) of the top order, whatever |mu|.
+_MIN_ZETA_J = _N_LI + 4
 
 
 @dataclass(frozen=True)
@@ -200,7 +217,7 @@ def _closed_laplace(zl, zd, L, want_grad=False):
 
 
 # ---------------------------------------------------------------------------
-# Polylogarithms Li_1..Li_7(e^-mu), one pass over the powers
+# Polylogarithms Li_1..Li_(2P+1)(e^-mu), one pass over the powers
 
 
 def _nonzero_terms(coef):
@@ -224,7 +241,7 @@ def _power_sums(out, sel, x, n, terms, log_mu=None, log_terms=()):
     an axpy on a contiguous slice; the running power x^j is one in-place
     multiply per term.  ``log_terms[j]`` = (r, c) adds c x^j ln(mu) to row r.
     """
-    acc = np.zeros((7, x.size), dtype=complex)
+    acc = np.zeros((out.shape[0], x.size), dtype=complex)
     acc_f = acc.view(float)  # axpys with real coefficients on (re, im) pairs
     power = np.ones_like(x)
     power_f = power.view(float)
@@ -246,20 +263,20 @@ def _power_sums(out, sel, x, n, terms, log_mu=None, log_terms=()):
             axpy(*log_terms[j], prod.view(float), m)
         k = active[j + 1] // 2
         np.multiply(power[:k], x[:k], out=power[:k])
-    for r in range(7):  # row by row: one scatter of the (7, block) sums is slower
+    for r in range(out.shape[0]):  # row by row: one scatter of all rows is slower
         out[r, sel] = acc[r]
 
 
 def _polylog_stack(mu, scale=1.0):
-    """scale^p Li_p(e^-mu) for p = 1..7, stacked on a new first axis.
+    """scale^p Li_p(e^-mu) for p = 1.._N_LI, stacked on a new first axis.
 
     ``mu`` = 2 pi (|z_d| - i z_l) / L of minimum-image pairs, so Re mu >= 0
     and |Im mu| <= pi.  Two expansions, each a sum of running powers x^j:
 
       * zeta (Crandall 2006), x = -mu:
             Li_p(e^-mu) = sum_j zeta(p - j) x^j / j! - x^{p-1} / (p-1)! ln(mu),
-        with H_{p-1} for zeta(1) (_build_zeta_table) and at least 11 terms,
-        so every order runs past its ln(mu) term;
+        with H_{p-1} for zeta(1) (_build_zeta_table) and at least
+        _MIN_ZETA_J terms, so every order runs past its ln(mu) term;
       * the defining series, x = e^-mu: Li_p(e^-mu) = sum_{j >= 1} x^j j^-p.
 
     Each pair runs to its own term count, by the 1e-17 rule of _series_terms
@@ -275,11 +292,11 @@ def _polylog_stack(mu, scale=1.0):
     mu = np.asarray(mu, dtype=complex)
     flat = mu.ravel()
     s = float(scale) ** _P
-    li = np.empty((7, flat.size), dtype=complex)
+    li = np.empty((_N_LI, flat.size), dtype=complex)
     zero = flat == 0.0
     li[0, zero] = np.inf
     li[1:, zero] = (s * _ZETA[:, 0])[1:, None]
-    n_zeta = np.maximum(_series_terms(np.abs(flat) / (2.0 * np.pi)), 11)
+    n_zeta = np.maximum(_series_terms(np.abs(flat) / (2.0 * np.pi)), _MIN_ZETA_J)
     n_series = _series_terms(np.exp(-flat.real))
     series = (flat.real > _LN2) & (n_series < n_zeta)
     zeta = ~(series | zero)
@@ -289,7 +306,7 @@ def _polylog_stack(mu, scale=1.0):
             "(pair separations must be minimum-image)"
         )
     zeta_terms = _nonzero_terms(_ZETA_COEF * s[:, None])
-    log_terms = [(j, -s[j] * _INV_FACT[j]) for j in range(7)]
+    log_terms = [(j, -s[j] * _INV_FACT[j]) for j in range(_N_LI)]
     for sel, n in _blocks(np.flatnonzero(zeta), n_zeta):
         z = flat[sel]
         log_z = np.empty_like(z)  # from real log and arctan2: complex log is 15x slower
@@ -299,41 +316,112 @@ def _polylog_stack(mu, scale=1.0):
     series_terms = _nonzero_terms(_SERIES_COEF * s[:, None])
     for sel, n in _blocks(np.flatnonzero(series), n_series):
         _power_sums(li, sel, np.exp(-flat[sel]), n, series_terms)
-    return li.reshape((7,) + mu.shape)
+    return li.reshape((_N_LI,) + mu.shape)
 
 
 # ---------------------------------------------------------------------------
 # Helmholtz kernel via Kummer subtraction
 
 
+def _kummer_groups(order):
+    """The groups m = 0..order of e^{-gamma d}/gamma and e^{-gamma d} in powers of k^2.
+
+    Group m is (2^m m!, (a_m0 .. a_mm), (b_m0 .. b_mm)), exact integers: with
+    gamma = sqrt(eta^2 - k^2),
+
+        e^{-gamma d}/gamma = e^{-eta d} sum_m k^2m / (2^m m!) sum_{j<=m} a_mj d^j eta^-(2m+1-j),
+        e^{-gamma d}       = e^{-eta d} sum_m k^2m / (2^m m!) sum_{j<=m} b_mj d^j eta^-(2m-j),
+
+    where a_mj = (2m-j)! / (j! (m-j)! 2^(m-j)) are the reverse Bessel
+    coefficients and b_mj = a_mj - (j+1) a_m,j+1 follows from e^{-gamma d} =
+    -d/dd (e^{-gamma d}/gamma).  Group 0 is the Laplace mode (1/eta and 1).
+    """
+    f = math.factorial
+    groups = []
+    for m in range(order + 1):
+        a = [f(2 * m - j) // (f(j) * f(m - j) * 2 ** (m - j)) for j in range(m + 1)]
+        b = [a[j] - (j + 1) * a[j + 1] for j in range(m)] + [a[m]]
+        groups.append((2**m * f(m), tuple(a), tuple(b)))
+    return groups
+
+
+_GROUPS = _kummer_groups(KUMMER_ORDER)
+
+
+def _mode_coefs(k2m, eta):
+    """The coefficients of d^0 .. d^KUMMER_ORDER of the subtracted groups at mode eta.
+
+    c_j = sum_m a_mj k^2m / (2^m m! eta^(2m+1-j)) for e^{-gamma d}/gamma and
+    b_j = sum_m b_mj k^2m / (2^m m! eta^(2m-j)) for e^{-gamma d}, each summed
+    in ascending m over the groups m = 0..KUMMER_ORDER (zero b_mj skipped).
+    """
+    c = [0] * (KUMMER_ORDER + 1)
+    b = [0] * (KUMMER_ORDER + 1)
+    for m, (den, a_m, b_m) in enumerate(_GROUPS):
+        for j in range(m + 1):
+            c[j] += a_m[j] * k2m[m] / (den * eta ** (2 * m + 1 - j))
+            if b_m[j]:
+                b[j] += b_m[j] * k2m[m] / (den * eta ** (2 * m - j))
+    return c, b
+
+
+def _k2_powers(k):
+    """[1, k^2, k^4, .., k^(2 KUMMER_ORDER)], each the product of the previous one and k^2."""
+    k2 = k * k
+    powers = [1.0]
+    for _ in range(KUMMER_ORDER):
+        powers.append(powers[-1] * k2)
+    return powers
+
+
 def subtracted_combos(zl, zd, L):
     """Wavenumber-independent polylog combinations for the Kummer subtraction.
 
-    Returns the nine arrays pairing with the k^2/2, k^4/8 and k^6/48 groups of
-    the correction value (Ca..Cc), its z_l gradient (Da..Dc) and its |z_d|
-    gradient (Ea..Ec).  Entries at z = 0 carry the valid value combos and zero
-    gradient combos, so diagonals may be consumed directly for the value path.
+    Summed over the modes, the group m = 1..KUMMER_ORDER of _kummer_groups
+    gives sum_j a_mj d^j sigma_(2m+1-j) with sigma_p = (L / 2 pi)^p Re Li_p(e^-mu):
+    the "val" table of the group.  Its z_l gradient reads Im Li one order
+    lower ("gl"), and its |z_d| gradient is the e^{-gamma d} group,
+    sum_j b_mj d^j sigma_(2m-j) ("gd").  Returns "d" = |z_d| and, under each
+    key, a list of one table per group, pairing with k^2m / (2^m m! L).  The
+    terms are summed from the highest power of d down.  Entries at z = 0 carry
+    the valid value combos and zero gradient combos (d^j Li_1 is taken as its
+    limit 0), so diagonals may be consumed directly for the value path.
     """
     zl = np.asarray(zl, dtype=float)
     d = np.abs(np.asarray(zd, dtype=float))
     li = _polylog_stack(2.0 * np.pi * (d - 1j * zl) / L, scale=L / (2.0 * np.pi))
     sig = dict(enumerate(li.real, start=1))  # (L / 2 pi)^p Re Li_p, views of the stack
     sig_s = dict(enumerate(li.imag, start=1))
-    with np.errstate(invalid="ignore"):
-        d_sig1 = np.where(d == 0.0, 0.0, d * sig[1])
-    d2 = d * d
-    d3 = d2 * d
+    d_pow = [None, d]
+    for _ in range(KUMMER_ORDER - 1):
+        d_pow.append(d_pow[-1] * d)
+
+    def table(coefs, sigma, top):
+        """sum_j coefs[j] d^j sigma[top - j], the nonzero terms from the highest j down."""
+        out = None
+        for j in reversed(range(len(coefs))):
+            c, p = coefs[j], top - j
+            if not c:
+                continue
+            if j == 0:  # never the first term: a_mm = 1
+                out += sigma[p] if c == 1 else c * sigma[p]
+                continue
+            with np.errstate(invalid="ignore"):  # Re Li_1 is infinite at mu = 0
+                term = (d_pow[j] if c == 1 else c * d_pow[j]) * sigma[p]
+            if p == 1 and sigma is sig:  # d^j Li_1 -> 0 as d -> 0
+                term = np.where(d == 0.0, 0.0, term)
+            if out is None:
+                out = term
+            else:
+                out += term
+        return out
+
+    groups = list(enumerate(_GROUPS))[1:]  # group 0, the Laplace mode, is not subtracted
     return {
         "d": d,
-        "Ca": d * sig[2] + sig[3],
-        "Cb": d2 * sig[3] + 3.0 * d * sig[4] + 3.0 * sig[5],
-        "Cc": d3 * sig[4] + 6.0 * d2 * sig[5] + 15.0 * d * sig[6] + 15.0 * sig[7],
-        "Da": d * sig_s[1] + sig_s[2],
-        "Db": d2 * sig_s[2] + 3.0 * d * sig_s[3] + 3.0 * sig_s[4],
-        "Dc": d3 * sig_s[3] + 6.0 * d2 * sig_s[4] + 15.0 * d * sig_s[5] + 15.0 * sig_s[6],
-        "Ea": d_sig1,
-        "Eb": d2 * sig[2] + d * sig[3],
-        "Ec": d3 * sig[3] + 3.0 * d2 * sig[4] + 3.0 * d * sig[5],
+        "val": [table(a, sig, 2 * m + 1) for m, (_, a, _) in groups],
+        "gl": [table(a, sig_s, 2 * m) for m, (_, a, _) in groups],
+        "gd": [table(b, sig, 2 * m) for m, (_, _, b) in groups],
     }
 
 
@@ -349,19 +437,16 @@ def _group_sum(coefs, tables):
 def modal_closed_part(combos, k, L, want_grad=False):
     """Closed-form (polylog) part of the modal correction for wavenumber k.
 
-    The k^2/2, k^4/8 and k^6/48 group scalars carry the -1/L (value) and 1/L
-    (gradient) factors, so each output is three scalar-times-table products
-    summed in place.
+    The group scalars k^2m / (2^m m! L), m = 1..KUMMER_ORDER, carry the -1/L
+    (value) and 1/L (gradient) factors, so each output is one
+    scalar-times-table product per group of subtracted_combos, summed in place.
     """
-    k2 = k * k
-    k4 = k2 * k2
-    k6 = k4 * k2
-    c = (k2 / (2.0 * L), k4 / (8.0 * L), k6 / (48.0 * L))
-    val = _group_sum([-x for x in c], [combos[key] for key in ("Ca", "Cb", "Cc")])
+    c = [k2m / (den * L) for k2m, (den, _, _) in zip(_k2_powers(k)[1:], _GROUPS[1:])]
+    val = _group_sum([-x for x in c], combos["val"])
     if not want_grad:
         return val
-    gl = _group_sum(c, [combos[key] for key in ("Da", "Db", "Dc")])
-    gdd = _group_sum(c, [combos[key] for key in ("Ea", "Eb", "Ec")])
+    gl = _group_sum(c, combos["gl"])
+    gdd = _group_sum(c, combos["gd"])
     return val, gl, gdd  # gdd is d/d(d); caller applies sign(z_d)
 
 
@@ -432,26 +517,27 @@ def _next_chebyshev(two_c1, cur, prev, tmp):
 
 
 def modal_residual(cache, k, L, tol=1e-12, want_grad=False, n_modes=None):
-    """Residual modal series after the k^2..k^6 subtraction; |eta|^-9 decay.
+    """Residual modal series after the k^2..k^(2 KUMMER_ORDER) subtraction.
 
-    Reads the pair tables of residual_cache and evaluates in place, in
-    buffers allocated once per call: the running power E = e1^n and the
-    Chebyshev recurrences for cos/sin(n theta) are updated, and at mode n
+    Its terms decay like |eta|^-(2 KUMMER_ORDER + 3).  Reads the pair tables
+    of residual_cache and evaluates in place, in buffers allocated once per
+    call: the running power E = e1^n and the Chebyshev recurrences for
+    cos/sin(n theta) are updated, and at mode n
 
-        res  = e^{-gamma_n d} / gamma_n - E (1/eta_n + c0 + c1 d + c2 d^2 + c3 d^3),
-        resp = E (1 + b1 d + b2 d^2 + b3 d^3) - e^{-gamma_n d},
+        res  = e^{-gamma_n d} / gamma_n - E (c_0 + c_1 d + .. + c_P d^P),
+        resp = E (b_0 + b_1 d + .. + b_P d^P) - e^{-gamma_n d},
 
-    each polynomial by Horner in d.  Each mode takes the pairs in blocks of
-    at most _RES_BLOCK, so its scratch stays in cache.  The sums run without
-    the -1/L and 1/L factors, applied once after the loop.  For a complex k
-    the tables are cast to complex once, so no ufunc call mixes real and
-    complex operands.  Without ``n_modes`` the loop runs at least 4 modes and
-    stops at the first whose max |res| (and |resp|) over all pairs is below
-    tol / 4.
+    each polynomial by Horner in d, with c_j and b_j from _mode_coefs (group
+    0 gives c_0 its 1/eta_n and b_0 = 1).
+    Each mode takes the pairs in blocks of at most _RES_BLOCK, so its scratch
+    stays in cache.  The sums run without the -1/L and 1/L factors, applied
+    once after the loop.  For a complex k the tables are cast to complex
+    once, so no ufunc call mixes real and complex operands.  Without
+    ``n_modes`` the loop runs at least 4 modes and stops at the first whose
+    max |res| (and |resp|) over all pairs is below tol / 4.
     """
     k2 = k * k
-    k4 = k2 * k2
-    k6 = k4 * k2
+    k2m = _k2_powers(k)
     two_pi_L = 2.0 * np.pi / L
     dtype = complex if np.iscomplexobj(np.asarray(k2)) else float
     shape = np.shape(cache["d"])
@@ -479,14 +565,7 @@ def modal_residual(cache, k, L, tol=1e-12, want_grad=False, n_modes=None):
     for n in range(1, cap + 1):
         eta = two_pi_L * n
         gam = np.sqrt(eta * eta - k2)  # principal branch, Re >= 0
-        # scalar polynomial coefficients of the subtracted groups at this mode
-        c0 = 1.0 / eta + k2 / (2 * eta**3) + 3 * k4 / (8 * eta**5) + 15 * k6 / (48 * eta**7)
-        c1 = k2 / (2 * eta**2) + 3 * k4 / (8 * eta**4) + 15 * k6 / (48 * eta**6)
-        c2 = k4 / (8 * eta**3) + 6 * k6 / (48 * eta**5)
-        c3 = k6 / (48 * eta**4)
-        b1 = k2 / (2 * eta) + k4 / (8 * eta**3) + 3 * k6 / (48 * eta**5)
-        b2 = k4 / (8 * eta**2) + 3 * k6 / (48 * eta**4)
-        b3 = k6 / (48 * eta**3)
+        val_coefs, grad_coefs = _mode_coefs(k2m, eta)
         worst = 0.0
         for sl in blocks:
             m = sl.stop - sl.start
@@ -501,7 +580,7 @@ def modal_residual(cache, k, L, tol=1e-12, want_grad=False, n_modes=None):
                 _exp_scaled(e_gam, d_real[sl], -gam, d_max, buf)
             else:
                 np.exp(np.multiply(db, -gam, out=e_gam), out=e_gam)
-            _horner(res, db, (c0, c1, c2, c3))
+            _horner(res, db, val_coefs)
             res *= Eb
             np.subtract(np.multiply(e_gam, 1.0 / gam, out=tmp), res, out=res)
             vb += np.multiply(res, cos_n, out=tmp)
@@ -514,7 +593,7 @@ def modal_residual(cache, k, L, tol=1e-12, want_grad=False, n_modes=None):
                 sin_n = _next_chebyshev(two_cos1[sl], sin_n, sin_prev[sl], tmp)
             glb, gddb = gl[sl], gdd[sl]
             glb += np.multiply(res, np.multiply(sin_n, eta, out=tmp2), out=tmp)
-            _horner(resp, db, (1.0, b1, b2, b3))
+            _horner(resp, db, grad_coefs)
             resp *= Eb
             resp -= e_gam
             gddb += np.multiply(resp, cos_n, out=tmp)
@@ -564,10 +643,10 @@ def gper_helmholtz(k, L, lap, kummer, tol=1e-12, n_modes=None, want_grad=False):
         C(z) = -(1/L) sum_{n>=1} cos(eta_n z_l) f_n(|z_d|),
         f_n(d) = e^{-gamma_n d}/gamma_n - e^{-eta_n d}/eta_n,
 
-    where the order k^2, k^4 and k^6 parts of f_n are removed term by term and
-    restored through polylogarithm closed forms (modal_closed_part), leaving
-    an |eta|^-9 residual series (modal_residual).  Returns G, or
-    (G, dG/dz_l, dG/dz_d) when ``want_grad``.  The sums are formed in place
+    where the groups k^2 .. k^(2 KUMMER_ORDER) of f_n are removed term by term
+    and restored through polylogarithm closed forms (modal_closed_part),
+    leaving an |eta|^-(2 KUMMER_ORDER + 3) residual series (modal_residual).
+    Returns G, or (G, dG/dz_l, dG/dz_d) when ``want_grad``.  The sums are formed in place
     in the arrays those two return, which the caller does not see.
     """
     combos = kummer["combos"]

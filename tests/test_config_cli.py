@@ -82,6 +82,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config_text(line)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("optimizer.objective = foo", "optimizer.objective"),
+            ("optimizer.objective = res\noptimizer.m_targets = 0", "optimizer.m_targets"),
+            ("optimizer.m_targets = 2", "optimizer.m_targets"),  # one resonator
+            ("optimizer.n_quad = 0", "optimizer.n_quad"),
+            ("optimizer.max_iters = -1", "optimizer.max_iters"),
+            ("optimizer.lr = -1", "optimizer.lr"),
+            ("optimizer.lr = nan", "optimizer.lr"),
+            ("optimizer.beta1 = 2", "optimizer.beta1"),
+            ("optimizer.beta2 = 1", "optimizer.beta2"),
+            ("optimizer.eps = 0", "optimizer.eps"),
+            ("optimizer.a0_min = 0.5\noptimizer.a0_max = 0.4", "a0 bounds"),
+            ("optimizer.coeff_bound = -1", "optimizer.coeff_bound"),
+            ("optimizer.geometry_margin = -0.1", "optimizer.geometry_margin"),
+            ("optimizer.snapshot_every = -1", "optimizer.snapshot_every"),
+            ("greens.y = 3 -1", "wall"),
+            ("greens.x = 3 1", "distinct"),
+            ("greens.x = 23 1", "distinct"),  # the periodic image of greens.y
+            ("greens.omega = -0.05", "greens.omega"),
+            ("greens.omega = 0", "greens.omega"),
+        ],
+    )
+    def test_out_of_range_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+
     def test_hash_stable(self):
         a = parse_config_text("lattice.L = 20\n# comment\n")
         b = parse_config_text("lattice.L = 20\n")
@@ -208,6 +236,30 @@ class TestCli:
         rows = list(csv.reader((tmp_path / "out" / "greens_test.csv").open()))
         deltas = [float(r[3]) for r in rows[3:]]
         assert deltas[-1] < 1e-12
+
+    @pytest.mark.parametrize(
+        "extra, command",
+        [
+            ("optimizer.objective = foo\n", "optimize"),
+            ("optimizer.lr = -1\n", "optimize"),
+            ("optimizer.objective = res\noptimizer.m_targets = 0\n", "optimize"),
+            ("optimizer.n_quad = 0\n", "check-grad"),
+            ("optimizer.beta1 = 2\n", "optimize"),
+            ("greens.y = 3 -1\n", "greens-test"),
+            ("greens.x = 3 1\n", "greens-test"),
+            ("greens.omega = -0.05\n", "greens-test"),
+        ],
+    )
+    def test_config_mistakes_exit_config(self, tmp_path, capsys, extra, command):
+        # refused at parse time, before any numerical work
+        assert run_cli(tmp_path, BASE + extra, command) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "out").exists()
+
+    def test_greens_test_beyond_single_mode_is_numerical(self, tmp_path, capsys):
+        # a wavenumber past the cutoff is a numerical limit, as for spectrum --model exact
+        assert run_cli(tmp_path, BASE + "greens.omega = 0.4\n", "greens-test") == cli.EXIT_NUMERICAL
+        assert "multiple propagating modes" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         assert run_cli(tmp_path, "materials.delta = 2\n", "capmat") == cli.EXIT_CONFIG

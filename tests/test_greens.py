@@ -204,7 +204,7 @@ class TestPolylog:
     def test_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(1)
-        for p in range(1, 8):
+        for p in greens._ZETA_ORDERS:
             for _ in range(8):
                 zl = rng.uniform(-9, 9)
                 d = rng.uniform(0, 11)
@@ -214,7 +214,7 @@ class TestPolylog:
                 mine = greens._polylog_stack(np.array([mu]))[p - 1, 0]
                 ref = complex(mp.polylog(p, complex(np.exp(-mu))))
                 assert abs(mine - ref) < 1e-12
-        # regime edges, all seven orders of one call: both sides of the
+        # regime edges, every order of one call: both sides of the
         # near/far split at the largest near |mu| (the pair that runs the
         # most zeta terms), a tiny |mu|, and one far point.  e^-mu is formed
         # in mpmath, since rounding it to double is 1e-8 off at |mu| = 1e-8.
@@ -227,7 +227,7 @@ class TestPolylog:
         with mp.workdps(30):
             for i, mu in enumerate(mus):
                 q = mp.exp(-mp.mpc(mu.real, mu.imag))
-                for p in range(1, 8):
+                for p in greens._ZETA_ORDERS:
                     assert abs(li[p - 1, i] - complex(mp.polylog(p, q))) < 1e-12
 
     def test_zeta_table_against_mpmath(self):
@@ -257,7 +257,7 @@ class TestPolylog:
         mp = pytest.importorskip("mpmath")
 
         def takes_zeta(mu):
-            n_zeta = np.maximum(greens._series_terms(np.abs(mu) / (2 * np.pi)), 11)
+            n_zeta = np.maximum(greens._series_terms(np.abs(mu) / (2 * np.pi)), greens._MIN_ZETA_J)
             return n_zeta <= greens._series_terms(np.exp(-mu.real))
 
         far_zeta = np.array([0.7 + 0.0j, 0.9 + 0.5j, 1.2 - 0.3j, 1.0 + 1.0j, 0.75 - 2.8j])
@@ -273,11 +273,11 @@ class TestPolylog:
         with mp.workdps(30):
             for i, mu in enumerate(mus):
                 q = mp.exp(-mp.mpc(mu.real, mu.imag))
-                for p in range(1, 8):
+                for p in greens._ZETA_ORDERS:
                     assert abs(li[p - 1, i] - complex(mp.polylog(p, q))) < 1e-12
 
     def test_pair_value_independent_of_layout(self):
-        # a pair's Li_1..Li_7 depend on its own mu only, bit for bit: not on
+        # a pair's polylogs depend on its own mu only, bit for bit: not on
         # its place in the array, its block or the term counts of the pairs
         # around it.  Zero, near, far-zeta and far-series pairs, and near
         # pairs on |1 - e^-mu| = 1, where Re Li_1 = 0 is what is left of
@@ -313,6 +313,83 @@ class TestPolylog:
         assert np.isinf(li[0, 0])
         assert np.all(np.isfinite(li[1:])) and np.all(np.isfinite(li[:, 1:]))
         assert all(np.all(np.isfinite(v)) for v in combos.values())
+
+
+def subtracted_combos_reference(zl, zd, L):
+    """The k^2, k^4 and k^6 group tables as first written out by hand.
+
+    Returns the (value, z_l gradient, |z_d| gradient) tables, three groups each.
+    """
+    zl = np.asarray(zl, dtype=float)
+    d = np.abs(np.asarray(zd, dtype=float))
+    li = greens._polylog_stack(2.0 * np.pi * (d - 1j * zl) / L, scale=L / (2.0 * np.pi))
+    sig = dict(enumerate(li.real, start=1))
+    sig_s = dict(enumerate(li.imag, start=1))
+    with np.errstate(invalid="ignore"):
+        d_sig1 = np.where(d == 0.0, 0.0, d * sig[1])
+    d2 = d * d
+    d3 = d2 * d
+    val = [
+        d * sig[2] + sig[3],
+        d2 * sig[3] + 3.0 * d * sig[4] + 3.0 * sig[5],
+        d3 * sig[4] + 6.0 * d2 * sig[5] + 15.0 * d * sig[6] + 15.0 * sig[7],
+    ]
+    gl = [
+        d * sig_s[1] + sig_s[2],
+        d2 * sig_s[2] + 3.0 * d * sig_s[3] + 3.0 * sig_s[4],
+        d3 * sig_s[3] + 6.0 * d2 * sig_s[4] + 15.0 * d * sig_s[5] + 15.0 * sig_s[6],
+    ]
+    gd = [
+        d_sig1,
+        d2 * sig[2] + d * sig[3],
+        d3 * sig[3] + 3.0 * d2 * sig[4] + 3.0 * d * sig[5],
+    ]
+    return val, gl, gd
+
+
+class TestKummerGroups:
+    def test_first_groups_exact(self):
+        # 2^m m!, a_mj and b_mj of the k^0 .. k^6 groups
+        groups = greens._kummer_groups(3)
+        assert groups == [
+            (1, (1,), (1,)),
+            (2, (1, 1), (0, 1)),
+            (8, (3, 3, 1), (0, 1, 1)),
+            (48, (15, 15, 6, 1), (0, 3, 3, 1)),
+        ]
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_against_mpmath_taylor(self, order):
+        # group m is the k^2m Taylor coefficient of e^{(eta - gamma) d} / gamma
+        # and of e^{(eta - gamma) d}, gamma = sqrt(eta^2 - k^2)
+        mp = pytest.importorskip("mpmath")
+        groups = greens._kummer_groups(order)
+        assert len(groups) == order + 1
+        with mp.workdps(40):
+            for eta, d in ((mp.mpf("0.31"), mp.mpf(0)), (mp.mpf("0.7"), mp.mpf("1.3")),
+                           (mp.mpf(2), mp.mpf("4.5"))):
+                def gamma(t):
+                    return mp.sqrt(eta * eta - t)
+
+                val = mp.taylor(lambda t: mp.exp((eta - gamma(t)) * d) / gamma(t), 0, order)
+                grad = mp.taylor(lambda t: mp.exp((eta - gamma(t)) * d), 0, order)
+                for m, (den, a, b) in enumerate(groups):
+                    assert len(a) == len(b) == m + 1
+                    mine_val = sum(c * d**j * eta ** (j - 2 * m - 1) for j, c in enumerate(a))
+                    mine_grad = sum(c * d**j * eta ** (j - 2 * m) for j, c in enumerate(b))
+                    assert abs(mine_val / den - val[m]) <= 1e-30 * abs(val[m])
+                    assert abs(mine_grad / den - grad[m]) <= 1e-30 * abs(grad[m])
+
+    def test_first_three_tables_bit_for_bit(self):
+        # the generated group tables equal the hand-written k^2 .. k^6 ones,
+        # the d = 0 pairs and the mu = 0 pair included
+        zl, zd = TestModalResidual.ZL, TestModalResidual.ZD
+        assert np.any(zd == 0.0) and np.any((zd == 0.0) & (zl == 0.0))
+        combos = greens.subtracted_combos(zl, zd, L)
+        for key, tables in zip(("val", "gl", "gd"), subtracted_combos_reference(zl, zd, L)):
+            assert len(combos[key]) == greens.KUMMER_ORDER
+            for got, want in zip(combos[key][:3], tables):
+                assert np.array_equal(got, want), key
 
 
 def modal_residual_reference(zl, zd, k, L, n_modes):
