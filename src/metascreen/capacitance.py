@@ -6,13 +6,15 @@ the N Laplace densities psi_j with S[psi_j] = indicator of boundary j give
     C_ij = - oint_{dD_i} psi_j dsigma,     m_i = - oint x_d psi_i dsigma,
 
 and the generalized eigenproblem C u_j = lambda_j V u_j (V the diagonal area
-matrix) is reduced symmetrically via V^(-1/2) C V^(-1/2).
+matrix) is reduced symmetrically via V^(-1/2) C V^(-1/2).  capacitance_pipeline
+computes them all and is the only constructor of CapacitanceData; the three
+stages it calls return plain arrays.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .geometry import BoundaryGrid
 
 __all__ = [
     "CapacitanceData",
+    "capacitance_pipeline",
     "compute_capacitance",
     "compute_moments",
     "eigendecompose",
@@ -32,26 +35,27 @@ __all__ = [
 DEGENERATE_GAP_WARN = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class CapacitanceData:
     """Capacitance matrix, moments and eigenpairs for one grid.
 
-    psi holds the boundary densities column-wise (node x resonator); psi_tilde
-    solves S[psi_tilde] = x_d and feeds the shape-derivative formulas.  The
-    eigenvectors satisfy u_i^T V u_j = delta_ij with the sign gauge that the
-    largest-magnitude component of each u_j is positive.
+    capacitance_pipeline builds the whole object, and is the only place one
+    is made.  psi holds the boundary densities column-wise (node x
+    resonator); psi_tilde solves S[psi_tilde] = x_d and feeds the
+    shape-derivative formulas.  The eigenvectors satisfy u_i^T V u_j =
+    delta_ij with the sign gauge that the largest-magnitude component of each
+    u_j is positive.
     """
 
     grid: BoundaryGrid
     C: np.ndarray
     areas: np.ndarray
     psi: np.ndarray
+    psi_tilde: np.ndarray
     asymmetry: float
-    m: np.ndarray | None = None
-    psi_tilde: np.ndarray | None = None
-    lam: np.ndarray | None = None
-    u: np.ndarray | None = None
-    degenerate: bool = field(default=False)
+    m: np.ndarray
+    lam: np.ndarray
+    u: np.ndarray
 
     @property
     def n_res(self) -> int:
@@ -65,14 +69,14 @@ def relative_gap(lam) -> float:
     return float(np.min(np.diff(np.sort(lam))) / np.max(np.abs(lam)))
 
 
-def compute_capacitance(grid: BoundaryGrid, context=None) -> CapacitanceData:
-    """Solve the single-layer problems and form C (symmetrized) and the areas (diag V).
+def compute_capacitance(grid: BoundaryGrid, context: layerpot.AssemblyContext):
+    """Solve the single-layer problems; returns (C, psi, psi_tilde, asymmetry).
 
-    The N indicator right-hand sides (psi) and the height x_d (psi_tilde)
-    share one factorization of S.
+    C is symmetrized and asymmetry is its relative defect before that.  The
+    N indicator right-hand sides (psi) and the height x_d (psi_tilde) share
+    one factorization of S.
     """
-    ctx = context if context is not None else layerpot.AssemblyContext(grid)
-    S = ctx.single_layer_laplace()
+    S = context.single_layer_laplace()
     n_res = grid.n_res
     rhs = np.zeros((grid.n_total, n_res + 1))
     for j in range(n_res):
@@ -86,39 +90,26 @@ def compute_capacitance(grid: BoundaryGrid, context=None) -> CapacitanceData:
         b = grid.block(i)
         C[i, :] = -w[b] @ psi[b, :]
     asym = float(np.abs(C - C.T).max() / max(np.abs(C).max(), np.finfo(float).tiny))
-    C = 0.5 * (C + C.T)
-    areas = grid.areas()
-    return CapacitanceData(
-        grid=grid, C=C, areas=areas, psi=psi, asymmetry=asym, psi_tilde=psi_tilde
-    )
+    return 0.5 * (C + C.T), psi, psi_tilde, asym
 
 
-def compute_moments(data: CapacitanceData) -> CapacitanceData:
-    """Fill in the moment vector m."""
-    grid = data.grid
-    data.m = -(grid.nodes[:, 1] * grid.weights) @ data.psi
-    return data
+def compute_moments(grid: BoundaryGrid, psi) -> np.ndarray:
+    """Moment vector m_i = - oint x_d psi_i dsigma."""
+    return -(grid.nodes[:, 1] * grid.weights) @ psi
 
 
-def eigendecompose(data_or_C, V=None):
-    """Eigenpairs of C u = lambda V u via the symmetric reduction.
+def eigendecompose(C, areas):
+    """Eigenpairs (lam, u) of C u = lambda V u, V = diag(areas), via the symmetric reduction.
 
-    Accepts either a CapacitanceData (filled in place) or the pair (C, V).
     Eigenvalues are ascending; each eigenvector is scaled to u^T V u = 1 and
     signed so its largest-magnitude component is positive (ties: lowest
     index), which keeps the optimizer's gauge deterministic.
     """
-    if isinstance(data_or_C, CapacitanceData):
-        data = data_or_C
-        C, vdiag = data.C, data.areas
-    else:
-        data = None
-        C = np.asarray(data_or_C, dtype=float)
-        V = np.asarray(V, dtype=float)
-        vdiag = np.diag(V) if V.ndim == 2 else V
-    if np.any(vdiag <= 0):
+    C = np.asarray(C, dtype=float)
+    areas = np.asarray(areas, dtype=float)
+    if np.any(areas <= 0):
         raise ValueError("volume matrix must have positive diagonal entries")
-    isq = 1.0 / np.sqrt(vdiag)
+    isq = 1.0 / np.sqrt(areas)
     Wm = isq[:, None] * C * isq[None, :]
     Wm = 0.5 * (Wm + Wm.T)
     lam, wvec = np.linalg.eigh(Wm)
@@ -130,26 +121,28 @@ def eigendecompose(data_or_C, V=None):
     if np.any(lam <= 0):
         warnings.warn("capacitance matrix is not positive definite at this resolution")
     gap = relative_gap(lam)
-    degenerate = gap < DEGENERATE_GAP_WARN
-    if degenerate:
+    if gap < DEGENERATE_GAP_WARN:
         warnings.warn(
             f"nearly degenerate capacitance eigenvalues (relative gap {gap:.2e}); "
             "eigenpair shape derivatives are unreliable"
         )
-    if data is not None:
-        data.lam = lam
-        data.u = u
-        data.degenerate = degenerate
-        return data
     return lam, u
 
 
 def capacitance_pipeline(grid: BoundaryGrid, context=None) -> CapacitanceData:
-    """compute_capacitance + compute_moments + eigendecompose in one call."""
-    data = compute_capacitance(grid, context=context)
-    compute_moments(data)
-    eigendecompose(data)
-    return data
+    """Build the whole CapacitanceData of a grid: C, areas, densities, m and eigenpairs.
+
+    The context defaults to a fresh AssemblyContext of the grid.
+    """
+    ctx = context if context is not None else layerpot.AssemblyContext(grid)
+    C, psi, psi_tilde, asymmetry = compute_capacitance(grid, ctx)
+    m = compute_moments(grid, psi)
+    areas = grid.areas()
+    lam, u = eigendecompose(C, areas)
+    return CapacitanceData(
+        grid=grid, C=C, areas=areas, psi=psi, psi_tilde=psi_tilde,
+        asymmetry=asymmetry, m=m, lam=lam, u=u,
+    )
 
 
 def farfield_constant(data: CapacitanceData, i: int, probe_height: float, probe_lateral: float = 0.0):

@@ -2,7 +2,10 @@
 
 The grammar is one ``section.key = value`` binding per line, ``#`` comments,
 blank lines ignored.  Unknown keys are rejected; every numeric range is
-validated at parse time.  Omitted fields fall back to the reference setup:
+validated at parse time.  The ranges of the ``materials`` and ``optimizer``
+keys are those of MaterialParams and OptConfig, which check their own fields;
+the parser reports their failures under the section name and checks the
+remaining keys itself.  Omitted fields fall back to the reference setup:
 L = 20, v_m = 1, v_b = 1 - 0.05i, delta = 0.001, band [0.01, 0.1], one circle
 of radius 0.5 at height 1.
 
@@ -81,6 +84,8 @@ _KNOWN_KEYS = {
     "greens.y",
     "greens.omega",
 }
+# the keys of an explicit resonator block, shape.<index>.<field>
+_SHAPE_FIELDS = ("center", "a0", "cos", "sin")
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -145,27 +150,18 @@ def parse_config_text(text: str) -> RunConfig:
     def take(key, default=None):
         return pairs.get(key, default)
 
-    v_m = _float(take("materials.v_m", "1.0"), "materials.v_m")
-    vb_raw = take("materials.v_b", "1.0 -0.05")
-    vb_parts = _floats(vb_raw, "materials.v_b")
-    if len(vb_parts) == 1:
-        v_b = complex(vb_parts[0], 0.0)
-    elif len(vb_parts) == 2:
-        v_b = complex(vb_parts[0], vb_parts[1])
-    else:
+    vb_parts = _floats(take("materials.v_b", "1.0 -0.05"), "materials.v_b")
+    if len(vb_parts) not in (1, 2):
         raise ConfigError("materials.v_b: expected 're' or 're im'")
-    delta = _float(take("materials.delta", "0.001"), "materials.delta")
-    theta_d = _float(take("materials.theta_d", "1.0"), "materials.theta_d")
-    if v_m <= 0:
-        errors.append("materials.v_m must be positive")
-    if not 0.0 < delta < 1.0:
-        errors.append("contrast must be in (0, 1)")
-    if v_b.real <= 0:
-        errors.append("materials.v_b must have positive real part")
-    if v_b.imag > 0:
-        errors.append("materials.v_b must have Im <= 0 (lossy convention)")
-    if not 0.0 < theta_d <= 1.0:
-        errors.append("materials.theta_d must be in (0, 1]")
+    materials = _build(
+        MaterialParams,
+        "materials",
+        errors,
+        v_m=_float(take("materials.v_m", "1.0"), "materials.v_m"),
+        v_b=complex(*vb_parts),
+        delta=_float(take("materials.delta", "0.001"), "materials.delta"),
+        theta_d=_float(take("materials.theta_d", "1.0"), "materials.theta_d"),
+    )
 
     L = _float(take("lattice.L", "20.0"), "lattice.L")
     if L <= 0:
@@ -173,14 +169,9 @@ def parse_config_text(text: str) -> RunConfig:
     omega_min = _float(take("band.omega_min", "0.01"), "band.omega_min")
     omega_max = _float(take("band.omega_max", "0.1"), "band.omega_max")
     samples = _int(take("band.samples", "200"), "band.samples")
-    if not 0 <= omega_min < omega_max:
-        errors.append("band must satisfy 0 <= omega_min < omega_max")
     if samples < 2:
         errors.append("band.samples must be at least 2")
-
     n_pts = _int(take("solver.n_pts", "128"), "solver.n_pts")
-    if n_pts < 16 or n_pts % 2:
-        errors.append("solver.n_pts must be even and >= 16")
     greens_tol = _float(take("solver.greens_tol", "1e-12"), "solver.greens_tol")
     if not 0 < greens_tol <= 1e-6:
         errors.append("solver.greens_tol must be in (0, 1e-6]")
@@ -192,45 +183,37 @@ def parse_config_text(text: str) -> RunConfig:
     if errors:
         raise ConfigError("; ".join(errors))
 
-    objective = take("optimizer.objective", "ref")
     m_targets_raw = take("optimizer.m_targets")
     m_targets = _int(m_targets_raw, "optimizer.m_targets") if m_targets_raw else None
-    n_quad = _int(take("optimizer.n_quad", "64"), "optimizer.n_quad")
-    max_iters = _int(take("optimizer.max_iters", "100"), "optimizer.max_iters")
-    lr = _float(take("optimizer.lr", "0.02"), "optimizer.lr")
-    beta1 = _float(take("optimizer.beta1", "0.9"), "optimizer.beta1")
-    beta2 = _float(take("optimizer.beta2", "0.999"), "optimizer.beta2")
-    eps = _float(take("optimizer.eps", "1e-8"), "optimizer.eps")
-    a0_min = _float(take("optimizer.a0_min", "0.1"), "optimizer.a0_min")
-    a0_max = _float(take("optimizer.a0_max", "1.0"), "optimizer.a0_max")
+    if m_targets is not None and m_targets > len(shapes):
+        errors.append(f"optimizer.m_targets must be in [1, {len(shapes)}] (the resonator count)")
     coeff_bound = _float(take("optimizer.coeff_bound", "1.0"), "optimizer.coeff_bound")
     margin_raw = take("optimizer.geometry_margin")
-    margin = _float(margin_raw, "optimizer.geometry_margin") if margin_raw else None
-    plateau_iters = _int(take("optimizer.plateau_iters", "0"), "optimizer.plateau_iters")
-    snapshot_every = _int(take("optimizer.snapshot_every", "0"), "optimizer.snapshot_every")
-    # each range is written so that NaN fails it
-    if objective not in ("ref", "res"):
-        errors.append("optimizer.objective must be 'ref' or 'res'")
-    if m_targets is not None and not 1 <= m_targets <= len(shapes):
-        errors.append(f"optimizer.m_targets must be in [1, {len(shapes)}] (the resonator count)")
-    if n_quad < 1:
-        errors.append("optimizer.n_quad must be at least 1")
-    if max_iters < 0:
-        errors.append("optimizer.max_iters must be nonnegative")
-    if not lr >= 0.0:
-        errors.append("optimizer.lr must be nonnegative")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-        errors.append("optimizer.beta1 and optimizer.beta2 must be in [0, 1)")
-    if not eps > 0.0:
-        errors.append("optimizer.eps must be positive")
-    if not 0.0 < a0_min < a0_max:
-        errors.append("optimizer a0 bounds must satisfy 0 < a0_min < a0_max")
-    if not coeff_bound >= 0.0:
-        errors.append("optimizer.coeff_bound must be nonnegative")
-    if margin is not None and not margin >= 0.0:
-        errors.append("optimizer.geometry_margin must be nonnegative")
-    if plateau_iters < 0 or snapshot_every < 0:
-        errors.append("optimizer.plateau_iters and optimizer.snapshot_every must be nonnegative")
+    opt = _build(
+        OptConfig,
+        "optimizer",
+        errors,
+        objective=take("optimizer.objective", "ref"),
+        band=(omega_min, omega_max),
+        m_targets=m_targets,
+        n_quad=_int(take("optimizer.n_quad", "64"), "optimizer.n_quad"),
+        max_iters=_int(take("optimizer.max_iters", "100"), "optimizer.max_iters"),
+        lr=_float(take("optimizer.lr", "0.02"), "optimizer.lr"),
+        beta1=_float(take("optimizer.beta1", "0.9"), "optimizer.beta1"),
+        beta2=_float(take("optimizer.beta2", "0.999"), "optimizer.beta2"),
+        eps=_float(take("optimizer.eps", "1e-8"), "optimizer.eps"),
+        a0_bounds=(
+            _float(take("optimizer.a0_min", "0.1"), "optimizer.a0_min"),
+            _float(take("optimizer.a0_max", "1.0"), "optimizer.a0_max"),
+        ),
+        coeff_bounds=(-coeff_bound, coeff_bound),
+        geometry_margin=_float(margin_raw, "optimizer.geometry_margin") if margin_raw else None,
+        freeze_centers=_bool(take("optimizer.freeze_centers", "false"), "optimizer.freeze_centers"),
+        plateau_iters=_int(take("optimizer.plateau_iters", "0"), "optimizer.plateau_iters"),
+        snapshot_every=_int(take("optimizer.snapshot_every", "0"), "optimizer.snapshot_every"),
+        seed=_int(take("optimizer.seed", "0"), "optimizer.seed"),
+        n_pts=n_pts,
+    )
 
     # greens-test point pair: both in the closed upper half-space, distinct
     # modulo the period (the rule of greens._check_separated)
@@ -248,29 +231,10 @@ def parse_config_text(text: str) -> RunConfig:
     if errors:
         raise ConfigError("; ".join(errors))
 
-    opt = OptConfig(
-        objective=objective,
-        band=(omega_min, omega_max),
-        m_targets=m_targets,
-        n_quad=n_quad,
-        max_iters=max_iters,
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        a0_bounds=(a0_min, a0_max),
-        coeff_bounds=(-coeff_bound, coeff_bound),
-        geometry_margin=margin,
-        freeze_centers=_bool(take("optimizer.freeze_centers", "false"), "optimizer.freeze_centers"),
-        plateau_iters=plateau_iters,
-        snapshot_every=snapshot_every,
-        seed=_int(take("optimizer.seed", "0"), "optimizer.seed"),
-        n_pts=n_pts,
-    )
     canon = "\n".join(f"{k} = {pairs[k]}" for k in sorted(pairs))
     cfg_hash = hashlib.sha256(canon.encode()).hexdigest()[:12]
     return RunConfig(
-        materials=MaterialParams(v_m=v_m, v_b=v_b, delta=delta, theta_d=theta_d),
+        materials=materials,
         L=L,
         band=(omega_min, omega_max),
         samples=samples,
@@ -285,6 +249,19 @@ def parse_config_text(text: str) -> RunConfig:
     )
 
 
+def _build(kind, section, errors, **fields):
+    """kind(**fields), or None with its range failures added to errors as section.<message>.
+
+    The types report every failing field in one ValueError, as "; "-joined
+    messages that each start with the field name.
+    """
+    try:
+        return kind(**fields)
+    except ValueError as exc:
+        errors.extend(f"{section}.{message}" for message in str(exc).split("; "))
+        return None
+
+
 def _parse_shapes(pairs, shape_keys, L, errors):
     explicit = bool(shape_keys)
     preset = any(k.startswith("geometry.") for k in pairs)
@@ -296,7 +273,7 @@ def _parse_shapes(pairs, shape_keys, L, errors):
         indices = set()
         for key in shape_keys:
             parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in ("center", "a0", "cos", "sin"):
+            if len(parts) != 3 or parts[2] not in _SHAPE_FIELDS:
                 raise ConfigError(f"unknown key: {key}")
             try:
                 indices.add(int(parts[1]))

@@ -25,7 +25,6 @@ __all__ = [
     "GeometryError",
     "parametrize",
     "discretize",
-    "area",
     "velocity_field",
     "validate_geometry",
     "params_per_shape",
@@ -36,6 +35,10 @@ __all__ = [
     "dump_geometry",
     "load_shape_params",
 ]
+
+
+# boundary points per resonator at which validate_geometry checks every constraint
+N_CHECK = 256
 
 
 class GeometryError(ValueError):
@@ -203,14 +206,6 @@ def discretize(shapes, n_pts: int, L: float) -> BoundaryGrid:
     )
 
 
-def area(p: ShapeParams, n_pts: int = 64) -> float:
-    """Area |D| by the trapezoid rule on (1/2) oint x . nu dsigma."""
-    t = 2.0 * np.pi * np.arange(n_pts) / n_pts
-    x, _, speed, normal, _ = boundary_frame(p, t)
-    w = (2.0 * np.pi / n_pts) * speed
-    return float(0.5 * np.sum(np.einsum("ki,ki->k", x, normal) * w))
-
-
 def params_per_shape(order: int) -> int:
     """Number of design parameters per resonator: cx, cy, a0, a_1..a_M, b_1..b_M."""
     return 3 + 2 * order
@@ -277,18 +272,17 @@ def params_to_shapes(params, order: int) -> tuple[ShapeParams, ...]:
     return tuple(shapes)
 
 
-def validate_geometry(
-    shapes, L: float, margin: float | None = None, n_check: int = 256, design_box=None
-):
+def validate_geometry(shapes, L: float, margin: float | None = None, design_box=None):
     """Check wall clearance, radius positivity, cell containment and overlaps.
 
     Returns a list of human-readable violations (empty when the configuration
     is valid).  Overlap checks include the lattice-shifted copies at
-    x_lateral +- L; a bounding-circle prefilter skips far-apart pairs.  The
-    minimum admissible gap is a configurable safety margin (default
-    1e-3 * L).  When ``design_box = (a0_bounds, coeff_bound)`` is
-    given, breaches of the design box are reported too (the optimizer
-    enforces them; plain analysis runs are unrestricted).
+    x_lateral +- L; a bounding-circle prefilter skips far-apart pairs.  Each
+    boundary is sampled at N_CHECK points.  The minimum admissible gap is a
+    configurable safety margin (default 1e-3 * L).  When ``design_box =
+    (a0_bounds, coeff_bound)`` is given, breaches of the design box are
+    reported too (the optimizer enforces them; plain analysis runs are
+    unrestricted).
     """
     shapes = tuple(shapes)
     if margin is None:
@@ -308,7 +302,7 @@ def validate_geometry(
                     f"resonator {idx}: Fourier coefficient magnitude {worst:.6g} "
                     f"exceeds {cb:g}"
                 )
-    t = np.linspace(0.0, 2.0 * np.pi, n_check, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, N_CHECK, endpoint=False)
     cos_t, sin_t = np.cos(t), np.sin(t)
     boundaries = []
     rmax = []
@@ -392,19 +386,19 @@ def grid_layout(
     return tuple(shapes)
 
 
-def dump_geometry(grid: BoundaryGrid, path, meta: str = "") -> None:
+def dump_geometry(grid: BoundaryGrid, path, meta: str) -> None:
     """Write the node table plus a sidecar file with all ShapeParams fields.
 
-    Node CSV columns: resonator_id, t, x, y, nx, ny.  The sidecar
-    ``<path stem>.params.csv`` lists center, a0 and the Fourier coefficients.
+    Both files start with the comment line ``# <meta>``.  Node CSV columns:
+    resonator_id, t, x, y, nx, ny.  The sidecar ``<path stem>.params.csv``
+    lists center, a0 and the Fourier coefficients.
     """
     import pathlib
 
     path = pathlib.Path(path)
     rid = grid.block_index()
     with open(path, "w", newline="") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
+        fh.write(f"# {meta}\n")
         writer = csv.writer(fh)
         writer.writerow(["resonator_id", "t", "x", "y", "nx", "ny"])
         for k in range(grid.n_total):
@@ -420,8 +414,7 @@ def dump_geometry(grid: BoundaryGrid, path, meta: str = "") -> None:
             )
     sidecar = path.with_suffix(".params.csv")
     with open(sidecar, "w", newline="") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
+        fh.write(f"# {meta}\n")
         writer = csv.writer(fh)
         writer.writerow(["resonator_id", "center_x", "center_y", "a0", "order", "coeffs"])
         for idx, p in enumerate(grid.shapes):

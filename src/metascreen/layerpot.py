@@ -55,6 +55,8 @@ __all__ = [
 
 _INV_4PI = 1.0 / (4.0 * np.pi)
 _HALF_ULP = 2.0**-54  # a term below this times a component of a sum leaves it unchanged
+# largest relative residual solve_density accepts
+RESIDUAL_TOL = 1e-10
 
 
 class SingularOperatorError(np.linalg.LinAlgError):
@@ -307,13 +309,13 @@ def _finite(mat):
     return mat
 
 
-def solve_density(a: np.ndarray, rhs, residual_tol: float = 1e-10):
+def solve_density(a: np.ndarray, rhs):
     """Direct dense solve a @ x = rhs with a residual guarantee.
 
     ``rhs`` may carry multiple right-hand sides as columns; they share the
     one pivoted LU factorization of np.linalg.solve (LAPACK gesv).  Raises
     SingularOperatorError when the infinity-norm residual of any column,
-    relative to that column's own max|rhs|, exceeds ``residual_tol``.
+    relative to that column's own max|rhs|, exceeds RESIDUAL_TOL.
     """
     rhs = np.asarray(rhs)
     try:
@@ -326,10 +328,10 @@ def solve_density(a: np.ndarray, rhs, residual_tol: float = 1e-10):
     resid = np.abs(a @ x - rhs).max(axis=0)
     scale = np.maximum(np.abs(rhs).max(axis=0), np.finfo(float).tiny)
     worst = np.max(resid / scale)
-    if not np.isfinite(worst) or worst > residual_tol:
+    if not np.isfinite(worst) or worst > RESIDUAL_TOL:
         cond = np.linalg.cond(a)
         raise SingularOperatorError(
-            f"solve residual {worst:.3e} exceeds {residual_tol:.1e}", cond=cond
+            f"solve residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}", cond=cond
         )
     return x
 

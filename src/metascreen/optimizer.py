@@ -35,6 +35,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# an evaluation counts as an improvement for the plateau stop only when it
+# beats the best J by more than this
+PLATEAU_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class OptConfig:
@@ -54,16 +58,33 @@ class OptConfig:
     n_pts: int = 64
     seed: int = 0
     plateau_iters: int = 0  # 0 disables the plateau stop
-    plateau_tol: float = 1e-10
     snapshot_every: int = 0
 
     def __post_init__(self):
-        if self.objective not in ("ref", "res"):
-            raise ValueError("objective must be 'ref' or 'res'")
-        if not self.band[0] < self.band[1]:
-            raise ValueError("band must satisfy omega_min < omega_max")
-        if self.max_iters < 0 or self.lr < 0:
-            raise ValueError("max_iters and lr must be nonnegative")
+        # every failing field in one error, each message led by its field name;
+        # each range is written so that NaN fails it
+        (a0_lo, a0_hi), (c_lo, c_hi) = self.a0_bounds, self.coeff_bounds
+        margin = self.geometry_margin
+        checks = (
+            (self.objective in ("ref", "res"), "objective must be 'ref' or 'res'"),
+            (0.0 <= self.band[0] < self.band[1], "band must satisfy 0 <= omega_min < omega_max"),
+            (self.m_targets is None or self.m_targets >= 1, "m_targets must be at least 1"),
+            (self.n_quad >= 1, "n_quad must be at least 1"),
+            (self.max_iters >= 0, "max_iters must be nonnegative"),
+            (self.lr >= 0.0, "lr must be nonnegative"),
+            (0.0 <= self.beta1 < 1.0, "beta1 must be in [0, 1)"),
+            (0.0 <= self.beta2 < 1.0, "beta2 must be in [0, 1)"),
+            (self.eps > 0.0, "eps must be positive"),
+            (0.0 < a0_lo < a0_hi, "a0_bounds: a0 bounds must satisfy 0 < lower < upper"),
+            (c_lo <= c_hi, "coeff_bounds must satisfy lower <= upper"),
+            (margin is None or margin >= 0.0, "geometry_margin must be nonnegative"),
+            (self.n_pts >= 16 and self.n_pts % 2 == 0, "n_pts must be even and >= 16"),
+            (self.plateau_iters >= 0, "plateau_iters must be nonnegative"),
+            (self.snapshot_every >= 0, "snapshot_every must be nonnegative"),
+        )
+        errors = [message for ok, message in checks if not ok]
+        if errors:
+            raise ValueError("; ".join(errors))
 
 
 @dataclass
@@ -114,7 +135,7 @@ def objective_res(model: rom.RomModel, targets) -> float:
     m_t = len(targets)
     if m_t > model.n_modes:
         raise ValueError("more targets than modes")
-    lam_w = rom.lambda_of_omega(model, targets)
+    lam_w = rom.lambda_of_omega(model.materials, targets)
     if np.any(np.imag(lam_w) == 0):
         raise ValueError("J^res undefined: Im lambda(omega*) = 0 (lossless material)")
     t1 = model.lam[:m_t] / np.real(lam_w) - 1.0
@@ -137,7 +158,7 @@ def _bounds_mask(n_res: int, order: int, cfg: OptConfig, L: float):
     return lo, hi
 
 
-def step_uniform_adam(state: OptState, grad, cfg: OptConfig, L: float, margin=None):
+def step_uniform_adam(state: OptState, grad, cfg: OptConfig, L: float):
     """One projected adaptive-moment step on the design vector.
 
     The gradient is normalized per resonator block by its max-abs entry (when
@@ -170,7 +191,7 @@ def step_uniform_adam(state: OptState, grad, cfg: OptConfig, L: float, margin=No
     for _ in range(11):
         trial = np.clip(state.params - step * direction, lo, hi)
         violations = geometry.validate_geometry(
-            geometry.params_to_shapes(trial, state.order), L, margin=margin
+            geometry.params_to_shapes(trial, state.order), L, margin=cfg.geometry_margin
         )
         if not violations:
             new = replace(
@@ -261,7 +282,7 @@ def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> O
         if not np.array_equal(params, state.params):
             state = replace(state, params=params)
         grad_inf = float(np.abs(gradient).max()) if gradient.size else 0.0
-        improved = value < state.best_value - config.plateau_tol
+        improved = value < state.best_value - PLATEAU_TOL
         if state.initial is None:
             state.initial = (grid, model)
         if value < state.best_value:
@@ -278,7 +299,7 @@ def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> O
         if config.plateau_iters and plateau >= config.plateau_iters:
             log.info("plateau stop after %d stale iterations", plateau)
             break
-        state, _ = step_uniform_adam(state, gradient, config, L, margin=config.geometry_margin)
+        state, _ = step_uniform_adam(state, gradient, config, L)
 
     if state.best is None:  # no evaluation had a finite J
         state.best = (grid, model)

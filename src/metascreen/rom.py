@@ -49,19 +49,22 @@ class MaterialParams:
     theta_d: float = 1.0
 
     def __post_init__(self):
-        if self.v_m <= 0:
-            raise ValueError("background speed v_m must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("contrast must be in (0, 1)")
-        if complex(self.v_b).real <= 0:
-            raise ValueError("Re(v_b) must be positive")
-        if complex(self.v_b).imag > 0:
-            raise ValueError("Im(v_b) must be <= 0 (lossy convention)")
-        if not 0.0 < self.theta_d <= 1.0:
-            raise ValueError("theta_d must be in (0, 1]")
+        # every failing field in one error, each message led by its field name;
+        # each range is written so that NaN fails it
+        v_b = complex(self.v_b)
+        checks = (
+            (self.v_m > 0, "v_m must be positive"),
+            (v_b.real > 0, "v_b must have positive real part"),
+            (v_b.imag <= 0, "v_b must have Im <= 0 (lossy convention)"),
+            (0.0 < self.delta < 1.0, "delta: contrast must be in (0, 1)"),
+            (0.0 < self.theta_d <= 1.0, "theta_d must be in (0, 1]"),
+        )
+        errors = [message for ok, message in checks if not ok]
+        if errors:
+            raise ValueError("; ".join(errors))
         if self.delta > 0.05:
             warnings.warn("contrast delta > 0.05: outside the asymptotic regime")
-        object.__setattr__(self, "v_b", complex(self.v_b))
+        object.__setattr__(self, "v_b", v_b)
 
     @property
     def tau_m(self) -> float:
@@ -102,23 +105,17 @@ class RomModel:
         return 2.0 * np.pi / self.cell_measure * self.materials.v_m
 
 
-def lambda_of_omega(model_or_materials, omega):
-    """Material scaling lambda(omega) = omega^2 / (delta v_b^2)."""
-    mats = (
-        model_or_materials.materials
-        if isinstance(model_or_materials, RomModel)
-        else model_or_materials
-    )
-    if mats.delta == 0:
-        raise ValueError("contrast delta must be nonzero")
+def lambda_of_omega(materials: MaterialParams, omega):
+    """Material scaling lambda(omega) = omega^2 / (delta v_b^2); vectorized over omega.
+
+    Callers holding a RomModel pass model.materials.
+    """
     omega = np.asarray(omega, dtype=float)
-    return omega * omega / (mats.delta * mats.v_b**2)
+    return omega * omega / (materials.delta * materials.v_b**2)
 
 
 def radiative_widths(cap: CapacitanceData, materials: MaterialParams) -> np.ndarray:
     """lam1_j = tau_m (m^T u_j)^2 / |Y|; invariant under eigenvector sign flips."""
-    if cap.u is None or cap.m is None:
-        raise ValueError("capacitance data must carry moments and eigenpairs")
     mtu = cap.m @ cap.u
     return materials.tau_m * mtu**2 / cap.grid.L
 
@@ -129,8 +126,6 @@ def resonant_frequencies(cap: CapacitanceData, materials: MaterialParams) -> np.
     omega_j = v_b sqrt(delta lam_j) - i tau_m v_b^2 (m^T u_j)^2 delta / (2 |Y|).
     For real v_b these sit in the (closed) lower half plane.
     """
-    if cap.u is None or cap.m is None:
-        raise ValueError("capacitance data must carry moments and eigenpairs")
     mats = materials
     mtu = cap.m @ cap.u
     lead = mats.v_b * np.sqrt(mats.delta * cap.lam.astype(complex))
@@ -153,7 +148,7 @@ def reflection_rom(model: RomModel, omega, warn_band: bool = True):
     if warn_band and np.any(omega >= model.omega_max_single_mode):
         warnings.warn("frequency outside the validated single-mode band")
     om = omega[..., None]
-    den = model.lam - 1j * om * model.lam1 - lambda_of_omega(model, omega)[..., None]
+    den = model.lam - 1j * om * model.lam1 - lambda_of_omega(model.materials, om)
     if np.any(den == 0):
         raise ValueError("resonant singularity: modal denominator vanished")
     r = -1.0 - np.sum(2j * om * model.lam1 / den, axis=-1)

@@ -101,8 +101,6 @@ def gradient_densities(cap: CapacitanceData, materials, kstar=None) -> ShapeGrad
     K* is applied once, to the stacked densities [psi | psi_tilde]; g^C and
     g^m are both read from that product.
     """
-    if cap.lam is None or cap.m is None:
-        raise ValueError("capacitance data must carry moments and eigenpairs")
     grid = cap.grid
     if kstar is None:
         kstar = layerpot.AssemblyContext(grid).adjoint_double_layer_laplace()
@@ -128,7 +126,7 @@ def _reflection_weights(model: RomModel, omega):
     The weights carry the omega axes first and the mode axis last.
     """
     om = np.asarray(omega, dtype=float)[..., None]
-    lam_w = lambda_of_omega(model, om)
+    lam_w = lambda_of_omega(model.materials, om)
     den = model.lam - 1j * om * model.lam1 - lam_w
     if np.any(den == 0):
         raise ValueError("resonant singularity: modal denominator vanished")
@@ -170,7 +168,7 @@ def grad_objective_res(model: RomModel, grads: ShapeGradients, targets):
     m_t = len(targets)
     if m_t > model.n_modes:
         raise ValueError("more targets than modes")
-    lam_w = lambda_of_omega(model, targets)
+    lam_w = lambda_of_omega(model.materials, targets)
     re_l, im_l = np.real(lam_w), np.imag(lam_w)
     if np.any(im_l == 0):
         raise ValueError("J^res undefined: Im lambda(omega*) = 0 (lossless material)")

@@ -32,8 +32,9 @@ class TestComputeCapacitance:
             geo.ShapeParams((-2.0 + 3.0, 1.0), 0.5),
             geo.ShapeParams((2.0 + 3.0, 1.0), 0.5),
         ]
-        c1 = cap.compute_capacitance(geo.discretize(base, 64, L)).C
-        c2 = cap.compute_capacitance(geo.discretize(moved, 64, L)).C
+        g1, g2 = geo.discretize(base, 64, L), geo.discretize(moved, 64, L)
+        c1 = cap.compute_capacitance(g1, layerpot.AssemblyContext(g1))[0]
+        c2 = cap.compute_capacitance(g2, layerpot.AssemblyContext(g2))[0]
         assert np.abs(c1 - c2).max() < 1e-10
 
     def test_symmetry_defect(self, single_data, mirrored_pair_data):
@@ -41,8 +42,9 @@ class TestComputeCapacitance:
         assert mirrored_pair_data.asymmetry < 1e-8
 
     def test_self_convergence(self, circle_half, single_data):
-        fine = cap.compute_capacitance(geo.discretize([circle_half], 256, L))
-        rel = abs(single_data.C[0, 0] - fine.C[0, 0]) / abs(fine.C[0, 0])
+        grid = geo.discretize([circle_half], 256, L)
+        fine = cap.compute_capacitance(grid, layerpot.AssemblyContext(grid))[0]
+        rel = abs(single_data.C[0, 0] - fine[0, 0]) / abs(fine[0, 0])
         assert rel < 1e-8
 
     def test_positive_definite(self, mirrored_pair_data):
@@ -69,12 +71,12 @@ class TestMoments:
 
 class TestEigendecompose:
     def test_single_mode(self):
-        lam, u = cap.eigendecompose(np.array([[2.0]]), np.array([[0.5]]))
+        lam, u = cap.eigendecompose(np.array([[2.0]]), np.array([0.5]))
         assert abs(lam[0] - 4.0) < 1e-14
         assert abs(u[0, 0] - np.sqrt(2.0)) < 1e-14
 
     def test_diagonal_case(self):
-        lam, u = cap.eigendecompose(np.diag([1.0, 2.0]), np.eye(2))
+        lam, u = cap.eigendecompose(np.diag([1.0, 2.0]), np.ones(2))
         assert np.allclose(lam, [1.0, 2.0])
         assert np.allclose(u, np.eye(2))
 
@@ -83,30 +85,30 @@ class TestEigendecompose:
         a = rng.standard_normal((5, 5))
         C = a @ a.T + 5 * np.eye(5)
         V = np.diag(rng.uniform(0.5, 2.0, 5))
-        lam, u = cap.eigendecompose(C, V)
+        lam, u = cap.eigendecompose(C, np.diag(V))
         # independent oracle: generalized nonsymmetric QZ eigenvalues
         ref = np.sort(np.real(sla.eig(C, V, right=False)))
         assert np.abs(lam - ref).max() < 1e-10
         assert np.abs(u.T @ V @ u - np.eye(5)).max() < 1e-10
 
     def test_sign_convention(self):
-        lam, u = cap.eigendecompose(np.array([[2.0]]), np.array([[0.5]]))
+        lam, u = cap.eigendecompose(np.array([[2.0]]), np.array([0.5]))
         assert u[0, 0] > 0
         # flipping C's construction cannot produce a negative leading component
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4))
         C = a @ a.T + 4 * np.eye(4)
-        _, u = cap.eigendecompose(C, np.eye(4))
+        _, u = cap.eigendecompose(C, np.ones(4))
         for j in range(4):
             assert u[np.argmax(np.abs(u[:, j])), j] > 0
 
     def test_nonpositive_volume_rejected(self):
         with pytest.raises(ValueError):
-            cap.eigendecompose(np.eye(2), np.diag([1.0, -1.0]))
+            cap.eigendecompose(np.eye(2), np.array([1.0, -1.0]))
 
     def test_degenerate_warned(self):
         with pytest.warns(UserWarning, match="degenerate"):
-            cap.eigendecompose(np.eye(2), np.eye(2))
+            cap.eigendecompose(np.eye(2), np.ones(2))
 
     def test_pipeline_orthonormality(self, mirrored_pair_data):
         d = mirrored_pair_data
@@ -117,6 +119,33 @@ class TestEigendecompose:
     def test_eigenvalue_self_convergence(self, circle_half, single_data):
         fine = cap.capacitance_pipeline(geo.discretize([circle_half], 256, L))
         assert abs(single_data.lam[0] - fine.lam[0]) / fine.lam[0] < 1e-8
+
+
+class TestResonatorOrder:
+    """Relabelling the resonators permutes every per-resonator quantity and nothing else."""
+
+    SHAPES = (
+        geo.ShapeParams((-3.0, 1.2), 0.6, (0.15, -0.1), (0.05, 0.2)),
+        geo.ShapeParams((0.5, 1.0), 0.45, (-0.2, 0.1), (0.1, -0.15)),
+        geo.ShapeParams((4.0, 1.6), 0.5, (0.05, 0.1), (-0.1, 0.05)),
+    )
+
+    @pytest.mark.parametrize("perm", [(2, 0, 1), (1, 0, 2)])
+    def test_permutation(self, perm):
+        perm = list(perm)
+        a = cap.capacitance_pipeline(geo.discretize(self.SHAPES, 64, L))
+        b = cap.capacitance_pipeline(geo.discretize([self.SHAPES[k] for k in perm], 64, L))
+        tol = 1e-12
+        assert np.abs(b.C - a.C[np.ix_(perm, perm)]).max() < tol
+        assert np.abs(b.m - a.m[perm]).max() < tol
+        assert np.abs(b.areas - a.areas[perm]).max() < tol
+        assert np.abs(b.u - a.u[perm]).max() < tol
+        assert np.abs(b.lam - a.lam).max() < tol
+        mats = rom.MaterialParams()
+        omega = np.linspace(0.01, 0.1, 37)
+        ra = rom.reflection_rom(rom.build_rom(a, mats), omega, warn_band=False)
+        rb = rom.reflection_rom(rom.build_rom(b, mats), omega, warn_band=False)
+        assert np.abs(rb - ra).max() < tol
 
 
 class TestLaplaceOnlyPipeline:

@@ -74,11 +74,13 @@ class TestDiscretize:
 
 class TestArea:
     def test_disk_areas(self):
-        assert abs(geo.area(geo.ShapeParams((0, 1), 0.5)) - np.pi / 4) < 1e-12
-        assert abs(geo.area(geo.ShapeParams((0, 2), 1.0)) - np.pi) < 1e-12
+        small = geo.discretize([geo.ShapeParams((0, 1), 0.5)], 64, L).areas()[0]
+        unit = geo.discretize([geo.ShapeParams((0, 2), 1.0)], 64, L).areas()[0]
+        assert abs(small - np.pi / 4) < 1e-12
+        assert abs(unit - np.pi) < 1e-12
 
     def test_area_spectral_accuracy(self, circle_half):
-        assert abs(geo.area(circle_half, 16) - np.pi * 0.25**2 * 4) < 1e-12
+        assert abs(geo.discretize([circle_half], 16, L).areas()[0] - np.pi * 0.25**2 * 4) < 1e-12
 
     def test_polygon_oracle(self):
         # shoelace area of the 1e6-gon inscribed in the perturbed boundary
@@ -89,7 +91,7 @@ class TestArea:
         shoelace = 0.5 * np.abs(
             np.sum(xs * np.roll(ys, -1) - np.roll(xs, -1) * ys)
         )
-        assert abs(geo.area(p, 64) - shoelace) < 1e-10
+        assert abs(geo.discretize([p], 64, L).areas()[0] - shoelace) < 1e-10
 
 
 class TestVelocityField:

@@ -381,8 +381,8 @@ class TestSolveDensity:
 
         S = circle_ctx.single_layer_laplace()
         psi = lp.solve_density(S, np.ones(circle_grid.n_total))
-        data = cap.compute_capacitance(circle_grid, context=circle_ctx)
-        assert abs(-np.sum(psi * circle_grid.weights) - data.C[0, 0]) < 1e-12
+        C = cap.compute_capacitance(circle_grid, circle_ctx)[0]
+        assert abs(-np.sum(psi * circle_grid.weights) - C[0, 0]) < 1e-12
 
     def test_block_permutation(self, two_res_shapes):
         gab = geo.discretize(two_res_shapes, 32, L)

@@ -71,6 +71,39 @@ class TestObjectives:
             opt.objective_res(model, [0.04, 0.07])
 
 
+class TestOptConfig:
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"objective": "foo"}, "objective"),
+            ({"band": (-0.01, 0.1)}, "band"),
+            ({"objective": "res", "m_targets": 0}, "m_targets"),
+            ({"n_quad": 0}, "n_quad"),
+            ({"lr": float("nan")}, "lr"),
+            ({"beta1": 2.0}, "beta1"),
+            ({"beta2": 1.0}, "beta2"),
+            ({"eps": 0.0}, "eps"),
+            ({"a0_bounds": (0.5, 0.4)}, "a0_bounds"),
+            ({"coeff_bounds": (1.0, -1.0)}, "coeff_bounds"),
+            ({"geometry_margin": -0.1}, "geometry_margin"),
+            ({"n_pts": 15}, "n_pts"),
+            ({"plateau_iters": -1}, "plateau_iters"),
+            ({"snapshot_every": -1}, "snapshot_every"),
+        ],
+    )
+    def test_bad_field_fails_at_construction(self, fields, name):
+        # refused when built, before a run divides by 1 - beta2^t = 0 or by
+        # m_targets = 0, or asks for a zero-point quadrature
+        with pytest.raises(ValueError, match=name):
+            opt.OptConfig(**fields)
+
+    def test_every_failing_field_named(self):
+        with pytest.raises(ValueError) as info:
+            opt.OptConfig(beta2=1.0, n_quad=0, m_targets=0, eps=0.0)
+        for name in ("beta2", "n_quad", "m_targets", "eps"):
+            assert name in str(info.value)
+
+
 class TestStep:
     def cfg(self, **kw):
         return opt.OptConfig(objective="ref", max_iters=1, **kw)

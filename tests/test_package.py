@@ -1,12 +1,15 @@
 import importlib
 import os
+import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
 import pytest
 
 import metascreen
+from metascreen import config
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(metascreen.__path__))
 
@@ -28,3 +31,15 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_documents_every_config_key():
+    # the README's configuration section names every key the parser accepts, and no other
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    tail = readme.read_text().split("### Configuration grammar", 1)[1]
+    section = re.split(r"\n##+ ", tail, maxsplit=1)[0]
+    heads = sorted({key.split(".")[0] for key in config._KNOWN_KEYS} | {"shape"})
+    found = re.findall(rf"\b(?:{'|'.join(heads)})\.[\w.]*\w", section)
+    documented = {re.sub(r"^shape\.\d+\.", "shape.N.", key) for key in found}
+    shape_keys = {f"shape.N.{field}" for field in config._SHAPE_FIELDS}
+    assert documented == config._KNOWN_KEYS | shape_keys

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,12 @@ def synthetic_cap(C, areas, m, L=20.0):
     grid = geo.discretize([geo.ShapeParams((0.0, 1.0), 0.5)], 16, L)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     areas = np.atleast_1d(np.asarray(areas, dtype=float))
-    data = cap.CapacitanceData(
-        grid=grid, C=C, areas=areas, psi=np.zeros((grid.n_total, len(areas))), asymmetry=0.0
+    lam, u = cap.eigendecompose(C, areas)
+    return cap.CapacitanceData(
+        grid=grid, C=C, areas=areas, psi=np.zeros((grid.n_total, len(areas))),
+        psi_tilde=np.zeros(grid.n_total), asymmetry=0.0,
+        m=np.atleast_1d(np.asarray(m, dtype=float)), lam=lam, u=u,
     )
-    data.m = np.atleast_1d(np.asarray(m, dtype=float))
-    cap.eigendecompose(data)
-    return data
 
 
 class TestMaterialParams:
@@ -34,6 +36,11 @@ class TestMaterialParams:
             rom.MaterialParams(v_b=1.0 + 0.1j)
         with pytest.raises(ValueError):
             rom.MaterialParams(theta_d=0.0)
+
+    def test_every_failing_field_named(self):
+        with pytest.raises(ValueError) as info:
+            rom.MaterialParams(v_m=-1, theta_d=2)
+        assert "v_m" in str(info.value) and "theta_d" in str(info.value)
 
     def test_large_contrast_warns(self):
         with pytest.warns(UserWarning, match="contrast"):
@@ -79,7 +86,7 @@ class TestRadiativeWidths:
         data = synthetic_cap([[2.0, 0.3], [0.3, 1.5]], [1.0, 0.8], [1.1, 0.7])
         mats = rom.MaterialParams()
         ref = rom.radiative_widths(data, mats)
-        data.u = -data.u
+        data = dataclasses.replace(data, u=-data.u)
         assert np.allclose(rom.radiative_widths(data, mats), ref, atol=1e-16)
 
 
@@ -180,7 +187,7 @@ class TestReflection:
         data = synthetic_cap([[2.0, 0.3], [0.3, 1.5]], [1.0, 0.8], [1.1, 0.7])
         mats = rom.MaterialParams()
         m1 = rom.build_rom(data, mats)
-        data.u = -data.u
+        data = dataclasses.replace(data, u=-data.u)
         m2 = rom.build_rom(data, mats)
         om = np.linspace(0.01, 0.1, 7)
         assert np.allclose(rom.reflection_rom(m1, om), rom.reflection_rom(m2, om), atol=1e-15)
