@@ -110,6 +110,8 @@ def _floats(value: str, key: str, n: int | None = None):
         parts = [float(p) for p in value.split()]
     except ValueError:
         raise ConfigError(f"{key}: expected numbers, got {value!r}") from None
+    if not all(map(math.isfinite, parts)):
+        raise ConfigError(f"{key}: expected finite numbers, got {value!r}")
     if n is not None and len(parts) != n:
         raise ConfigError(f"{key}: expected {n} number(s), got {len(parts)}")
     return parts
@@ -124,9 +126,12 @@ def _int(value: str, key: str) -> int:
 
 def _float(value: str, key: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return x
 
 
 def _bool(value: str, key: str) -> bool:

@@ -67,11 +67,13 @@ class ShapeParams:
     def __post_init__(self):
         if len(self.cos_coeffs) != len(self.sin_coeffs):
             raise ValueError("cos_coeffs and sin_coeffs must have equal length")
-        if self.a0 <= 0:
+        if not self.a0 > 0:  # NaN fails it too
             raise ValueError("base radius a0 must be positive")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
+        if not np.isfinite([*self.center, self.a0, *self.cos_coeffs, *self.sin_coeffs]).all():
+            raise ValueError("center, a0 and Fourier coefficients must be finite")
 
     @property
     def order(self) -> int:

@@ -207,13 +207,33 @@ def _closed_laplace(zl, zd, L, want_grad=False):
 
     Returns the value, or (value, d/dz_l, d/dz_d) when ``want_grad``.
     """
-    a = np.pi * zd / L
+    return _laplace_from_factors(_zl_factors(zl, L, want_grad), zd, L)
+
+
+def _zl_factors(zl, L, want_grad=False):
+    """The z_l half of _closed_laplace: sin^2(pi z_l / L), and sin(2 pi z_l / L) when ``want_grad``.
+
+    The direct and the image kernel of a node pair share z_l, so one pair of
+    factors serves both.
+    """
     b = np.pi * zl / L
-    s = np.sinh(a) ** 2 + np.sin(b) ** 2
-    val = np.log(s) / (4.0 * np.pi)
-    if not want_grad:
+    return np.sin(b) ** 2, np.sin(2.0 * b) if want_grad else None
+
+
+def _laplace_from_factors(factors, zd, L, out=(None, None, None)):
+    """_closed_laplace of pairs whose z_l half is ``factors`` (_zl_factors).
+
+    Returns the gradient too when the factors carry it; the results are
+    written into ``out`` when it holds arrays of the pair shape.
+    """
+    sin2_b, sin_2b = factors
+    a = np.pi * zd / L
+    s = np.sinh(a) ** 2 + sin2_b
+    val = np.divide(np.log(s, out=out[0]), 4.0 * np.pi, out=out[0])
+    if sin_2b is None:
         return val
-    return val, np.sin(2.0 * b) / (4.0 * L * s), np.sinh(2.0 * a) / (4.0 * L * s)
+    s = 4.0 * L * s
+    return val, np.divide(sin_2b, s, out=out[1]), np.divide(np.sinh(2.0 * a), s, out=out[2])
 
 
 # ---------------------------------------------------------------------------

@@ -16,30 +16,40 @@ A is 1/(4 pi) for S and 0 for K*; for Helmholtz, A is J_0(kr)/(4 pi) for S and
 per wavenumber.  Operators are plain ndarrays.
 
 An AssemblyContext caches every wavenumber-independent pair quantity, so
-frequency sweeps only pay for the k-dependent arithmetic.  The Laplace half
-(minimum-image separations, the closed-form Laplace bundle, the log
-quadrature) is built with the context; the Helmholtz half (greens.kummer_tables
-of the direct and image separations, and r and z . nu on each diagonal block)
-is built on the first Helmholtz operator or helmholtz_cache() call, so
-Laplace-only work such as the optimizer loop and the shape gradients never
-pays for it.  A Helmholtz operator checks the
-single-mode condition on k before it builds anything.  The Helmholtz bundle
-comes from greens.gper_helmholtz, the same function the point kernels
-(greens.helmholtz_gs / helmholtz_gs_grad) call.
+frequency sweeps only pay for the k-dependent arithmetic.  The Laplace half is
+built with the context and is all a Laplace-only context holds: the six
+closed-form tables (value, d/dz_l, d/dz_d of the direct and image parts), the
+mask of the stored pairs and the log quadrature of one block.  The tables are
+built straight from the nodes in row chunks of the pair triangle of at most
+_CHUNK_PAIRS pairs (_row_chunks), so the separations and the scratch of the
+build never exist for the whole triangle; sin^2(pi z_l/L) and sin(2 pi z_l/L)
+are formed once per chunk for both parts.  The Helmholtz half
+(greens.kummer_tables of the direct and image separations, which it forms
+itself and drops, and r and z . nu on each diagonal block) is built on the
+first Helmholtz operator or helmholtz_cache() call, so Laplace-only work such
+as the optimizer loop and the shape gradients never pays for it.  A Helmholtz
+operator checks the single-mode condition on k before it builds anything.  The
+Helmholtz bundle comes from greens.gper_helmholtz, the same function the point
+kernels (greens.helmholtz_gs / helmholtz_gs_grad) call.
 
 The sound-soft kernel is reciprocal, G_s(x, y) = G_s(y, x), so every pair
-quantity is stored for the np.triu_indices(n) pairs (i <= j) only, as 1-D
-arrays, and the kernel bundles are computed there.  Swapping i and j negates
-z_l and z_d and keeps the image z_d, so the tables have a fixed parity:
-the values are symmetric (direct and image), d/dz_l is antisymmetric (direct
-and image), and d/dz_d is antisymmetric for the direct part and symmetric for
-the image part.  Each operator scatters its kernel to n x n from two triangle
-halves, the (i, j) entries and the (j, i) entries, with these signs: S the
-value difference v_dir - v_img to both halves; K* the d/dz_l difference gl as
-(gl, -gl) and d/dz_d as (gd_dir - gd_img, -(gd_dir + gd_img)).
+quantity is stored for the pairs i <= j only, as 1-D arrays in row-major
+order (the order of np.triu_indices(n)), and the kernel bundles are computed
+there.  Swapping i and j negates z_l and z_d and keeps the image z_d, so the
+tables have a fixed parity: the values are symmetric (direct and image),
+d/dz_l is antisymmetric (direct and image), and d/dz_d is antisymmetric for
+the direct part and symmetric for the image part.  Each operator scatters its
+kernel to n x n from two triangle halves, the (i, j) entries and the (j, i)
+entries, with these signs: S the value difference v_dir - v_img to both
+halves; K* the d/dz_l difference gl as (gl, -gl) and d/dz_d as (gd_dir -
+gd_img, -(gd_dir + gd_img)).  K* forms both halves chunk by chunk, and the
+Nystrom body works in place in the scattered matrix, so an operator needs
+little more memory than its result.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -57,6 +67,7 @@ _INV_4PI = 1.0 / (4.0 * np.pi)
 _HALF_ULP = 2.0**-54  # a term below this times a component of a sum leaves it unchanged
 # largest relative residual solve_density accepts
 RESIDUAL_TOL = 1e-10
+_CHUNK_PAIRS = 16384  # most node pairs per row chunk of the triangle tables: its scratch stays in cache
 
 
 class SingularOperatorError(np.linalg.LinAlgError):
@@ -130,20 +141,54 @@ def _bessel_j0_j1c(w):
     return j0, j1c
 
 
-def _pair_separations(x, i, j, L):
-    """Minimum-image z_l, direct z_d and image z_d of the node pairs (x[i], x[j])."""
-    zl = x[i, 0] - x[j, 0]
-    zl -= L * np.round(zl / L)  # minimum image; kernels are L-periodic
-    return zl, x[i, 1] - x[j, 1], x[i, 1] + x[j, 1]
+def _minimum_image(zl, L):
+    """z_l reduced in place to its minimum image; the kernels are L-periodic."""
+    zl -= L * np.round(zl / L)
+    return zl
+
+
+@functools.lru_cache(maxsize=4)
+def _triangle(n):
+    """The stored pairs of an n x n matrix as a mask (i <= j), and the table positions of i == j.
+
+    Read-only and shared by every context on n nodes; row i of the triangle
+    starts at table position i n - i (i - 1) / 2.
+    """
+    i = np.arange(n)
+    upper = i[:, None] <= i
+    diag = i * n - i * (i - 1) // 2
+    upper.flags.writeable = diag.flags.writeable = False
+    return upper, diag
+
+
+def _row_chunks(n):
+    """(i0, i1, pairs): rows i0:i1 of the n x n upper triangle and the table slice of their pairs.
+
+    A chunk holds at most _CHUNK_PAIRS pairs, or one row where that row alone
+    holds more.  Its pairs are the entries [i0:i1, i0:] of the mask.
+    """
+    i0 = start = 0
+    while i0 < n:
+        i1, stop = i0 + 1, start + n - i0
+        while i1 < n and stop - start + n - i1 <= _CHUNK_PAIRS:
+            stop += n - i1
+            i1 += 1
+        yield i0, i1, slice(start, stop)
+        i0, start = i1, stop
 
 
 class AssemblyContext:
     """Cached pairwise geometry and kernel pieces for one BoundaryGrid.
 
-    Pair tables (zl, dd, di, the dir/img parts of the kernel bundles and the
-    Kummer tables) are 1-D arrays over the np.triu_indices(n_total) pairs;
-    the Helmholtz log factors and the r, z . nu they are computed from are
-    (n_res, n_pts, n_pts), one slice per diagonal block.
+    A Laplace-only context holds six pair tables, the closed-form Laplace
+    value, d/dz_l and d/dz_d of the direct and of the image part, as 1-D
+    arrays over the upper-triangle pairs (i <= j) of the n_total nodes, plus
+    the shared n x n mask of those pairs and the log quadrature of one block.
+    No separations are kept: the tables are built chunk by chunk from the
+    nodes (_row_chunks), and the Helmholtz cache forms its own separations.
+    That cache holds the Kummer tables of the direct and image pairs, and on
+    each diagonal block r (its triangle) and z . nu, which the log factors
+    read.
     """
 
     def __init__(self, grid: BoundaryGrid, tol: float = 1e-12):
@@ -151,21 +196,23 @@ class AssemblyContext:
         self.tol = tol
         L = grid.L
         n = grid.n_total
-        i, j = np.triu_indices(n)
-        self._upper = np.triu(np.ones((n, n), dtype=bool))  # the stored pairs, row-major
-        self._diag = np.flatnonzero(i == j)  # where the pairs i == j sit in a table
-        self.zl, self.dd, self.di = _pair_separations(grid.nodes, i, j, L)
+        self._upper, self._diag = _triangle(n)
+        self._n_pairs = n * (n + 1) // 2
 
         # Laplace kernel bundle in closed form; the direct diagonal is
         # singular and masked to 0.  The log factor is 1/(4 pi) for S and 0
         # for K* on every block.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direct = greens._closed_laplace(self.zl, self.dd, L, want_grad=True)
+        direct, image = (tuple(np.empty(self._n_pairs) for _ in range(3)) for _ in range(2))
+        for pairs, zl, dd, di in self._separation_chunks():
+            factors = greens._zl_factors(zl, L, want_grad=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                greens._laplace_from_factors(factors, dd, L, out=[a[pairs] for a in direct])
+            greens._laplace_from_factors(factors, di, L, out=[a[pairs] for a in image])
         for arr in direct:
             arr[self._diag] = 0.0
         self.laplace = {
             "dir": direct,
-            "img": greens._closed_laplace(self.zl, self.di, L, want_grad=True),
+            "img": image,
             "log": (np.full(grid.n_res, _INV_4PI), np.zeros(grid.n_res)),
         }
 
@@ -181,6 +228,15 @@ class AssemblyContext:
         self._helm: dict | None = None
         self._bundles: dict = {}
 
+    def _separation_chunks(self):
+        """(pairs, z_l, direct z_d, image z_d) of the stored pairs, one _row_chunks chunk at a time."""
+        x = self.grid.nodes
+        for i0, i1, pairs in _row_chunks(self.grid.n_total):
+            m = self._upper[i0:i1, i0:]
+            xi, xj = x[i0:i1, None], x[None, i0:]
+            zl = _minimum_image((xi[..., 0] - xj[..., 0])[m], self.grid.L)
+            yield pairs, zl, (xi[..., 1] - xj[..., 1])[m], (xi[..., 1] + xj[..., 1])[m]
+
     def _scatter(self, upper, lower):
         """n x n matrix with each stored pair (i, j) at [i, j] from upper, at [j, i] from lower."""
         n = self.grid.n_total
@@ -195,19 +251,26 @@ class AssemblyContext:
         """Wavenumber-independent pieces only the Helmholtz operators read.
 
         Built on the first call and kept: greens.kummer_tables of the direct
-        ("dir") and image ("img") separations, and on each diagonal block the
-        distance r and z . nu of its node pairs, which the log factors read.
+        ("dir") and image ("img") separations, which are formed here and
+        dropped, and on each diagonal block the distance r of its node pairs
+        (i <= j, the block triangle) and z . nu (all pairs), which the log
+        factors read.
         """
         if self._helm is None:
             grid = self.grid
-            idx = np.arange(grid.n_total).reshape(grid.n_res, grid.n_pts)
-            zl, dd, _ = _pair_separations(grid.nodes, idx[:, :, None], idx[:, None, :], grid.L)
+            zl, dd, di = (np.empty(self._n_pairs) for _ in range(3))
+            for pairs, *seps in self._separation_chunks():
+                for table, sep in zip((zl, dd, di), seps):
+                    table[pairs] = sep
+            xb = grid.nodes.reshape(grid.n_res, grid.n_pts, 2)
+            zl_b = _minimum_image(xb[:, :, None, 0] - xb[:, None, :, 0], grid.L)
+            dd_b = xb[:, :, None, 1] - xb[:, None, :, 1]
             nrm = grid.normals.reshape(grid.n_res, grid.n_pts, 1, 2)
             self._helm = {
-                "dir": greens.kummer_tables(self.zl, self.dd, grid.L),
-                "img": greens.kummer_tables(self.zl, self.di, grid.L),
-                "r": np.hypot(zl, dd),
-                "zdotnu": zl * nrm[..., 0] + dd * nrm[..., 1],
+                "dir": greens.kummer_tables(zl, dd, grid.L),
+                "img": greens.kummer_tables(zl, di, grid.L),
+                "r": np.hypot(zl_b, dd_b)[:, _triangle(grid.n_pts)[0]],
+                "zdotnu": zl_b * nrm[..., 0] + dd_b * nrm[..., 1],
             }
         return self._helm
 
@@ -221,7 +284,8 @@ class AssemblyContext:
         alternating k_b / k_m stay cached.  Nothing is masked: with the
         closed-form Laplace part zeroed on the direct diagonal, the direct
         value there is the smooth remainder 1/(2ikL) + ln(4)/(4 pi) + C(0)
-        and the direct gradient is 0.
+        and the direct gradient is 0.  r is symmetric on each block, so the
+        J_0 and J_1 series run on the block triangles and are mirrored.
         """
         greens.WaveParams(k=k).check_single_mode(greens.LatticeConfig(L=self.grid.L))
         key = complex(k)
@@ -235,10 +299,15 @@ class AssemblyContext:
             )
             for part in ("dir", "img")
         }
-        j0, j1c = _bessel_j0_j1c(k * helm["r"])
+        j0_tri, j1c_tri = _bessel_j0_j1c(k * helm["r"])
         # scaled in place, scalar first: the complex loops round x * s and s * x differently
-        np.multiply(_INV_4PI, j0, out=j0)
-        np.multiply(-(k * k * _INV_4PI), j1c, out=j1c)
+        np.multiply(_INV_4PI, j0_tri, out=j0_tri)
+        np.multiply(-(k * k * _INV_4PI), j1c_tri, out=j1c_tri)
+        upper = _triangle(self.grid.n_pts)[0]
+        j0, j1c = (np.empty(helm["zdotnu"].shape, dtype=t.dtype) for t in (j0_tri, j1c_tri))
+        for full, tri in ((j0, j0_tri), (j1c, j1c_tri)):
+            full.swapaxes(1, 2)[:, upper] = tri
+            full[:, upper] = tri
         j1c *= helm["zdotnu"]
         out["log"] = (j0, j1c)
         if len(self._bundles) >= 2:
@@ -249,21 +318,24 @@ class AssemblyContext:
     # -- the Nystrom body ----------------------------------------------------
 
     def _nystrom(self, ker, diag, log_a):
-        """Operator matrix of an n x n kernel whose diagonal is diag.
+        """Operator matrix of an n x n kernel whose diagonal is diag, assembled in ker.
 
         The trapezoid rule everywhere, then on diagonal block j the
         Kussmaul-Martensen split with log factor log_a[j]: the Kress weights
         integrate log_a[j] ln(4 sin^2((t-s)/2)), the trapezoid rule the rest.
+        Each block row takes its diagonal block from the kernel before the
+        rest of the row is scaled.
         """
         grid = self.grid
         np.fill_diagonal(ker, diag)
-        mat = self.w_t * ker
         for j in range(grid.n_res):
             b = grid.block(j)
             block_val = ker[b, b] - log_a[j] * self.lnsin
             np.fill_diagonal(block_val, diag[b])
-            mat[b, b] = self.kress * log_a[j] + self.w_t * block_val
-        return _finite(mat * grid.speed[None, :])
+            for rest in (ker[b, : b.start], ker[b, b.stop :]):
+                np.multiply(self.w_t, rest, out=rest)
+            ker[b, b] = self.kress * log_a[j] + self.w_t * block_val
+        return _finite(np.multiply(ker, grid.speed[None, :], out=ker))
 
     def _single_layer(self, bundle):
         """S from a kernel bundle."""
@@ -274,18 +346,30 @@ class AssemblyContext:
         return self._nystrom(self._scatter(val, val), diag, bundle["log"][0])
 
     def _adjoint_double_layer(self, bundle):
-        """K* from a kernel bundle: nu_x . grad_x of the kernel."""
+        """K* from a kernel bundle: nu_x . grad_x of the kernel.
+
+        The kernel is nu_x times the d/dz_l difference gl, scattered as (gl,
+        -gl), plus nu_y times d/dz_d, scattered as (gd_dir - gd_img, -(gd_dir
+        + gd_img)).  Both halves of each row chunk are formed on its pairs
+        and written once; the scattered diagonal is not read, _nystrom
+        replaces it.
+        """
         grid = self.grid
+        n = grid.n_total
         _, gl_dir, gd_dir = bundle["dir"]
         _, gl_img, gd_img = bundle["img"]
-        gl = gl_dir - gl_img
-        nx = grid.normals[:, 0, None]
-        ny = grid.normals[:, 1, None]
-        ker = nx * self._scatter(gl, -gl) + ny * self._scatter(gd_dir - gd_img, -(gd_dir + gd_img))
+        nrm = grid.normals.T
         # on the diagonal the direct part tends to curvature / (4 pi)
-        diag = grid.curvature * _INV_4PI - (
-            grid.normals[:, 0] * gl_img[self._diag] + grid.normals[:, 1] * gd_img[self._diag]
-        )
+        diag = grid.curvature * _INV_4PI - (nrm[0] * gl_img[self._diag] + nrm[1] * gd_img[self._diag])
+        ker = np.empty((n, n), dtype=np.result_type(gl_dir, gd_dir))
+        for i0, i1, pairs in _row_chunks(n):
+            m = self._upper[i0:i1, i0:]
+            # the normal at node i, and at node j, of each pair
+            nu_i = [np.broadcast_to(c[i0:i1, None], m.shape)[m] for c in nrm]
+            nu_j = [np.broadcast_to(c[None, i0:], m.shape)[m] for c in nrm]
+            gl = gl_dir[pairs] - gl_img[pairs]
+            ker[i0:i1, i0:][m] = nu_i[0] * gl + nu_i[1] * (gd_dir[pairs] - gd_img[pairs])
+            ker.T[i0:i1, i0:][m] = nu_j[0] * -gl + nu_j[1] * -(gd_dir[pairs] + gd_img[pairs])
         return self._nystrom(ker, diag, bundle["log"][1])
 
     # -- the four operators ------------------------------------------------

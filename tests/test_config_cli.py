@@ -110,6 +110,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("lattice.L = nan", "lattice.L"),
+            ("lattice.L = inf", "lattice.L"),
+            ("geometry.radius = nan", "geometry.radius"),
+            ("materials.delta = -inf", "materials.delta"),
+            ("materials.v_b = 1 nan", "materials.v_b"),
+            ("shape.1.center = 0 nan\nshape.1.a0 = 0.5", "shape.1.center"),
+            ("shape.1.center = 0 1\nshape.1.a0 = nan", "shape.1.a0"),
+            ("shape.1.center = 0 1\nshape.1.a0 = 0.5\nshape.1.cos = inf\nshape.1.sin = 0", "shape.1.cos"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=rf"^{key}: expected (a )?finite"):
+            parse_config_text(text)
+
     def test_hash_stable(self):
         a = parse_config_text("lattice.L = 20\n# comment\n")
         b = parse_config_text("lattice.L = 20\n")
@@ -260,6 +277,13 @@ class TestCli:
         # a wavenumber past the cutoff is a numerical limit, as for spectrum --model exact
         assert run_cli(tmp_path, BASE + "greens.omega = 0.4\n", "greens-test") == cli.EXIT_NUMERICAL
         assert "multiple propagating modes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["lattice.L = nan", "lattice.L = inf", "geometry.radius = nan"])
+    def test_non_finite_number_exits_config(self, tmp_path, capsys, line):
+        # a config error, not a traceback (nan L) or a numerical failure (inf L, nan radius)
+        assert run_cli(tmp_path, line + "\n", "capmat") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         assert run_cli(tmp_path, "materials.delta = 2\n", "capmat") == cli.EXIT_CONFIG

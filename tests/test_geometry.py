@@ -6,6 +6,26 @@ from metascreen import geometry as geo
 L = 20.0
 
 
+class TestShapeParams:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"a0": float("nan")},
+            {"a0": float("inf")},
+            {"a0": 0.0},
+            {"center": (float("nan"), 1.0)},
+            {"center": (0.0, float("-inf"))},
+            {"cos_coeffs": (float("nan"),), "sin_coeffs": (0.0,)},
+            {"cos_coeffs": (0.1,), "sin_coeffs": (float("inf"),)},
+        ],
+    )
+    def test_non_finite_or_nonpositive_refused(self, kwargs):
+        # refused at construction, for callers that build shapes without the config parser
+        fields = {"center": (0.0, 1.0), "a0": 0.5, **kwargs}
+        with pytest.raises(ValueError):
+            geo.ShapeParams(**fields)
+
+
 class TestParametrize:
     def test_circle_axis_points(self, circle_half):
         assert np.allclose(geo.parametrize(circle_half, 0.0), [0.5, 1.0])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -368,6 +370,118 @@ class TestReciprocity:
             assert a.shape == (n_res, n_pts, n_pts)
         for a in ctx.laplace["log"]:
             assert a.shape == (n_res,)
+
+
+class TestChunkedTables:
+    """The Laplace tables are built in row chunks of the pair triangle."""
+
+    @pytest.fixture(scope="class")
+    def grid(self, two_res_shapes):
+        return geo.discretize(two_res_shapes, 32, L)
+
+    @pytest.fixture(scope="class")
+    def default_ops(self, grid):
+        ctx = lp.AssemblyContext(grid)
+        return ctx.single_layer_laplace(), ctx.adjoint_double_layer_laplace()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("chunk", [1, 37, 10**9])
+    def test_row_chunks_tile_the_triangle(self, monkeypatch, n, chunk):
+        monkeypatch.setattr(lp, "_CHUNK_PAIRS", chunk)
+        i, _ = np.triu_indices(n)
+        rows, stop = [], 0
+        for i0, i1, pairs in lp._row_chunks(n):
+            assert pairs.start == stop and (i1 - i0 == 1 or pairs.stop - pairs.start <= chunk)
+            assert np.array_equal(i[pairs], np.repeat(np.arange(i0, i1), n - np.arange(i0, i1)))
+            rows.extend(range(i0, i1))
+            stop = pairs.stop
+        assert rows == list(range(n)) and stop == i.size
+
+    @pytest.mark.parametrize("chunk", [1, 37, 10**9])  # one row per chunk, odd, one chunk
+    def test_tables_and_operators_independent_of_chunk(self, monkeypatch, grid, default_ops, chunk):
+        monkeypatch.setattr(lp, "_CHUNK_PAIRS", chunk)
+        ctx = lp.AssemblyContext(grid)
+        i, j = np.triu_indices(grid.n_total)
+        x = grid.nodes
+        zl = x[i, 0] - x[j, 0]
+        zl -= L * np.round(zl / L)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            direct = greens._closed_laplace(zl, x[i, 1] - x[j, 1], L, want_grad=True)
+        image = greens._closed_laplace(zl, x[i, 1] + x[j, 1], L, want_grad=True)
+        for arr in direct:
+            arr[i == j] = 0.0
+        for part, ref in (("dir", direct), ("img", image)):
+            assert len(ctx.laplace[part]) == 3
+            for table, expect in zip(ctx.laplace[part], ref):
+                assert np.array_equal(table, expect)
+        assert np.array_equal(ctx.single_layer_laplace(), default_ops[0])
+        assert np.array_equal(ctx.adjoint_double_layer_laplace(), default_ops[1])
+
+    @pytest.mark.parametrize("k", [0.1, KB])
+    def test_log_factors_match_full_blocks(self, grid, k):
+        # the J_0 / J_1 series run on the block triangles and are mirrored;
+        # the reference runs them on every pair of each block
+        ctx = lp.AssemblyContext(grid)
+        xb = grid.nodes.reshape(grid.n_res, grid.n_pts, 2)
+        zl = xb[:, :, None, 0] - xb[:, None, :, 0]
+        zl -= L * np.round(zl / L)
+        zd = xb[:, :, None, 1] - xb[:, None, :, 1]
+        nrm = grid.normals.reshape(grid.n_res, grid.n_pts, 1, 2)
+        j0, j1c = lp._bessel_j0_j1c(k * np.hypot(zl, zd))
+        np.multiply(lp._INV_4PI, j0, out=j0)
+        np.multiply(-(k * k * lp._INV_4PI), j1c, out=j1c)
+        j1c *= zl * nrm[..., 0] + zd * nrm[..., 1]
+        log_s, log_k = ctx._kernel_bundle(k)["log"]
+        assert np.array_equal(log_s, j0) and log_s.dtype == j0.dtype
+        assert np.array_equal(log_k, j1c) and log_k.dtype == j1c.dtype
+
+
+class TestLaplaceMemory:
+    """tracemalloc accounting of a Laplace-only context on the nine-resonator grid at 64 nodes."""
+
+    # construction scratch: twelve float arrays of one chunk, plus the log
+    # quadrature's temporaries, which grow with n_pts only
+    SCRATCH_ARRAYS = 12
+    QUADRATURE_BYTES = 128 * 1024
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        shapes = geo.grid_layout(3, 3, radius=0.35, spacing=1.0, base_height=0.5)
+        return geo.discretize(shapes, 64, L)
+
+    def test_context_holds_six_tables_and_mask(self, grid):
+        n, n_pts = grid.n_total, grid.n_pts
+        lp._triangle.cache_clear()  # the mask is made, and counted, here
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ctx = lp.AssemblyContext(grid)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held -= base
+        tables = 6 * 8 * (n * (n + 1) // 2)
+        # the log quadrature (lnsin, Kress weights), the diagonal positions and log factors
+        small = 2 * 8 * n_pts**2 + 8 * n + 2 * 8 * grid.n_res
+        assert tables + n * n <= held <= tables + n * n + small + 16 * 1024
+        assert sum(len(ctx.laplace[part]) for part in ("dir", "img")) == 6
+        scratch = self.SCRATCH_ARRAYS * 8 * lp._CHUNK_PAIRS + self.QUADRATURE_BYTES
+        assert peak - base - held <= scratch
+
+    @pytest.mark.parametrize("op", ["single_layer_laplace", "adjoint_double_layer_laplace"])
+    def test_operator_peak(self, grid, op):
+        # each operator peaks at most 2.5 n x n float arrays above the
+        # context, its result included
+        ctx = lp.AssemblyContext(grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mat = getattr(ctx, op)()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat.dtype == np.float64
+        assert peak - base <= 2.5 * mat.nbytes
 
 
 class TestSolveDensity:
