@@ -139,12 +139,11 @@ def cmd_spectrum(cfg: RunConfig, model_choice: str) -> int:
         r_rom = rom.reflection_rom(model, omegas, warn_band=False)
         rows += _spectrum_rows(omegas, r_rom, "rom")
     if model_choice in ("exact", "both"):
-        r_exact = np.array(
-            [fullorder.solve_scattering(grid, om, cfg.materials, context=ctx).r for om in omegas]
-        )
-        rows += _spectrum_rows(omegas, r_exact, "exact")
+        exact = fullorder.sweep(grid, omegas, cfg.materials, ctx)
+        print(f"exact: {exact.describe()}")
+        rows += _spectrum_rows(omegas, exact.r, "exact")
         if model_choice == "both":
-            summary = f"# summary max_abs_r_diff = {np.abs(r_rom - r_exact).max():.17g}"
+            summary = f"# summary max_abs_r_diff = {np.abs(r_rom - exact.r).max():.17g}"
     path = _outdir(cfg) / "spectrum.csv"
     _write_csv(path, _SPECTRUM_HEADER, rows, _meta(cfg))
     if summary:

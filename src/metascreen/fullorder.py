@@ -11,6 +11,15 @@ v_m; imposing the transmission conditions yields the 2x2 block system
 where u_tilde = -2i sin(omega tau_m x_d) already folds the bare-wall
 reflection into the incident trace.  The reflection coefficient of the single
 propagating mode follows from the exterior density by one quadrature.
+
+``sweep`` owns the frequency loop.  In the single-mode band r(omega) is
+meromorphic (its poles are the complex resonances), so a rational fit of a few
+direct solves reproduces it at the other samples.  The sweep fits AAA
+(Nakatsukasa, Sete, Trefethen, SIAM J. Sci. Comput. 40, 2018) to the solved
+samples, solves next where that fit and the fits on the interleaved halves of
+the solved samples disagree most, and stops when that validation solve and
+every half-fit disagreement are within SWEEP_TOL; otherwise it solves every
+sample.
 """
 
 from __future__ import annotations
@@ -24,13 +33,22 @@ from .geometry import BoundaryGrid
 from .rom import MaterialParams
 
 __all__ = [
+    "SWEEP_TOL",
     "ScatteringSolution",
+    "Sweep",
     "incident_trace",
     "solve_scattering",
+    "sweep",
     "total_field",
 ]
 
 _RESIDUAL_TOL = 1e-9
+# A sweep certifies its rational fit when the fit is within SWEEP_TOL of a
+# validation solve and of both half fits at every unsolved sample; absolute,
+# as |r| <= 1.
+SWEEP_TOL = 3e-11
+_SWEEP_START = 8  # direct solves before the first fit, spread like Chebyshev points
+_AAA_TOL = 1e-13  # AAA adds support points until its residual on the samples is this small
 
 
 @dataclass(frozen=True)
@@ -116,6 +134,114 @@ def _reflection_from_density(grid, omega, materials, phi_ext):
     yd = grid.nodes[:, 1]
     integ = np.sum(np.sin(km * yd) * phi_ext * grid.weights)
     return complex(-1.0 - integ / (km * grid.L))
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """Reflection over a frequency sweep and how it was obtained.
+
+    ``r[solved]`` are direct solve_scattering values; the other entries come
+    from the certified rational fit.  The certificate is ``check``, the
+    fit's error at the last (validation) solve, and ``spread``, the largest
+    gap between the fit and its half fits at the samples the fit gives; both
+    are at most SWEEP_TOL, and None when every frequency was solved, for the
+    ``reason`` given.
+    """
+
+    r: np.ndarray
+    solved: np.ndarray  # bool, one per frequency
+    check: float | None = None
+    spread: float | None = None
+    reason: str = ""
+
+    def describe(self) -> str:
+        """One line: solve count and the certificate, or why every frequency was solved."""
+        n = len(self.r)
+        head = f"{int(self.solved.sum())} of {n} frequencies solved"
+        if self.check is not None:
+            return (
+                f"{head}, rational fit certified to {SWEEP_TOL:.0e} "
+                f"(validation solve {self.check:.1e}, half fits within {self.spread:.1e})"
+            )
+        return f"{head}: {self.reason}"
+
+
+def _aaa(z, f, at):
+    """Values at ``at`` of the AAA rational fit of values f at real points z.
+
+    Greedy support selection stops at an absolute residual of _AAA_TOL on the
+    remaining points, or when they are no more than the support points (the
+    weights are then no longer determined by least squares).
+    """
+    resid = f - f.mean()
+    rest = np.ones(len(z), dtype=bool)
+    support = []
+    while True:
+        j = int(np.argmax(np.where(rest, np.abs(resid), -1.0)))
+        support.append(j)
+        rest[j] = False
+        cauchy = 1.0 / (z[rest, None] - z[support])
+        loewner = (f[rest, None] - f[support]) * cauchy
+        w = np.linalg.svd(loewner, full_matrices=False)[2][-1].conj()
+        resid[rest] = f[rest] - (cauchy @ (w * f[support])) / (cauchy @ w)
+        if np.abs(resid[rest]).max() <= _AAA_TOL or rest.sum() <= len(support):
+            cauchy = 1.0 / (at[:, None] - z[support])
+            return (cauchy @ (w * f[support])) / (cauchy @ w)
+
+
+def sweep(
+    grid: BoundaryGrid,
+    omegas,
+    materials: MaterialParams,
+    context: layerpot.AssemblyContext,
+) -> Sweep:
+    """Reflection at every omega from direct solves and a certified rational fit.
+
+    Solves _SWEEP_START samples spread like Chebyshev points, then repeats:
+    fit AAA to the solved samples and to each interleaved half of them (in
+    omega order), solve the unsolved sample where a half fit strays furthest
+    from the full fit, and stop when the full fit is within SWEEP_TOL of that
+    solve and of both half fits at every unsolved sample.
+    The full fit then gives r at the unsolved samples.  A fit that never
+    certifies ends with every sample solved.  Only r is kept per solve.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    n = len(omegas)
+    r = np.empty(n, dtype=complex)
+    solved = np.zeros(n, dtype=bool)
+
+    def solve(i):
+        r[i] = solve_scattering(grid, omegas[i], materials, context=context).r
+        solved[i] = True
+
+    if n <= _SWEEP_START or np.unique(omegas).size < n:
+        for i in range(n):
+            solve(i)
+        if n <= _SWEEP_START:
+            return Sweep(r=r, solved=solved, reason=f"too few to fit (at most {_SWEEP_START})")
+        return Sweep(r=r, solved=solved, reason="repeated frequencies")
+    order = np.argsort(omegas, kind="stable")
+    cheb = np.cos(np.pi * np.arange(_SWEEP_START) / (_SWEEP_START - 1))
+    for i in np.unique(np.rint((n - 1) * (1 - cheb) / 2).astype(int)):
+        solve(order[i])
+    lo, hi = omegas[order[0]], omegas[order[-1]]
+    x = (2 * omegas - lo - hi) / (hi - lo)
+
+    while True:
+        s, u = order[solved[order]], np.flatnonzero(~solved)
+        pred = _aaa(x[s], r[s], x[u])
+        half_a, half_b = (_aaa(x[h], r[h], x[u]) for h in (s[0::2], s[1::2]))
+        gap = np.maximum(np.abs(half_a - pred), np.abs(half_b - pred))
+        k = int(np.argmax(gap))
+        solve(u[k])
+        if len(u) == 1:
+            reason = f"the rational fit did not certify to {SWEEP_TOL:.0e}"
+            return Sweep(r=r, solved=solved, reason=reason)
+        check = abs(pred[k] - r[u[k]])
+        if max(check, gap[k]) <= SWEEP_TOL:
+            rest = np.arange(len(u)) != k
+            r[u[rest]] = pred[rest]
+            return Sweep(r=r, solved=solved, check=float(check), spread=float(gap[rest].max()))
 
 
 def _inside_which(grid: BoundaryGrid, x) -> int | None:

@@ -1,9 +1,59 @@
+import time
+
 import numpy as np
 import pytest
 
-from metascreen import geometry as geo
+from metascreen import capacitance as cap, fullorder as fo, geometry as geo, layerpot as lp, rom
 
 L_DEFAULT = 20.0
+BAND = (0.01, 0.1)
+MATS = rom.MaterialParams()
+
+# The acceptance presets: one circle, three circles side by side, a compact
+# 3x3 grid of nine resonators.
+PRESET_SINGLE = (geo.ShapeParams((0.0, 1.0), 0.5),)
+PRESET_THREE = geo.grid_layout(3, 1, radius=0.5, spacing=2.0, base_height=1.0)
+PRESET_NINE = geo.grid_layout(3, 3, radius=0.35, spacing=1.0, base_height=0.5)
+
+
+def run_sweep(shapes, n_pts, n_freq, materials):
+    grid = geo.discretize(shapes, n_pts, L_DEFAULT)
+    ctx = lp.AssemblyContext(grid)
+    data = cap.capacitance_pipeline(grid, context=ctx)
+    model = rom.build_rom(data, materials)
+    omegas = np.linspace(BAND[0], BAND[1], n_freq)
+    r_exact = np.array(
+        [fo.solve_scattering(grid, om, materials, context=ctx).r for om in omegas]
+    )
+    r_rom = rom.reflection_rom(model, omegas, warn_band=False)
+    return {
+        "grid": grid,
+        "data": data,
+        "model": model,
+        "omegas": omegas,
+        "r_exact": r_exact,
+        "r_rom": r_rom,
+    }
+
+
+# Direct-solve sweeps of the acceptance presets, shared by the acceptance
+# tests (the oracle of AC1 and AC4) and fullorder's sweep tests.
+@pytest.fixture(scope="session")
+def sweep_single():
+    t0 = time.perf_counter()
+    out = run_sweep(PRESET_SINGLE, 128, 200, MATS)
+    out["elapsed"] = time.perf_counter() - t0
+    return out
+
+
+@pytest.fixture(scope="session")
+def sweep_three():
+    return run_sweep(PRESET_THREE, 64, 120, MATS)
+
+
+@pytest.fixture(scope="session")
+def sweep_nine():
+    return run_sweep(PRESET_NINE, 48, 100, MATS)
 
 
 @pytest.fixture(scope="session")

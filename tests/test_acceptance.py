@@ -8,10 +8,10 @@ them moves the reflection coefficient at the 1e-13 level).
 """
 
 import csv
-import time
 
 import numpy as np
 import pytest
+from conftest import BAND, PRESET_NINE, PRESET_SINGLE, PRESET_THREE
 
 from metascreen import (
     capacitance as cap,
@@ -26,52 +26,10 @@ from metascreen import (
 )
 
 L = 20.0
-BAND = (0.01, 0.1)
 MATS = rom.MaterialParams()
 MATS_LOSSLESS = rom.MaterialParams(v_b=1.0)
 
-PRESET_SINGLE = (geo.ShapeParams((0.0, 1.0), 0.5),)
 PRESET_SINGLE_ORDER2 = geo.grid_layout(1, 1, radius=0.5, spacing=2.0, base_height=1.0, order=2)
-PRESET_THREE = geo.grid_layout(3, 1, radius=0.5, spacing=2.0, base_height=1.0)
-PRESET_NINE = geo.grid_layout(3, 3, radius=0.35, spacing=1.0, base_height=0.5)
-
-
-def run_sweep(shapes, n_pts, n_freq, materials):
-    grid = geo.discretize(shapes, n_pts, L)
-    ctx = lp.AssemblyContext(grid)
-    data = cap.capacitance_pipeline(grid, context=ctx)
-    model = rom.build_rom(data, materials)
-    omegas = np.linspace(BAND[0], BAND[1], n_freq)
-    r_exact = np.array(
-        [fo.solve_scattering(grid, om, materials, context=ctx).r for om in omegas]
-    )
-    r_rom = rom.reflection_rom(model, omegas, warn_band=False)
-    return {
-        "grid": grid,
-        "data": data,
-        "model": model,
-        "omegas": omegas,
-        "r_exact": r_exact,
-        "r_rom": r_rom,
-    }
-
-
-@pytest.fixture(scope="module")
-def sweep_single():
-    t0 = time.perf_counter()
-    out = run_sweep(PRESET_SINGLE, 128, 200, MATS)
-    out["elapsed"] = time.perf_counter() - t0
-    return out
-
-
-@pytest.fixture(scope="module")
-def sweep_three():
-    return run_sweep(PRESET_THREE, 64, 120, MATS)
-
-
-@pytest.fixture(scope="module")
-def sweep_nine():
-    return run_sweep(PRESET_NINE, 48, 100, MATS)
 
 
 def absorptance_peak(omegas, r):

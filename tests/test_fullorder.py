@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -218,3 +219,51 @@ class TestAgainstRom:
             r_ex = fo.solve_scattering(grid, om, MATS, context=ctx).r
             r_ro = rom.reflection_rom(model, om)
             assert abs(r_ex - r_ro) < 0.15
+
+
+class TestSweep:
+    # |r_sweep - r_direct| allowed where the rational fit gives r; the
+    # certificate is SWEEP_TOL = 3e-11, the perfbench reference check 1e-9
+    TOL = 1e-10
+
+    @pytest.mark.parametrize(
+        "preset", ["sweep_single", "sweep_three", "sweep_nine"], ids=["single", "three", "nine"]
+    )
+    def test_matches_direct_sweep(self, request, preset):
+        direct = request.getfixturevalue(preset)  # the acceptance presets' direct sweeps
+        grid, omegas, r_direct = direct["grid"], direct["omegas"], direct["r_exact"]
+        out = fo.sweep(grid, omegas, MATS, lp.AssemblyContext(grid))
+        assert out.check is not None and max(out.check, out.spread) <= fo.SWEEP_TOL
+        assert out.solved.sum() <= len(omegas) // 2
+        assert np.array_equal(out.r[out.solved], r_direct[out.solved])  # bit for bit
+        assert np.abs(out.r - r_direct).max() <= self.TOL
+
+    @pytest.mark.parametrize(
+        "omegas, reason",
+        [
+            (np.linspace(0.01, 0.1, 6), "too few to fit (at most 8)"),  # sweep-nine's sample count
+            (np.full(12, 0.05), "repeated frequencies"),  # a library caller may pass them
+        ],
+        ids=["few", "repeated"],
+    )
+    def test_unfittable_samples_are_the_direct_loop(self, circle_setup, omegas, reason):
+        grid, ctx = circle_setup
+        out = fo.sweep(grid, omegas, MATS, ctx)
+        direct = [fo.solve_scattering(grid, om, MATS, context=ctx).r for om in omegas]
+        assert out.solved.all() and out.check is None
+        assert np.array_equal(out.r, direct)
+        assert out.describe() == f"{len(omegas)} of {len(omegas)} frequencies solved: {reason}"
+
+    def test_noise_falls_back_to_every_sample(self, circle_setup, monkeypatch):
+        grid, ctx = circle_setup
+        omegas = np.linspace(0.01, 0.1, 24)
+        rng = np.random.default_rng(5)
+        noise = dict(zip(omegas, 0.5 * (rng.standard_normal(24) + 1j * rng.standard_normal(24))))
+        monkeypatch.setattr(
+            fo, "solve_scattering", lambda grid, om, mats, context=None: SimpleNamespace(r=noise[om])
+        )
+        out = fo.sweep(grid, omegas, MATS, ctx)
+        direct = [fo.solve_scattering(grid, om, MATS, context=ctx).r for om in omegas]
+        assert out.solved.all() and out.check is None
+        assert np.array_equal(out.r, direct)
+        assert out.describe() == "24 of 24 frequencies solved: the rational fit did not certify to 3e-11"
