@@ -64,10 +64,13 @@ def _fmt(x) -> str:
 
 
 def _pipeline(cfg: RunConfig):
-    """Set-up shared by the commands: grid, the whole k-independent cache, C.
+    """Set-up shared by the commands: grid, the Helmholtz cache, C.
 
-    Both halves of the AssemblyContext are built here, so every command pays
-    the same set-up and a later frequency sweep only does k-dependent work.
+    The Helmholtz cache (the Kummer and closed-form Laplace pair tables, see
+    AssemblyContext.helmholtz_cache) is built here, so every command pays the
+    same set-up and a later frequency sweep only does k-dependent work.  The
+    Laplace S of the capacitance pipeline does not read that cache: it is
+    formed chunk by chunk from the nodes, as in every Laplace-only caller.
     """
     grid = geometry.discretize(cfg.shapes, cfg.n_pts, cfg.L)
     ctx = layerpot.AssemblyContext(grid, tol=cfg.greens_tol)

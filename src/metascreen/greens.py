@@ -207,33 +207,51 @@ def _closed_laplace(zl, zd, L, want_grad=False):
 
     Returns the value, or (value, d/dz_l, d/dz_d) when ``want_grad``.
     """
-    return _laplace_from_factors(_zl_factors(zl, L, want_grad), zd, L)
+    out = _laplace_from_factors(_zl_factors(zl, L, want_grad), zd, L)
+    return out if want_grad else out[0]
 
 
 def _zl_factors(zl, L, want_grad=False):
     """The z_l half of _closed_laplace: sin^2(pi z_l / L), and sin(2 pi z_l / L) when ``want_grad``.
 
     The direct and the image kernel of a node pair share z_l, so one pair of
-    factors serves both.
+    factors serves both.  Formed with in-place operators, which also take scalars.
     """
-    b = np.pi * zl / L
-    return np.sin(b) ** 2, np.sin(2.0 * b) if want_grad else None
+    b = np.multiply(np.pi, zl)
+    b /= L
+    sin2_b = np.sin(b)
+    sin2_b *= sin2_b
+    if not want_grad:
+        return sin2_b, None
+    b *= 2.0
+    return sin2_b, np.sin(b)
 
 
-def _laplace_from_factors(factors, zd, L, out=(None, None, None)):
-    """_closed_laplace of pairs whose z_l half is ``factors`` (_zl_factors).
+def _laplace_from_factors(factors, zd, L, value=True):
+    """_closed_laplace of pairs whose z_l half is ``factors`` (_zl_factors), as a tuple.
 
-    Returns the gradient too when the factors carry it; the results are
-    written into ``out`` when it holds arrays of the pair shape.
+    The tuple holds the value unless not ``value`` (a caller that reads only
+    the gradient skips the log), then d/dz_l and d/dz_d when the factors
+    carry the gradient.  Formed with in-place operators, which also take scalars.
     """
     sin2_b, sin_2b = factors
-    a = np.pi * zd / L
-    s = np.sinh(a) ** 2 + sin2_b
-    val = np.divide(np.log(s, out=out[0]), 4.0 * np.pi, out=out[0])
+    a = np.multiply(np.pi, zd)
+    a /= L
+    s = np.sinh(a)
+    s *= s
+    s += sin2_b
+    out = ()
+    if value:
+        val = np.log(s)
+        val /= 4.0 * np.pi
+        out = (val,)
     if sin_2b is None:
-        return val
-    s = 4.0 * L * s
-    return val, np.divide(sin_2b, s, out=out[1]), np.divide(np.sinh(2.0 * a), s, out=out[2])
+        return out
+    s *= 4.0 * L
+    a *= 2.0
+    gd = np.sinh(a)
+    gd /= s
+    return out + (sin_2b / s, gd)
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +271,15 @@ def _blocks(idx, counts):
         yield sel, counts[sel]
 
 
-def _power_sums(out, sel, x, n, terms, log_mu=None, log_terms=()):
-    """out[r, sel[i]] = sum_{j <= n_i} c_rj x_i^j for each pair i of a block.
+def _power_sums(x, n, terms, log_mu=None, log_terms=()):
+    """(_N_LI, block) sums: row r, pair i holds sum_{j <= n_i} c_rj x_i^j.
 
     ``terms[j]`` lists the (r, c_rj) with c_rj != 0.  ``n`` is descending, so
     the pairs that take term j are a prefix of the block and every update is
     an axpy on a contiguous slice; the running power x^j is one in-place
     multiply per term.  ``log_terms[j]`` = (r, c) adds c x^j ln(mu) to row r.
     """
-    acc = np.zeros((out.shape[0], x.size), dtype=complex)
+    acc = np.zeros((_N_LI, x.size), dtype=complex)
     acc_f = acc.view(float)  # axpys with real coefficients on (re, im) pairs
     power = np.ones_like(x)
     power_f = power.view(float)
@@ -283,15 +301,16 @@ def _power_sums(out, sel, x, n, terms, log_mu=None, log_terms=()):
             axpy(*log_terms[j], prod.view(float), m)
         k = active[j + 1] // 2
         np.multiply(power[:k], x[:k], out=power[:k])
-    for r in range(out.shape[0]):  # row by row: one scatter of all rows is slower
-        out[r, sel] = acc[r]
+    return acc
 
 
-def _polylog_stack(mu, scale=1.0):
-    """scale^p Li_p(e^-mu) for p = 1.._N_LI, stacked on a new first axis.
+def _polylog_blocks(mu, scale=1.0):
+    """scale^p Li_p(e^-mu) for p = 1.._N_LI, block by block: (sel, li) per block.
 
-    ``mu`` = 2 pi (|z_d| - i z_l) / L of minimum-image pairs, so Re mu >= 0
-    and |Im mu| <= pi.  Two expansions, each a sum of running powers x^j:
+    ``mu`` is a flat complex array of minimum-image pairs, so Re mu >= 0 and
+    |Im mu| <= pi; li is (_N_LI, sel.size), row p - 1 for order p, of the
+    pairs mu[sel].  Every pair is in exactly one block.  Two expansions, each
+    a sum of running powers x^j:
 
       * zeta (Crandall 2006), x = -mu:
             Li_p(e^-mu) = sum_j zeta(p - j) x^j / j! - x^{p-1} / (p-1)! ln(mu),
@@ -306,36 +325,46 @@ def _polylog_stack(mu, scale=1.0):
     needs no more terms than the series.  The coefficient tables carry 1/j!
     and scale^p, and the pairs of each expansion are summed in cache-sized
     blocks sorted by term count.  A pair's value depends only on its own mu,
-    not on the other pairs in the array or their order.  mu = 0 gives
-    scale^p zeta(p), and inf for p = 1.
+    not on the other pairs in the array or their order.  The pairs with mu =
+    0 form one block of scale^p zeta(p), and inf for p = 1.
     """
-    mu = np.asarray(mu, dtype=complex)
-    flat = mu.ravel()
     s = float(scale) ** _P
-    li = np.empty((_N_LI, flat.size), dtype=complex)
-    zero = flat == 0.0
-    li[0, zero] = np.inf
-    li[1:, zero] = (s * _ZETA[:, 0])[1:, None]
-    n_zeta = np.maximum(_series_terms(np.abs(flat) / (2.0 * np.pi)), _MIN_ZETA_J)
-    n_series = _series_terms(np.exp(-flat.real))
-    series = (flat.real > _LN2) & (n_series < n_zeta)
+    zero = mu == 0.0
+    n_zeta = np.maximum(_series_terms(np.abs(mu) / (2.0 * np.pi)), _MIN_ZETA_J)
+    n_series = _series_terms(np.exp(-mu.real))
+    series = (mu.real > _LN2) & (n_series < n_zeta)
     zeta = ~(series | zero)
     if np.any(n_zeta[zeta] > _MAX_ZETA_J):
         raise ValueError(
             "polylog zeta expansion needs |mu| <= hypot(ln 2, pi) "
             "(pair separations must be minimum-image)"
         )
+    if zero.any():
+        sel = np.flatnonzero(zero)
+        li = np.empty((_N_LI, sel.size), dtype=complex)
+        li[0] = np.inf
+        li[1:] = (s * _ZETA[:, 0])[1:, None]
+        yield sel, li
     zeta_terms = _nonzero_terms(_ZETA_COEF * s[:, None])
     log_terms = [(j, -s[j] * _INV_FACT[j]) for j in range(_N_LI)]
     for sel, n in _blocks(np.flatnonzero(zeta), n_zeta):
-        z = flat[sel]
+        z = mu[sel]
         log_z = np.empty_like(z)  # from real log and arctan2: complex log is 15x slower
         np.log(np.abs(z), out=log_z.real)
         np.arctan2(z.imag, z.real, out=log_z.imag)
-        _power_sums(li, sel, -z, n, zeta_terms, log_z, log_terms)
+        yield sel, _power_sums(-z, n, zeta_terms, log_z, log_terms)
     series_terms = _nonzero_terms(_SERIES_COEF * s[:, None])
     for sel, n in _blocks(np.flatnonzero(series), n_series):
-        _power_sums(li, sel, np.exp(-flat[sel]), n, series_terms)
+        yield sel, _power_sums(np.exp(-mu[sel]), n, series_terms)
+
+
+def _polylog_stack(mu, scale=1.0):
+    """scale^p Li_p(e^-mu) for p = 1.._N_LI, stacked on a new first axis (_polylog_blocks)."""
+    mu = np.asarray(mu, dtype=complex)
+    li = np.empty((_N_LI, mu.size), dtype=complex)
+    for sel, block in _polylog_blocks(mu.ravel(), scale):
+        for r in range(_N_LI):  # row by row: one scatter of all rows is slower
+            li[r, sel] = block[r]
     return li.reshape((_N_LI,) + mu.shape)
 
 
@@ -405,44 +434,50 @@ def subtracted_combos(zl, zd, L):
     key, a list of one table per group, pairing with k^2m / (2^m m! L).  The
     terms are summed from the highest power of d down.  Entries at z = 0 carry
     the valid value combos and zero gradient combos (d^j Li_1 is taken as its
-    limit 0), so diagonals may be consumed directly for the value path.
+    limit 0), so diagonals may be consumed directly for the value path.  The
+    combinations are elementwise, so each is formed on the polylog blocks
+    (_polylog_blocks) and scattered to its table; the polylogs of all pairs
+    are never held at once.
     """
     zl = np.asarray(zl, dtype=float)
     d = np.abs(np.asarray(zd, dtype=float))
-    li = _polylog_stack(2.0 * np.pi * (d - 1j * zl) / L, scale=L / (2.0 * np.pi))
-    sig = dict(enumerate(li.real, start=1))  # (L / 2 pi)^p Re Li_p, views of the stack
-    sig_s = dict(enumerate(li.imag, start=1))
-    d_pow = [None, d]
-    for _ in range(KUMMER_ORDER - 1):
-        d_pow.append(d_pow[-1] * d)
-
-    def table(coefs, sigma, top):
-        """sum_j coefs[j] d^j sigma[top - j], the nonzero terms from the highest j down."""
-        out = None
-        for j in reversed(range(len(coefs))):
-            c, p = coefs[j], top - j
-            if not c:
-                continue
-            if j == 0:  # never the first term: a_mm = 1
-                out += sigma[p] if c == 1 else c * sigma[p]
-                continue
-            with np.errstate(invalid="ignore"):  # Re Li_1 is infinite at mu = 0
-                term = (d_pow[j] if c == 1 else c * d_pow[j]) * sigma[p]
-            if p == 1 and sigma is sig:  # d^j Li_1 -> 0 as d -> 0
-                term = np.where(d == 0.0, 0.0, term)
-            if out is None:
-                out = term
-            else:
-                out += term
-        return out
-
+    mu = 2.0 * np.pi * (d - 1j * zl) / L
     groups = list(enumerate(_GROUPS))[1:]  # group 0, the Laplace mode, is not subtracted
-    return {
-        "d": d,
-        "val": [table(a, sig, 2 * m + 1) for m, (_, a, _) in groups],
-        "gl": [table(a, sig_s, 2 * m) for m, (_, a, _) in groups],
-        "gd": [table(b, sig, 2 * m) for m, (_, _, b) in groups],
-    }
+    out = {key: [np.empty(d.size) for _ in groups] for key in ("val", "gl", "gd")}
+    d_flat = d.ravel()
+    for sel, li in _polylog_blocks(mu.ravel(), scale=L / (2.0 * np.pi)):
+        db = d_flat[sel]
+        sig = dict(enumerate(li.real, start=1))  # (L / 2 pi)^p Re Li_p, views of the block
+        sig_s = dict(enumerate(li.imag, start=1))
+        d_pow = [None, db]
+        for _ in range(KUMMER_ORDER - 1):
+            d_pow.append(d_pow[-1] * db)
+
+        def table(coefs, sigma, top):
+            """sum_j coefs[j] d^j sigma[top - j], the nonzero terms from the highest j down."""
+            acc = None
+            for j in reversed(range(len(coefs))):
+                c, p = coefs[j], top - j
+                if not c:
+                    continue
+                if j == 0:  # never the first term: a_mm = 1
+                    acc += sigma[p] if c == 1 else c * sigma[p]
+                    continue
+                with np.errstate(invalid="ignore"):  # Re Li_1 is infinite at mu = 0
+                    term = (d_pow[j] if c == 1 else c * d_pow[j]) * sigma[p]
+                if p == 1 and sigma is sig:  # d^j Li_1 -> 0 as d -> 0
+                    term = np.where(db == 0.0, 0.0, term)
+                if acc is None:
+                    acc = term
+                else:
+                    acc += term
+            return acc
+
+        for i, (m, (_, a, b)) in enumerate(groups):
+            out["val"][i][sel] = table(a, sig, 2 * m + 1)
+            out["gl"][i][sel] = table(a, sig_s, 2 * m)
+            out["gd"][i][sel] = table(b, sig, 2 * m)
+    return {"d": d, **{key: [t.reshape(d.shape) for t in tables] for key, tables in out.items()}}
 
 
 def _group_sum(coefs, tables):

@@ -7,30 +7,35 @@ coupling different resonators (and the wall-image contributions) are smooth
 and use the plain trapezoid rule with the shared weights
 (2 pi / n_pts) |x'(t_k)|.
 
-Laplace and Helmholtz share one Nystrom body: it takes an n x n kernel, its
-diagonal and the log factor A of each diagonal block.  Every kernel bundle has
-the keys {"dir", "img", "log"}: (value, d/dz_l, d/dz_d) of the direct and
-image parts on the node pairs, and the factors A of S and of K*.  For Laplace,
-A is 1/(4 pi) for S and 0 for K*; for Helmholtz, A is J_0(kr)/(4 pi) for S and
--(k^2/(4 pi)) (J_1(kr)/(kr)) (z . nu) for K*, one table per block computed once
-per wavenumber.  Operators are plain ndarrays.
+Laplace and Helmholtz share one S body and one K* body, each fed by a
+kernel source that yields the kernel one row chunk of the pair triangle at a
+time, and one Nystrom body, which takes the scattered n x n kernel, its
+diagonal and the log factor A of each diagonal block.  A source yields the
+direct ("dir") and image ("img") parts on a chunk's pairs: the value for S,
+d/dz_l and d/dz_d for K*.  The Laplace source (_laplace_chunks) computes them
+in closed form from the chunk's separations; the Helmholtz source
+(_bundle_chunks) slices the kernel bundle of the wavenumber.  For Laplace, A
+is 1/(4 pi) for S and 0 for K*; for Helmholtz, A is J_0(kr)/(4 pi) for S and
+-(k^2/(4 pi)) (J_1(kr)/(kr)) (z . nu) for K*, one table per block computed
+once per wavenumber.  Operators are plain ndarrays.
 
-An AssemblyContext caches every wavenumber-independent pair quantity, so
-frequency sweeps only pay for the k-dependent arithmetic.  The Laplace half is
-built with the context and is all a Laplace-only context holds: the six
-closed-form tables (value, d/dz_l, d/dz_d of the direct and image parts), the
-mask of the stored pairs and the log quadrature of one block.  The tables are
-built straight from the nodes in row chunks of the pair triangle of at most
-_CHUNK_PAIRS pairs (_row_chunks), so the separations and the scratch of the
-build never exist for the whole triangle; sin^2(pi z_l/L) and sin(2 pi z_l/L)
-are formed once per chunk for both parts.  The Helmholtz half
-(greens.kummer_tables of the direct and image separations, which it forms
-itself and drops, and r and z . nu on each diagonal block) is built on the
-first Helmholtz operator or helmholtz_cache() call, so Laplace-only work such
-as the optimizer loop and the shape gradients never pays for it.  A Helmholtz
-operator checks the single-mode condition on k before it builds anything.  The
-Helmholtz bundle comes from greens.gper_helmholtz, the same function the point
-kernels (greens.helmholtz_gs / helmholtz_gs_grad) call.
+A Laplace-only AssemblyContext holds no pair table: the mask of the stored
+pairs and the log quadrature of one block.  Each Laplace operator forms the
+separations of a chunk of at most _CHUNK_PAIRS pairs (_row_chunks) from the
+nodes, its kernel from them (sin^2(pi z_l/L), and sin(2 pi z_l/L) for K*,
+once for both parts; K* skips the log of the value) and writes it straight
+into the n x n matrix, so the separations and the kernel never exist for the
+whole triangle.  The Helmholtz half caches every wavenumber-independent pair
+quantity, so frequency sweeps only pay for the k-dependent arithmetic:
+greens.kummer_tables of the direct and image separations, which it forms
+itself and drops, the six closed-form Laplace tables (value, d/dz_l, d/dz_d
+of both parts) that the Helmholtz kernel adds, and r and z . nu on each
+diagonal block.  It is built on the first Helmholtz operator or
+helmholtz_cache() call, so Laplace-only work such as the optimizer loop and
+the shape gradients never pays for it.  A Helmholtz operator checks the
+single-mode condition on k before it builds anything.  The Helmholtz bundle
+comes from greens.gper_helmholtz, the same function the point kernels
+(greens.helmholtz_gs / helmholtz_gs_grad) call.
 
 The sound-soft kernel is reciprocal, G_s(x, y) = G_s(y, x), so every pair
 quantity is stored for the pairs i <= j only, as 1-D arrays in row-major
@@ -42,9 +47,9 @@ the direct part and symmetric for the image part.  Each operator scatters its
 kernel to n x n from two triangle halves, the (i, j) entries and the (j, i)
 entries, with these signs: S the value difference v_dir - v_img to both
 halves; K* the d/dz_l difference gl as (gl, -gl) and d/dz_d as (gd_dir -
-gd_img, -(gd_dir + gd_img)).  K* forms both halves chunk by chunk, and the
-Nystrom body works in place in the scattered matrix, so an operator needs
-little more memory than its result.
+gd_img, -(gd_dir + gd_img)).  Both operators form both halves chunk by chunk,
+and the Nystrom body works in place in the scattered matrix, so an operator
+needs little more memory than its result.
 """
 
 from __future__ import annotations
@@ -143,7 +148,10 @@ def _bessel_j0_j1c(w):
 
 def _minimum_image(zl, L):
     """z_l reduced in place to its minimum image; the kernels are L-periodic."""
-    zl -= L * np.round(zl / L)
+    shift = np.divide(zl, L)
+    np.round(shift, out=shift)
+    shift *= L
+    zl -= shift
     return zl
 
 
@@ -164,57 +172,43 @@ def _triangle(n):
 def _row_chunks(n):
     """(i0, i1, pairs): rows i0:i1 of the n x n upper triangle and the table slice of their pairs.
 
-    A chunk holds at most _CHUNK_PAIRS pairs, or one row where that row alone
-    holds more.  Its pairs are the entries [i0:i1, i0:] of the mask.
+    A chunk holds the most rows whose pairs number at most _CHUNK_PAIRS, or
+    one row where that row alone holds more.  Its pairs are the entries
+    [i0:i1, i0:] of the mask.  The rows are found by bisection on the row
+    starts, so a chunk costs the same whatever its row count.
     """
-    i0 = start = 0
+    starts = _triangle(n)[1]  # table position of the first pair of each row
+    total = n * (n + 1) // 2
+    i0 = 0
     while i0 < n:
-        i1, stop = i0 + 1, start + n - i0
-        while i1 < n and stop - start + n - i1 <= _CHUNK_PAIRS:
-            stop += n - i1
-            i1 += 1
+        start = int(starts[i0])
+        if total - start <= _CHUNK_PAIRS:
+            i1, stop = n, total
+        else:
+            i1 = max(i0 + 1, int(np.searchsorted(starts, start + _CHUNK_PAIRS, side="right")) - 1)
+            stop = int(starts[i1])
         yield i0, i1, slice(start, stop)
-        i0, start = i1, stop
+        i0 = i1
 
 
 class AssemblyContext:
     """Cached pairwise geometry and kernel pieces for one BoundaryGrid.
 
-    A Laplace-only context holds six pair tables, the closed-form Laplace
-    value, d/dz_l and d/dz_d of the direct and of the image part, as 1-D
-    arrays over the upper-triangle pairs (i <= j) of the n_total nodes, plus
-    the shared n x n mask of those pairs and the log quadrature of one block.
-    No separations are kept: the tables are built chunk by chunk from the
-    nodes (_row_chunks), and the Helmholtz cache forms its own separations.
-    That cache holds the Kummer tables of the direct and image pairs, and on
-    each diagonal block r (its triangle) and z . nu, which the log factors
-    read.
+    A Laplace-only context holds the shared n x n mask of the stored pairs
+    (i <= j) of the n_total nodes and the log quadrature of one block, and no
+    pair-sized array: the Laplace operators compute their closed-form kernel
+    chunk by chunk from the nodes (_laplace_chunks).  The Helmholtz cache
+    holds the Kummer tables of the direct and image pairs, the six closed-form
+    Laplace tables that gper_helmholtz adds to them, and on each diagonal
+    block r (its triangle) and z . nu, which the log factors read.
     """
 
     def __init__(self, grid: BoundaryGrid, tol: float = 1e-12):
         self.grid = grid
         self.tol = tol
-        L = grid.L
         n = grid.n_total
         self._upper, self._diag = _triangle(n)
         self._n_pairs = n * (n + 1) // 2
-
-        # Laplace kernel bundle in closed form; the direct diagonal is
-        # singular and masked to 0.  The log factor is 1/(4 pi) for S and 0
-        # for K* on every block.
-        direct, image = (tuple(np.empty(self._n_pairs) for _ in range(3)) for _ in range(2))
-        for pairs, zl, dd, di in self._separation_chunks():
-            factors = greens._zl_factors(zl, L, want_grad=True)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                greens._laplace_from_factors(factors, dd, L, out=[a[pairs] for a in direct])
-            greens._laplace_from_factors(factors, di, L, out=[a[pairs] for a in image])
-        for arr in direct:
-            arr[self._diag] = 0.0
-        self.laplace = {
-            "dir": direct,
-            "img": image,
-            "log": (np.full(grid.n_res, _INV_4PI), np.zeros(grid.n_res)),
-        }
 
         # ln(4 sin^2((t_i - t_j)/2)) on one block (shared by all resonators)
         tpar = grid.t[: grid.n_pts]
@@ -229,21 +223,37 @@ class AssemblyContext:
         self._bundles: dict = {}
 
     def _separation_chunks(self):
-        """(pairs, z_l, direct z_d, image z_d) of the stored pairs, one _row_chunks chunk at a time."""
+        """(i0, i1, pairs, z_l, direct z_d, image z_d) of the stored pairs, one _row_chunks chunk at a time."""
         x = self.grid.nodes
         for i0, i1, pairs in _row_chunks(self.grid.n_total):
             m = self._upper[i0:i1, i0:]
             xi, xj = x[i0:i1, None], x[None, i0:]
             zl = _minimum_image((xi[..., 0] - xj[..., 0])[m], self.grid.L)
-            yield pairs, zl, (xi[..., 1] - xj[..., 1])[m], (xi[..., 1] + xj[..., 1])[m]
+            yield i0, i1, pairs, zl, (xi[..., 1] - xj[..., 1])[m], (xi[..., 1] + xj[..., 1])[m]
 
-    def _scatter(self, upper, lower):
-        """n x n matrix with each stored pair (i, j) at [i, j] from upper, at [j, i] from lower."""
-        n = self.grid.n_total
-        mat = np.empty((n, n), dtype=upper.dtype)
-        mat.T[self._upper] = lower
-        mat[self._upper] = upper  # the diagonal takes the upper entries
-        return mat
+    def _laplace_chunks(self, value, grad):
+        """The Laplace kernel source: (i0, i1, pairs, direct, image) per _separation_chunks chunk.
+
+        direct and image are tuples of the closed-form value (``value``), then
+        d/dz_l and d/dz_d (``grad``), of each part on the chunk's pairs;
+        sin^2(pi z_l/L), and sin(2 pi z_l/L) for the gradient, are formed once
+        for both parts.  The direct part is singular on the diagonal and
+        masked to 0 there.
+        """
+        L = self.grid.L
+        for i0, i1, pairs, zl, dd, di in self._separation_chunks():
+            factors = greens._zl_factors(zl, L, want_grad=grad)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                direct = greens._laplace_from_factors(factors, dd, L, value)
+            for arr in direct:
+                arr[self._diag[i0:i1] - pairs.start] = 0.0
+            yield i0, i1, pairs, direct, greens._laplace_from_factors(factors, di, L, value)
+
+    def _bundle_chunks(self, bundle, value, grad):
+        """The kernel source of a Helmholtz bundle: its tables of each part sliced per _row_chunks chunk."""
+        rows = [r for r, want in ((0, value), (1, grad), (2, grad)) if want]
+        for i0, i1, pairs in _row_chunks(self.grid.n_total):
+            yield i0, i1, pairs, *([bundle[part][r][pairs] for r in rows] for part in ("dir", "img"))
 
     # -- kernel value/gradient tables ----------------------------------------
 
@@ -252,16 +262,22 @@ class AssemblyContext:
 
         Built on the first call and kept: greens.kummer_tables of the direct
         ("dir") and image ("img") separations, which are formed here and
-        dropped, and on each diagonal block the distance r of its node pairs
-        (i <= j, the block triangle) and z . nu (all pairs), which the log
-        factors read.
+        dropped; under "laplace", the closed-form value, d/dz_l and d/dz_d of
+        both parts (_laplace_chunks), which gper_helmholtz adds; and on each
+        diagonal block the distance r of its node pairs (i <= j, the block
+        triangle) and z . nu (all pairs), which the log factors read.
         """
         if self._helm is None:
             grid = self.grid
             zl, dd, di = (np.empty(self._n_pairs) for _ in range(3))
-            for pairs, *seps in self._separation_chunks():
+            laplace = {part: tuple(np.empty(self._n_pairs) for _ in range(3)) for part in ("dir", "img")}
+            for _, _, pairs, *seps in self._separation_chunks():
                 for table, sep in zip((zl, dd, di), seps):
                     table[pairs] = sep
+            for _, _, pairs, *kernel in self._laplace_chunks(value=True, grad=True):
+                for tables, part in zip(laplace.values(), kernel):
+                    for table, values in zip(tables, part):
+                        table[pairs] = values
             xb = grid.nodes.reshape(grid.n_res, grid.n_pts, 2)
             zl_b = _minimum_image(xb[:, :, None, 0] - xb[:, None, :, 0], grid.L)
             dd_b = xb[:, :, None, 1] - xb[:, None, :, 1]
@@ -269,13 +285,14 @@ class AssemblyContext:
             self._helm = {
                 "dir": greens.kummer_tables(zl, dd, grid.L),
                 "img": greens.kummer_tables(zl, di, grid.L),
+                "laplace": laplace,
                 "r": np.hypot(zl_b, dd_b)[:, _triangle(grid.n_pts)[0]],
                 "zdotnu": zl_b * nrm[..., 0] + dd_b * nrm[..., 1],
             }
         return self._helm
 
     def _kernel_bundle(self, k: complex):
-        """Kernel bundle of G_per^k, with the keys of self.laplace; cached per k.
+        """Kernel bundle of G_per^k: "dir" and "img" tables and "log" factors; cached per k.
 
         k must satisfy the single-mode condition; it is checked before any
         cache is built.  One greens.gper_helmholtz call per part ("dir",
@@ -295,7 +312,7 @@ class AssemblyContext:
         helm = self.helmholtz_cache()
         out = {
             part: greens.gper_helmholtz(
-                k, self.grid.L, self.laplace[part], helm[part], tol=self.tol, want_grad=True
+                k, self.grid.L, helm["laplace"][part], helm[part], tol=self.tol, want_grad=True
             )
             for part in ("dir", "img")
         }
@@ -337,54 +354,77 @@ class AssemblyContext:
             ker[b, b] = self.kress * log_a[j] + self.w_t * block_val
         return _finite(np.multiply(ker, grid.speed[None, :], out=ker))
 
-    def _single_layer(self, bundle):
-        """S from a kernel bundle."""
-        grid = self.grid
-        val = bundle["dir"][0] - bundle["img"][0]
-        # the kernel diagonal holds the smooth remainder of the direct part minus the image
-        diag = np.log(np.pi * grid.speed / grid.L) / (2.0 * np.pi) + val[self._diag]
-        return self._nystrom(self._scatter(val, val), diag, bundle["log"][0])
+    def _single_layer(self, source, log_a):
+        """S from a kernel source (_laplace_chunks, _bundle_chunks) of the values and the log factors log_a.
 
-    def _adjoint_double_layer(self, bundle):
-        """K* from a kernel bundle: nu_x . grad_x of the kernel.
-
-        The kernel is nu_x times the d/dz_l difference gl, scattered as (gl,
-        -gl), plus nu_y times d/dz_d, scattered as (gd_dir - gd_img, -(gd_dir
-        + gd_img)).  Both halves of each row chunk are formed on its pairs
-        and written once; the scattered diagonal is not read, _nystrom
-        replaces it.
+        The value difference v_dir - v_img of each chunk goes to both
+        halves of the matrix.
         """
         grid = self.grid
         n = grid.n_total
-        _, gl_dir, gd_dir = bundle["dir"]
-        _, gl_img, gd_img = bundle["img"]
+        ker = None
+        for i0, i1, pairs, (v_dir,), (v_img,) in source:
+            val = v_dir - v_img
+            if ker is None:
+                ker = np.empty((n, n), dtype=val.dtype)
+            m = self._upper[i0:i1, i0:]
+            ker[i0:i1, i0:][m] = val
+            ker.T[i0:i1, i0:][m] = val
+        # the kernel diagonal holds the smooth remainder of the direct part minus the image
+        diag = np.log(np.pi * grid.speed / grid.L) / (2.0 * np.pi) + ker.diagonal()
+        return self._nystrom(ker, diag, log_a)
+
+    def _adjoint_double_layer(self, source, log_a):
+        """K* from a kernel source of the gradients and the log factors log_a: nu_x . grad_x of the kernel.
+
+        The kernel is nu_x times the d/dz_l difference gl, scattered as (gl,
+        -gl), plus nu_y times d/dz_d, scattered as (gd_dir - gd_img, -(gd_dir
+        + gd_img)).  Both halves of each chunk are formed on its pairs and
+        written once; the scattered diagonal is not read, _nystrom replaces
+        it.
+        """
+        grid = self.grid
+        n = grid.n_total
         nrm = grid.normals.T
-        # on the diagonal the direct part tends to curvature / (4 pi)
-        diag = grid.curvature * _INV_4PI - (nrm[0] * gl_img[self._diag] + nrm[1] * gd_img[self._diag])
-        ker = np.empty((n, n), dtype=np.result_type(gl_dir, gd_dir))
-        for i0, i1, pairs in _row_chunks(n):
+        ker = None
+        img_diag = ([], [])  # gl_img and gd_img on the diagonal, chunk by chunk
+        for i0, i1, pairs, (gl_dir, gd_dir), (gl_img, gd_img) in source:
+            if ker is None:
+                ker = np.empty((n, n), dtype=np.result_type(gl_dir, gd_dir))
             m = self._upper[i0:i1, i0:]
             # the normal at node i, and at node j, of each pair
             nu_i = [np.broadcast_to(c[i0:i1, None], m.shape)[m] for c in nrm]
             nu_j = [np.broadcast_to(c[None, i0:], m.shape)[m] for c in nrm]
-            gl = gl_dir[pairs] - gl_img[pairs]
-            ker[i0:i1, i0:][m] = nu_i[0] * gl + nu_i[1] * (gd_dir[pairs] - gd_img[pairs])
-            ker.T[i0:i1, i0:][m] = nu_j[0] * -gl + nu_j[1] * -(gd_dir[pairs] + gd_img[pairs])
-        return self._nystrom(ker, diag, bundle["log"][1])
+            gl = gl_dir - gl_img
+            ker[i0:i1, i0:][m] = nu_i[0] * gl + nu_i[1] * (gd_dir - gd_img)
+            ker.T[i0:i1, i0:][m] = nu_j[0] * -gl + nu_j[1] * -(gd_dir + gd_img)
+            on_diag = self._diag[i0:i1] - pairs.start
+            for acc, table in zip(img_diag, (gl_img, gd_img)):
+                acc.append(table[on_diag])
+        gl_img, gd_img = (np.concatenate(acc) for acc in img_diag)
+        # on the diagonal the direct part tends to curvature / (4 pi)
+        diag = grid.curvature * _INV_4PI - (nrm[0] * gl_img + nrm[1] * gd_img)
+        return self._nystrom(ker, diag, log_a)
 
     # -- the four operators ------------------------------------------------
 
     def single_layer_laplace(self) -> np.ndarray:
-        return self._single_layer(self.laplace)
+        log_a = np.full(self.grid.n_res, _INV_4PI)
+        return self._single_layer(self._laplace_chunks(value=True, grad=False), log_a)
 
     def single_layer_helmholtz(self, k: complex) -> np.ndarray:
-        return self._single_layer(self._kernel_bundle(k))
+        bundle = self._kernel_bundle(k)
+        return self._single_layer(self._bundle_chunks(bundle, value=True, grad=False), bundle["log"][0])
 
     def adjoint_double_layer_laplace(self) -> np.ndarray:
-        return self._adjoint_double_layer(self.laplace)
+        log_a = np.zeros(self.grid.n_res)
+        return self._adjoint_double_layer(self._laplace_chunks(value=False, grad=True), log_a)
 
     def adjoint_double_layer_helmholtz(self, k: complex) -> np.ndarray:
-        return self._adjoint_double_layer(self._kernel_bundle(k))
+        bundle = self._kernel_bundle(k)
+        return self._adjoint_double_layer(
+            self._bundle_chunks(bundle, value=False, grad=True), bundle["log"][1]
+        )
 
 
 def _finite(mat):

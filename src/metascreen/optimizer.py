@@ -247,13 +247,14 @@ def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> O
     if violations:
         raise geometry.GeometryError(violations)
     state = OptState.fresh(shapes)
-    rng = np.random.default_rng(config.seed)
+    rng = None  # the jitter generator, made on the first retry: most runs never import numpy.random
     targets = None
     if config.objective == "res":
         m_t = config.m_targets if config.m_targets is not None else len(shapes)
         targets = uniform_targets(config.band, m_t)
 
     def evaluate_with_retry(st: OptState):
+        nonlocal rng
         params = st.params
         for attempt in range(4):
             try:
@@ -264,6 +265,8 @@ def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> O
                 if attempt == 3:
                     raise
                 log.warning("degenerate spectrum; retrying with seeded Fourier jitter")
+                if rng is None:
+                    rng = np.random.default_rng(config.seed)
                 npp = geometry.params_per_shape(st.order)
                 jitter = np.zeros_like(params)
                 for j in range(len(shapes)):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import trig_upsample
-from metascreen import geometry as geo, greens, layerpot as lp
+from metascreen import capacitance as cap, geometry as geo, greens, layerpot as lp
 
 L = 20.0
 KB = 0.1 / (1 - 0.05j)
@@ -356,24 +356,31 @@ class TestReciprocity:
             kummer = greens.kummer_tables(zl, zd, L)
             full[part] = greens.gper_helmholtz(k, L, lap, kummer, want_grad=True)
         bundle = ctx._kernel_bundle(k)
+        upper = lp._triangle(ctx.grid.n_total)[0]
         for part, ref in full.items():
             for tri, p, table in zip(bundle[part], parity[part], ref):
                 assert tri.ndim == 1
-                assert np.array_equal(ctx._scatter(tri, p * tri), table)
+                scattered = np.empty_like(table)
+                scattered.T[upper] = p * tri
+                scattered[upper] = tri
+                assert np.array_equal(scattered, table)
 
     def test_bundles_share_keys(self, two_res_ctx):
         ctx = two_res_ctx
         n_res, n_pts = ctx.grid.n_res, ctx.grid.n_pts
         bundle = ctx._kernel_bundle(KB)
-        assert set(bundle) == set(ctx.laplace) == {"dir", "img", "log"}
+        laplace = ctx.helmholtz_cache()["laplace"]
+        assert set(bundle) == {"dir", "img", "log"} and set(laplace) == {"dir", "img"}
+        for part in ("dir", "img"):
+            assert len(bundle[part]) == len(laplace[part]) == 3
+            for table, lap in zip(bundle[part], laplace[part]):
+                assert table.shape == lap.shape == (ctx._n_pairs,)
         for a in bundle["log"]:
             assert a.shape == (n_res, n_pts, n_pts)
-        for a in ctx.laplace["log"]:
-            assert a.shape == (n_res,)
 
 
 class TestChunkedTables:
-    """The Laplace tables are built in row chunks of the pair triangle."""
+    """The kernels are formed and scattered in row chunks of the pair triangle."""
 
     @pytest.fixture(scope="class")
     def grid(self, two_res_shapes):
@@ -382,7 +389,12 @@ class TestChunkedTables:
     @pytest.fixture(scope="class")
     def default_ops(self, grid):
         ctx = lp.AssemblyContext(grid)
-        return ctx.single_layer_laplace(), ctx.adjoint_double_layer_laplace()
+        return (
+            ctx.single_layer_laplace(),
+            ctx.adjoint_double_layer_laplace(),
+            ctx.single_layer_helmholtz(KB),
+            ctx.adjoint_double_layer_helmholtz(KB),
+        )
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     @pytest.mark.parametrize("chunk", [1, 37, 10**9])
@@ -410,12 +422,16 @@ class TestChunkedTables:
         image = greens._closed_laplace(zl, x[i, 1] + x[j, 1], L, want_grad=True)
         for arr in direct:
             arr[i == j] = 0.0
-        for part, ref in (("dir", direct), ("img", image)):
-            assert len(ctx.laplace[part]) == 3
-            for table, expect in zip(ctx.laplace[part], ref):
-                assert np.array_equal(table, expect)
+        # the Laplace operators read no table; the Helmholtz cache holds the six
         assert np.array_equal(ctx.single_layer_laplace(), default_ops[0])
         assert np.array_equal(ctx.adjoint_double_layer_laplace(), default_ops[1])
+        laplace = ctx.helmholtz_cache()["laplace"]
+        for part, ref in (("dir", direct), ("img", image)):
+            assert len(laplace[part]) == 3
+            for table, expect in zip(laplace[part], ref):
+                assert np.array_equal(table, expect)
+        assert np.array_equal(ctx.single_layer_helmholtz(KB), default_ops[2])
+        assert np.array_equal(ctx.adjoint_double_layer_helmholtz(KB), default_ops[3])
 
     @pytest.mark.parametrize("k", [0.1, KB])
     def test_log_factors_match_full_blocks(self, grid, k):
@@ -437,11 +453,9 @@ class TestChunkedTables:
 
 
 class TestLaplaceMemory:
-    """tracemalloc accounting of a Laplace-only context on the nine-resonator grid at 64 nodes."""
+    """tracemalloc accounting of Laplace-only work on the nine-resonator grid at 64 nodes."""
 
-    # construction scratch: twelve float arrays of one chunk, plus the log
-    # quadrature's temporaries, which grow with n_pts only
-    SCRATCH_ARRAYS = 12
+    # construction scratch: the log quadrature's temporaries, which grow with n_pts only
     QUADRATURE_BYTES = 128 * 1024
 
     @pytest.fixture(scope="class")
@@ -449,7 +463,9 @@ class TestLaplaceMemory:
         shapes = geo.grid_layout(3, 3, radius=0.35, spacing=1.0, base_height=0.5)
         return geo.discretize(shapes, 64, L)
 
-    def test_context_holds_six_tables_and_mask(self, grid):
+    def test_context_holds_no_pair_table(self, grid):
+        # the shared n x n mask of the stored pairs, the log quadrature of one
+        # block and the diagonal positions: no array over the node pairs
         n, n_pts = grid.n_total, grid.n_pts
         lp._triangle.cache_clear()  # the mask is made, and counted, here
         tracemalloc.start()
@@ -460,13 +476,29 @@ class TestLaplaceMemory:
         finally:
             tracemalloc.stop()
         held -= base
-        tables = 6 * 8 * (n * (n + 1) // 2)
-        # the log quadrature (lnsin, Kress weights), the diagonal positions and log factors
-        small = 2 * 8 * n_pts**2 + 8 * n + 2 * 8 * grid.n_res
-        assert tables + n * n <= held <= tables + n * n + small + 16 * 1024
-        assert sum(len(ctx.laplace[part]) for part in ("dir", "img")) == 6
-        scratch = self.SCRATCH_ARRAYS * 8 * lp._CHUNK_PAIRS + self.QUADRATURE_BYTES
-        assert peak - base - held <= scratch
+        small = 2 * 8 * n_pts**2 + 8 * n  # lnsin, the Kress weights, the diagonal positions
+        assert n * n <= held <= n * n + small + 16 * 1024
+        assert peak - base - held <= self.QUADRATURE_BYTES
+        arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
+        assert sum(a.size >= n * n for a in arrays) == 1 and ctx._upper.dtype == bool
+        assert all(a.size <= n_pts**2 for a in arrays if a is not ctx._upper)
+        assert ctx._helm is None and not ctx._bundles
+
+    def test_evaluation_peak(self, grid):
+        # an optimizer evaluation's Laplace work: the capacitance pipeline (S,
+        # its LU copy and the densities) and then K*.  It peaks at most 2.5
+        # n x n float arrays above the grid, the context included; six pair
+        # tables held in the context would add three more.
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ctx = lp.AssemblyContext(grid)
+            cap.capacitance_pipeline(grid, context=ctx)
+            kstar = ctx.adjoint_double_layer_laplace()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.5 * kstar.nbytes
 
     @pytest.mark.parametrize("op", ["single_layer_laplace", "adjoint_double_layer_laplace"])
     def test_operator_peak(self, grid, op):
@@ -491,8 +523,6 @@ class TestSolveDensity:
 
     def test_capacitance_cross_check(self, circle_grid, circle_ctx):
         # the density solving S[psi] = 1 integrates to -Cap(D)
-        from metascreen import capacitance as cap
-
         S = circle_ctx.single_layer_laplace()
         psi = lp.solve_density(S, np.ones(circle_grid.n_total))
         C = cap.compute_capacitance(circle_grid, circle_ctx)[0]
@@ -540,10 +570,18 @@ class TestSolveDensity:
         with pytest.raises(lp.SingularOperatorError):
             lp.solve_density(op, np.ones(4))
 
-    def test_nonfinite_matrix_rejected(self, circle_grid):
+    def test_nonfinite_matrix_rejected(self, circle_grid, monkeypatch):
+        # the image value of the pair (0, 5), in the first chunk, poisoned
+        source = lp.AssemblyContext._laplace_chunks
+
+        def poisoned(self, value, grad):
+            for i0, i1, pairs, direct, image in source(self, value, grad):
+                if i0 == 0:
+                    image[0][5] = np.nan
+                yield i0, i1, pairs, direct, image
+
+        monkeypatch.setattr(lp.AssemblyContext, "_laplace_chunks", poisoned)
         ctx = lp.AssemblyContext(circle_grid)
-        i, j = np.triu_indices(circle_grid.n_total)
-        ctx.laplace["img"][0][(i == 3) & (j == 5)] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             ctx.single_layer_laplace()
 
@@ -556,8 +594,6 @@ class TestLazyHelmholtzCache:
         assert S.dtype == K.dtype == np.float64
 
     def test_helmholtz_operators_independent_of_laplace_work(self, two_res_shapes):
-        from metascreen import capacitance as cap
-
         grid = geo.discretize(two_res_shapes, 32, L)
         used = lp.AssemblyContext(grid)
         cap.capacitance_pipeline(grid, context=used)

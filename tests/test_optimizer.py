@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -217,6 +221,23 @@ class TestRun:
         cfg = opt.OptConfig(objective="ref", max_iters=1, n_pts=32)
         state = opt.run(cfg, one_circle, MATS, L)
         assert calls["n"] == 1 and len(state.history) == 2
+
+    def test_run_without_retry_skips_numpy_random(self, tmp_path):
+        # the jitter generator is made on the first degenerate-spectrum retry,
+        # so an optimize run that needs none never imports numpy.random
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("solver.n_pts = 32\noptimizer.objective = ref\noptimizer.max_iters = 1\n")
+        probe = (
+            "import sys; from metascreen import cli; "
+            f"code = cli.main(['--config', {str(cfg_file)!r}, '--output-dir', {str(tmp_path)!r}, 'optimize']); "
+            "print(code, 'numpy.random' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(opt.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.split()[-2:] == ["0", "False"]
+        assert len((tmp_path / "history.csv").read_text().splitlines()) == 2 + 2
 
     def test_skipped_step_reuses_evaluation(self, one_circle, monkeypatch):
         # every step after the first evaluation is refused, so the design
