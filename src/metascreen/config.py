@@ -11,7 +11,8 @@ of radius 0.5 at height 1.
 
 Geometry is either a layout preset (``geometry.layout = CxR`` with radius,
 spacing, base_height, fourier_order) or explicit per-resonator blocks
-(``shape.1.center = 0 1`` etc.); the two forms are mutually exclusive.
+(``shape.1.center = 0 1`` etc.); the two forms are mutually exclusive, so
+any ``geometry.*`` key next to ``shape.*`` blocks is refused.
 """
 
 from __future__ import annotations
@@ -269,10 +270,7 @@ def _build(kind, section, errors, **fields):
 
 def _parse_shapes(pairs, shape_keys, L, errors):
     explicit = bool(shape_keys)
-    preset = any(k.startswith("geometry.") for k in pairs)
-    if explicit and any(
-        k in pairs for k in ("geometry.layout", "geometry.radius", "geometry.spacing")
-    ):
+    if explicit and any(k.startswith("geometry.") for k in pairs):
         raise ConfigError("give either explicit shape.* blocks or a geometry preset, not both")
     if explicit:
         indices = set()
@@ -312,13 +310,19 @@ def _parse_shapes(pairs, shape_keys, L, errors):
             raise ConfigError(f"geometry.layout: expected 'CxR', got {layout!r}") from None
         if cols < 1 or rows < 1:
             raise ConfigError("geometry.layout counts must be positive")
+        radius = _float(pairs.get("geometry.radius", "0.5"), "geometry.radius")
+        order = _int(pairs.get("geometry.fourier_order", "2"), "geometry.fourier_order")
+        if not radius > 0:
+            raise ConfigError("geometry.radius must be positive")
+        if order < 0:
+            raise ConfigError("geometry.fourier_order must be nonnegative")
         shapes = grid_layout(
             cols,
             rows,
-            radius=_float(pairs.get("geometry.radius", "0.5"), "geometry.radius"),
+            radius=radius,
             spacing=_float(pairs.get("geometry.spacing", "2.0"), "geometry.spacing"),
             base_height=_float(pairs.get("geometry.base_height", "1.0"), "geometry.base_height"),
-            order=_int(pairs.get("geometry.fourier_order", "2"), "geometry.fourier_order"),
+            order=order,
         )
     violations = validate_geometry(shapes, L)
     errors.extend(violations)

@@ -47,10 +47,11 @@ point kernels and by layerpot.AssemblyContext before they build any table;
 gper_helmholtz itself does not check it.
 
 gper_helmholtz is the one place this kernel and its gradient are composed.
-It reads only wavenumber-independent pair tables: the closed-form Laplace
-part (_closed_laplace) and the Kummer tables (kummer_tables).  The point
-kernels helmholtz_gs / helmholtz_gs_grad build the tables for their point
-pairs; layerpot.AssemblyContext caches them for all node pairs of a grid and
+It reads only the wavenumber-independent pair tables of kummer_tables, their
+one builder: the closed-form Laplace part (_closed_laplace), the polylog
+combinations, the residual-series cache and sign z_d.  The point kernels
+helmholtz_gs / helmholtz_gs_grad build them for their point pairs;
+layerpot.AssemblyContext builds them once for all node pairs of a grid and
 calls the same function, so point evaluation and operator assembly share
 one code path.
 """
@@ -505,20 +506,13 @@ def modal_closed_part(combos, k, L, want_grad=False):
     return val, gl, gdd  # gdd is d/d(d); caller applies sign(z_d)
 
 
-def residual_cache(zl, zd, L):
+def residual_cache(zl, d, L):
     """Geometry-only arrays reused by modal_residual across wavenumbers.
 
-    ``zd`` may be the |z_d| table of subtracted_combos: a nonnegative float
-    array of the pair shape is kept as the "d" table, not copied.
+    ``d`` is the |z_d| table of the pairs (that of subtracted_combos), kept
+    as the "d" table, not copied.
     """
-    zl = np.asarray(zl, dtype=float)
-    zd = np.asarray(zd, dtype=float)
-    shape = np.broadcast_shapes(zl.shape, zd.shape)
-    if zd.shape == shape and not np.any(np.signbit(zd)):
-        d = zd
-    else:
-        d = np.broadcast_to(np.abs(zd), shape).copy()
-    theta = (2.0 * np.pi / L) * zl
+    theta = (2.0 * np.pi / L) * np.asarray(zl, dtype=float)
     return {
         "d": d,
         "e1": np.exp(-(2.0 * np.pi / L) * d),
@@ -672,27 +666,32 @@ def modal_residual(cache, k, L, tol=1e-12, want_grad=False, n_modes=None):
 
 
 def kummer_tables(zl, zd, L):
-    """Wavenumber-independent Kummer tables of G_per^k on a pair array.
+    """Wavenumber-independent tables of G_per^k on a pair array: all that gper_helmholtz reads.
 
-    The polylog combinations (subtracted_combos), the residual-series cache
-    (residual_cache, sharing the |z_d| table of the combinations) and
-    sign z_d; ``zl`` must be the minimum image.
+    "laplace" is the closed-form Laplace value, d/dz_l and d/dz_d
+    (_closed_laplace), "combos" the polylog combinations (subtracted_combos),
+    "rescache" the residual-series cache (residual_cache, sharing the |z_d|
+    table of the combinations) and "sgn" sign z_d; ``zl`` must be the minimum
+    image.  At a coincident pair the closed form is infinite or NaN, with no
+    warning: every caller refuses that pair or overwrites its entries.
     """
+    with np.errstate(divide="ignore", invalid="ignore"):  # raised only at z = 0
+        laplace = _closed_laplace(zl, zd, L, want_grad=True)
     combos = subtracted_combos(zl, zd, L)
     return {
+        "laplace": laplace,
         "combos": combos,
         "rescache": residual_cache(zl, combos["d"], L),
         "sgn": np.sign(np.asarray(zd, dtype=float)),
     }
 
 
-def gper_helmholtz(k, L, lap, kummer, tol=1e-12, n_modes=None, want_grad=False):
+def gper_helmholtz(k, L, tables, tol=1e-12, n_modes=None, want_grad=False):
     """Periodic Helmholtz Green's function G_per^{0,k}(z), spectral normalization.
 
     The one composition of the kernel, used by the point kernels below and by
-    the operator assembly in layerpot, from pair tables that do not depend on
-    k: ``lap`` is the closed-form Laplace part, _closed_laplace(z_l, z_d, L,
-    want_grad), and ``kummer`` the kummer_tables of the same pairs.  Then
+    the operator assembly in layerpot, from the pair tables of kummer_tables,
+    which do not depend on k.  Then
 
         G_per^k = e^{ik|z_d|}/(2ikL) - |z_d|/(2L) + G_per^0 + C(z),
         C(z) = -(1/L) sum_{n>=1} cos(eta_n z_l) f_n(|z_d|),
@@ -704,19 +703,18 @@ def gper_helmholtz(k, L, lap, kummer, tol=1e-12, n_modes=None, want_grad=False):
     Returns G, or (G, dG/dz_l, dG/dz_d) when ``want_grad``.  The sums are formed in place
     in the arrays those two return, which the caller does not see.
     """
-    combos = kummer["combos"]
+    combos = tables["combos"]
     d = combos["d"]
     e_ikd = np.empty(np.shape(d), dtype=complex)
     buf = [np.empty(np.shape(d)) for _ in range(4)]
     _exp_scaled(e_ikd, d, 1j * k, float(d.max(initial=0.0)), buf)
     closed = modal_closed_part(combos, k, L, want_grad=want_grad)
-    resid = modal_residual(
-        kummer["rescache"], k, L, tol=tol, want_grad=want_grad, n_modes=n_modes
-    )
+    resid = modal_residual(tables["rescache"], k, L, tol=tol, want_grad=want_grad, n_modes=n_modes)
+    lv, lgl, lgd = tables["laplace"]
     if want_grad:
-        (lv, lgl, lgd), (cv, cl, cdd), (rv, rl, rdd) = lap, closed, resid
+        (cv, cl, cdd), (rv, rl, rdd) = closed, resid
     else:
-        lv, cv, rv = lap, closed, resid
+        cv, rv = closed, resid
     val = e_ikd * (1.0 / (2j * k * L))
     val -= d * (0.5 / L)
     val += lv
@@ -732,7 +730,7 @@ def gper_helmholtz(k, L, lap, kummer, tol=1e-12, n_modes=None, want_grad=False):
     e_ikd *= 0.5 / L
     e_ikd += cdd
     e_ikd += rdd
-    e_ikd *= kummer["sgn"]
+    e_ikd *= tables["sgn"]
     e_ikd += lgd
     return val, cl, e_ikd
 
@@ -784,15 +782,7 @@ def _helmholtz_pairs(x, y, wave: WaveParams, cfg: LatticeConfig, n_modes, want_g
     L = cfg.L
     zl = zl - L * np.round(zl / L)
     return [
-        gper_helmholtz(
-            wave.k,
-            L,
-            _closed_laplace(zl, z, L, want_grad=want_grad),
-            kummer_tables(zl, z, L),
-            tol=cfg.tol,
-            n_modes=n_modes,
-            want_grad=want_grad,
-        )
+        gper_helmholtz(wave.k, L, kummer_tables(zl, z, L), cfg.tol, n_modes, want_grad)
         for z in (zd, zs)
     ]
 

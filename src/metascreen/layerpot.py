@@ -28,13 +28,14 @@ into the n x n matrix, so the separations and the kernel never exist for the
 whole triangle.  The Helmholtz half caches every wavenumber-independent pair
 quantity, so frequency sweeps only pay for the k-dependent arithmetic:
 greens.kummer_tables of the direct and image separations, which it forms
-itself and drops, the six closed-form Laplace tables (value, d/dz_l, d/dz_d
-of both parts) that the Helmholtz kernel adds, and r and z . nu on each
-diagonal block.  It is built on the first Helmholtz operator or
-helmholtz_cache() call, so Laplace-only work such as the optimizer loop and
-the shape gradients never pays for it.  A Helmholtz operator checks the
-single-mode condition on k before it builds anything.  The Helmholtz bundle
-comes from greens.gper_helmholtz, the same function the point kernels
+once and drops, and r and z . nu on each diagonal block.  kummer_tables is
+the one builder of the tables greens.gper_helmholtz reads, the closed-form
+Laplace part among them, and the point kernels call it too.  The cache is
+built on the first Helmholtz operator or helmholtz_cache() call, so
+Laplace-only work such as the optimizer loop and the shape gradients never
+pays for it.  A Helmholtz operator checks the single-mode condition on k
+before it builds anything.  The Helmholtz bundle comes from
+greens.gper_helmholtz, the same function the point kernels
 (greens.helmholtz_gs / helmholtz_gs_grad) call.
 
 The sound-soft kernel is reciprocal, G_s(x, y) = G_s(y, x), so every pair
@@ -198,9 +199,9 @@ class AssemblyContext:
     (i <= j) of the n_total nodes and the log quadrature of one block, and no
     pair-sized array: the Laplace operators compute their closed-form kernel
     chunk by chunk from the nodes (_laplace_chunks).  The Helmholtz cache
-    holds the Kummer tables of the direct and image pairs, the six closed-form
-    Laplace tables that gper_helmholtz adds to them, and on each diagonal
-    block r (its triangle) and z . nu, which the log factors read.
+    holds greens.kummer_tables of the direct and image pairs, every table
+    gper_helmholtz reads, and on each diagonal block r (its triangle) and
+    z . nu, which the log factors read.
     """
 
     def __init__(self, grid: BoundaryGrid, tol: float = 1e-12):
@@ -231,11 +232,11 @@ class AssemblyContext:
             zl = _minimum_image((xi[..., 0] - xj[..., 0])[m], self.grid.L)
             yield i0, i1, pairs, zl, (xi[..., 1] - xj[..., 1])[m], (xi[..., 1] + xj[..., 1])[m]
 
-    def _laplace_chunks(self, value, grad):
+    def _laplace_chunks(self, grad):
         """The Laplace kernel source: (i0, i1, pairs, direct, image) per _separation_chunks chunk.
 
-        direct and image are tuples of the closed-form value (``value``), then
-        d/dz_l and d/dz_d (``grad``), of each part on the chunk's pairs;
+        direct and image are tuples of the closed-form value, or of d/dz_l
+        and d/dz_d when ``grad``, of each part on the chunk's pairs;
         sin^2(pi z_l/L), and sin(2 pi z_l/L) for the gradient, are formed once
         for both parts.  The direct part is singular on the diagonal and
         masked to 0 there.
@@ -244,14 +245,14 @@ class AssemblyContext:
         for i0, i1, pairs, zl, dd, di in self._separation_chunks():
             factors = greens._zl_factors(zl, L, want_grad=grad)
             with np.errstate(divide="ignore", invalid="ignore"):
-                direct = greens._laplace_from_factors(factors, dd, L, value)
+                direct = greens._laplace_from_factors(factors, dd, L, value=not grad)
             for arr in direct:
                 arr[self._diag[i0:i1] - pairs.start] = 0.0
-            yield i0, i1, pairs, direct, greens._laplace_from_factors(factors, di, L, value)
+            yield i0, i1, pairs, direct, greens._laplace_from_factors(factors, di, L, value=not grad)
 
-    def _bundle_chunks(self, bundle, value, grad):
-        """The kernel source of a Helmholtz bundle: its tables of each part sliced per _row_chunks chunk."""
-        rows = [r for r, want in ((0, value), (1, grad), (2, grad)) if want]
+    def _bundle_chunks(self, bundle, grad):
+        """The kernel source of a Helmholtz bundle: its value, or its gradient when ``grad``, sliced per chunk."""
+        rows = (1, 2) if grad else (0,)
         for i0, i1, pairs in _row_chunks(self.grid.n_total):
             yield i0, i1, pairs, *([bundle[part][r][pairs] for r in rows] for part in ("dir", "img"))
 
@@ -261,34 +262,28 @@ class AssemblyContext:
         """Wavenumber-independent pieces only the Helmholtz operators read.
 
         Built on the first call and kept: greens.kummer_tables of the direct
-        ("dir") and image ("img") separations, which are formed here and
-        dropped; under "laplace", the closed-form value, d/dz_l and d/dz_d of
-        both parts (_laplace_chunks), which gper_helmholtz adds; and on each
-        diagonal block the distance r of its node pairs (i <= j, the block
-        triangle) and z . nu (all pairs), which the log factors read.
+        ("dir") and image ("img") separations, which are formed here once and
+        dropped, with the direct closed-form Laplace tables zeroed on the
+        diagonal; and on each diagonal block the distance r of its node pairs
+        (i <= j, the block triangle) and z . nu (all pairs), which the log
+        factors read.
         """
         if self._helm is None:
             grid = self.grid
             zl, dd, di = (np.empty(self._n_pairs) for _ in range(3))
-            laplace = {part: tuple(np.empty(self._n_pairs) for _ in range(3)) for part in ("dir", "img")}
             for _, _, pairs, *seps in self._separation_chunks():
                 for table, sep in zip((zl, dd, di), seps):
                     table[pairs] = sep
-            for _, _, pairs, *kernel in self._laplace_chunks(value=True, grad=True):
-                for tables, part in zip(laplace.values(), kernel):
-                    for table, values in zip(tables, part):
-                        table[pairs] = values
+            helm = {part: greens.kummer_tables(zl, zd, grid.L) for part, zd in (("dir", dd), ("img", di))}
+            for table in helm["dir"]["laplace"]:
+                table[self._diag] = 0.0
             xb = grid.nodes.reshape(grid.n_res, grid.n_pts, 2)
             zl_b = _minimum_image(xb[:, :, None, 0] - xb[:, None, :, 0], grid.L)
             dd_b = xb[:, :, None, 1] - xb[:, None, :, 1]
             nrm = grid.normals.reshape(grid.n_res, grid.n_pts, 1, 2)
-            self._helm = {
-                "dir": greens.kummer_tables(zl, dd, grid.L),
-                "img": greens.kummer_tables(zl, di, grid.L),
-                "laplace": laplace,
-                "r": np.hypot(zl_b, dd_b)[:, _triangle(grid.n_pts)[0]],
-                "zdotnu": zl_b * nrm[..., 0] + dd_b * nrm[..., 1],
-            }
+            helm["r"] = np.hypot(zl_b, dd_b)[:, _triangle(grid.n_pts)[0]]
+            helm["zdotnu"] = zl_b * nrm[..., 0] + dd_b * nrm[..., 1]
+            self._helm = helm
         return self._helm
 
     def _kernel_bundle(self, k: complex):
@@ -311,9 +306,7 @@ class AssemblyContext:
             return cached
         helm = self.helmholtz_cache()
         out = {
-            part: greens.gper_helmholtz(
-                k, self.grid.L, helm["laplace"][part], helm[part], tol=self.tol, want_grad=True
-            )
+            part: greens.gper_helmholtz(k, self.grid.L, helm[part], tol=self.tol, want_grad=True)
             for part in ("dir", "img")
         }
         j0_tri, j1c_tri = _bessel_j0_j1c(k * helm["r"])
@@ -410,21 +403,19 @@ class AssemblyContext:
 
     def single_layer_laplace(self) -> np.ndarray:
         log_a = np.full(self.grid.n_res, _INV_4PI)
-        return self._single_layer(self._laplace_chunks(value=True, grad=False), log_a)
+        return self._single_layer(self._laplace_chunks(grad=False), log_a)
 
     def single_layer_helmholtz(self, k: complex) -> np.ndarray:
         bundle = self._kernel_bundle(k)
-        return self._single_layer(self._bundle_chunks(bundle, value=True, grad=False), bundle["log"][0])
+        return self._single_layer(self._bundle_chunks(bundle, grad=False), bundle["log"][0])
 
     def adjoint_double_layer_laplace(self) -> np.ndarray:
         log_a = np.zeros(self.grid.n_res)
-        return self._adjoint_double_layer(self._laplace_chunks(value=False, grad=True), log_a)
+        return self._adjoint_double_layer(self._laplace_chunks(grad=True), log_a)
 
     def adjoint_double_layer_helmholtz(self, k: complex) -> np.ndarray:
         bundle = self._kernel_bundle(k)
-        return self._adjoint_double_layer(
-            self._bundle_chunks(bundle, value=False, grad=True), bundle["log"][1]
-        )
+        return self._adjoint_double_layer(self._bundle_chunks(bundle, grad=True), bundle["log"][1])
 
 
 def _finite(mat):
@@ -460,10 +451,10 @@ def solve_density(a: np.ndarray, rhs):
     return x
 
 
-def evaluate_single_layer(grid, density, targets, k=None, tol: float = 1e-12):
+def evaluate_single_layer(grid, density, targets, k=None):
     """Evaluate S[density] at off-boundary target points; k=None is Laplace."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    cfg = greens.LatticeConfig(L=grid.L, tol=tol)
+    cfg = greens.LatticeConfig(L=grid.L)
     x = targets[:, None, :]
     y = grid.nodes[None, :, :]
     if k is None:

@@ -53,9 +53,20 @@ class TestParseConfig:
         assert len(cfg.shapes) == 2
         assert cfg.shapes[0].cos_coeffs == (0.1, 0.0)
 
-    def test_shapes_and_preset_conflict(self):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "geometry.layout = 1x1",
+            "geometry.radius = 0.5",
+            "geometry.spacing = 2",
+            "geometry.base_height = 4",
+            "geometry.fourier_order = 3",
+        ],
+    )
+    def test_shapes_and_preset_conflict(self, line):
+        # any preset key next to explicit shapes, not only the ones that pick the circles
         with pytest.raises(ConfigError, match="not both"):
-            parse_config_text("geometry.layout = 1x1\nshape.1.center = 0 1\nshape.1.a0 = 0.5\n")
+            parse_config_text(f"{line}\nshape.1.center = 0 1\nshape.1.a0 = 0.5\n")
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ConfigError, match="wall"):
@@ -105,6 +116,9 @@ class TestParseConfig:
             ("greens.x = 23 1", "distinct"),  # the periodic image of greens.y
             ("greens.omega = -0.05", "greens.omega"),
             ("greens.omega = 0", "greens.omega"),
+            ("geometry.radius = -0.5", "geometry.radius"),
+            ("geometry.radius = 0", "geometry.radius"),
+            ("geometry.fourier_order = -3", "geometry.fourier_order"),
         ],
     )
     def test_out_of_range_rejected(self, text, message):
@@ -284,6 +298,7 @@ class TestCli:
             ("greens.y = 3 -1\n", "greens-test"),
             ("greens.x = 3 1\n", "greens-test"),
             ("greens.omega = -0.05\n", "greens-test"),
+            ("geometry.radius = -0.5\n", "capmat"),
         ],
     )
     def test_config_mistakes_exit_config(self, tmp_path, capsys, extra, command):

@@ -451,8 +451,7 @@ class TestModalResidual:
         k = self.WAVENUMBERS[name]
         far = np.hypot(self.ZL, self.ZD) > 0
         zl, zd = self.ZL[far], self.ZD[far]
-        lap, kummer = greens._closed_laplace(zl, zd, L), greens.kummer_tables(zl, zd, L)
-        kernel = greens.gper_helmholtz(k, L, lap, kummer)
+        kernel = greens.gper_helmholtz(k, L, greens.kummer_tables(zl, zd, L))
         cache = greens.residual_cache(self.ZL, self.ZD, L)
         mine = greens.modal_residual(cache, k, L, want_grad=True, n_modes=9)
         ref = modal_residual_reference(self.ZL, self.ZD, k, L, 9)

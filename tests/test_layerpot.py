@@ -348,13 +348,11 @@ class TestReciprocity:
         seps = {"dir": x[:, 1, None] - x[None, :, 1], "img": x[:, 1, None] + x[None, :, 1]}
         full = {}
         for part, zd in seps.items():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lap = greens._closed_laplace(zl, zd, L, want_grad=True)
+            tables = greens.kummer_tables(zl, zd, L)
             if part == "dir":
-                for arr in lap:
+                for arr in tables["laplace"]:
                     np.fill_diagonal(arr, 0.0)
-            kummer = greens.kummer_tables(zl, zd, L)
-            full[part] = greens.gper_helmholtz(k, L, lap, kummer, want_grad=True)
+            full[part] = greens.gper_helmholtz(k, L, tables, want_grad=True)
         bundle = ctx._kernel_bundle(k)
         upper = lp._triangle(ctx.grid.n_total)[0]
         for part, ref in full.items():
@@ -369,14 +367,26 @@ class TestReciprocity:
         ctx = two_res_ctx
         n_res, n_pts = ctx.grid.n_res, ctx.grid.n_pts
         bundle = ctx._kernel_bundle(KB)
-        laplace = ctx.helmholtz_cache()["laplace"]
-        assert set(bundle) == {"dir", "img", "log"} and set(laplace) == {"dir", "img"}
+        helm = ctx.helmholtz_cache()
+        assert set(bundle) == {"dir", "img", "log"} and set(helm) == {"dir", "img", "r", "zdotnu"}
         for part in ("dir", "img"):
-            assert len(bundle[part]) == len(laplace[part]) == 3
-            for table, lap in zip(bundle[part], laplace[part]):
+            laplace = helm[part]["laplace"]
+            assert len(bundle[part]) == len(laplace) == 3
+            for table, lap in zip(bundle[part], laplace):
                 assert table.shape == lap.shape == (ctx._n_pairs,)
         for a in bundle["log"]:
             assert a.shape == (n_res, n_pts, n_pts)
+
+
+def _flat_tables(tables, prefix=""):
+    """The arrays of a nested dict / list / tuple of tables, keyed by their path."""
+    if isinstance(tables, np.ndarray):
+        return {prefix: tables}
+    items = tables.items() if isinstance(tables, dict) else enumerate(tables)
+    out = {}
+    for key, value in items:
+        out.update(_flat_tables(value, f"{prefix}/{key}" if prefix else str(key)))
+    return out
 
 
 class TestChunkedTables:
@@ -417,19 +427,20 @@ class TestChunkedTables:
         x = grid.nodes
         zl = x[i, 0] - x[j, 0]
         zl -= L * np.round(zl / L)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direct = greens._closed_laplace(zl, x[i, 1] - x[j, 1], L, want_grad=True)
-        image = greens._closed_laplace(zl, x[i, 1] + x[j, 1], L, want_grad=True)
-        for arr in direct:
+        ref = {part: greens.kummer_tables(zl, zd, L)
+               for part, zd in (("dir", x[i, 1] - x[j, 1]), ("img", x[i, 1] + x[j, 1]))}
+        for arr in ref["dir"]["laplace"]:
             arr[i == j] = 0.0
-        # the Laplace operators read no table; the Helmholtz cache holds the six
+        # the Laplace operators read no table; the Helmholtz cache holds the
+        # tables of greens.kummer_tables, the one builder, bit for bit
         assert np.array_equal(ctx.single_layer_laplace(), default_ops[0])
         assert np.array_equal(ctx.adjoint_double_layer_laplace(), default_ops[1])
-        laplace = ctx.helmholtz_cache()["laplace"]
-        for part, ref in (("dir", direct), ("img", image)):
-            assert len(laplace[part]) == 3
-            for table, expect in zip(laplace[part], ref):
-                assert np.array_equal(table, expect)
+        helm = ctx.helmholtz_cache()
+        for part, tables in ref.items():
+            got, want = _flat_tables(helm[part]), _flat_tables(tables)
+            assert list(got) == list(want) and "laplace/2" in got
+            for key, expect in want.items():
+                assert got[key].dtype == expect.dtype and np.array_equal(got[key], expect), key
         assert np.array_equal(ctx.single_layer_helmholtz(KB), default_ops[2])
         assert np.array_equal(ctx.adjoint_double_layer_helmholtz(KB), default_ops[3])
 
@@ -574,8 +585,8 @@ class TestSolveDensity:
         # the image value of the pair (0, 5), in the first chunk, poisoned
         source = lp.AssemblyContext._laplace_chunks
 
-        def poisoned(self, value, grad):
-            for i0, i1, pairs, direct, image in source(self, value, grad):
+        def poisoned(self, grad):
+            for i0, i1, pairs, direct, image in source(self, grad):
                 if i0 == 0:
                     image[0][5] = np.nan
                 yield i0, i1, pairs, direct, image
