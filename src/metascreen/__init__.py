@@ -9,6 +9,7 @@ Subpackages:
     fullorder    exact boundary-integral scattering solver (validation oracle)
     shapegrad    Hadamard shape-derivative densities and parametric gradients
     optimizer    broadband absorption design loop
+    artifacts    the one CSV artifact writer
     cli          command-line entry point
 """
 

@@ -9,7 +9,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import pathlib
 import sys
 from dataclasses import replace
@@ -17,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, capacitance, fullorder, geometry, greens, layerpot, optimizer, rom, shapegrad
+from .artifacts import fmt, write_csv
 from .config import ConfigError, RunConfig, parse_config, parse_config_text
 
 __all__ = ["main"]
@@ -51,18 +51,6 @@ def _outdir(cfg: RunConfig) -> pathlib.Path:
     return path
 
 
-def _write_csv(path, header, rows, meta):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {meta}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
 def _pipeline(cfg: RunConfig):
     """Set-up shared by the commands: grid, the Helmholtz cache, C.
 
@@ -86,18 +74,18 @@ def cmd_capmat(cfg: RunConfig) -> int:
     n = data.n_res
     for i in range(n):
         for j in range(n):
-            rows.append(["C", i + 1, j + 1, _fmt(data.C[i, j])])
+            rows.append(["C", i + 1, j + 1, fmt(data.C[i, j])])
     for i in range(n):
-        rows.append(["V", i + 1, i + 1, _fmt(data.areas[i])])
+        rows.append(["V", i + 1, i + 1, fmt(data.areas[i])])
     for i in range(n):
-        rows.append(["m", i + 1, "", _fmt(data.m[i])])
+        rows.append(["m", i + 1, "", fmt(data.m[i])])
     for j in range(n):
-        rows.append(["lambda", "", j + 1, _fmt(data.lam[j])])
+        rows.append(["lambda", "", j + 1, fmt(data.lam[j])])
     for i in range(n):
         for j in range(n):
-            rows.append(["u", i + 1, j + 1, _fmt(data.u[i, j])])
+            rows.append(["u", i + 1, j + 1, fmt(data.u[i, j])])
     path = _outdir(cfg) / "capmat.csv"
-    _write_csv(path, ["kind", "i", "j", "value"], rows, _meta(cfg))
+    write_csv(path, ["kind", "i", "j", "value"], rows, _meta(cfg))
     print(f"wrote {path} (N={n}, symmetry defect {data.asymmetry:.2e})")
     return EXIT_OK
 
@@ -107,11 +95,11 @@ def cmd_resonances(cfg: RunConfig) -> int:
     model = rom.build_rom(data, cfg.materials)
     omegas = rom.resonant_frequencies(data, cfg.materials)
     rows = [
-        [j + 1, _fmt(om.real), _fmt(om.imag), _fmt(data.lam[j]), _fmt(model.lam1[j])]
+        [j + 1, fmt(om.real), fmt(om.imag), fmt(data.lam[j]), fmt(model.lam1[j])]
         for j, om in enumerate(omegas)
     ]
     path = _outdir(cfg) / "resonances.csv"
-    _write_csv(path, ["j", "re_omega", "im_omega", "lambda_j", "lambda_j1"], rows, _meta(cfg))
+    write_csv(path, ["j", "re_omega", "im_omega", "lambda_j", "lambda_j1"], rows, _meta(cfg))
     print(f"wrote {path} ({len(rows)} resonances)")
     return EXIT_OK
 
@@ -121,14 +109,16 @@ _SPECTRUM_HEADER = ["omega", "re_r", "im_r", "abs_r", "absorptance", "model"]
 
 def _spectrum_rows(omegas, rvals, tag):
     return [
-        [_fmt(om), _fmt(rv.real), _fmt(rv.imag), _fmt(abs(rv)), _fmt(rom.absorptance(rv)), tag]
+        [fmt(om), fmt(rv.real), fmt(rv.imag), fmt(abs(rv)), fmt(rom.absorptance(rv)), tag]
         for om, rv in zip(omegas, rvals)
     ]
 
 
 def cmd_spectrum(cfg: RunConfig, model_choice: str) -> int:
     if model_choice in ("exact", "both"):
-        # the full-order solver's own rule, on k_m and k_b at the top of the band
+        # the full-order solver's own rules: normal incidence, and single-mode
+        # propagation of k_m and k_b at the top of the band
+        fullorder._require_normal(cfg.materials)
         lattice = greens.LatticeConfig(L=cfg.L)
         for v in (cfg.materials.v_m, cfg.materials.v_b):
             greens.WaveParams(k=cfg.band[1] / v).check_single_mode(lattice)
@@ -148,10 +138,7 @@ def cmd_spectrum(cfg: RunConfig, model_choice: str) -> int:
         if model_choice == "both":
             summary = f"# summary max_abs_r_diff = {np.abs(r_rom - exact.r).max():.17g}"
     path = _outdir(cfg) / "spectrum.csv"
-    _write_csv(path, _SPECTRUM_HEADER, rows, _meta(cfg))
-    if summary:
-        with open(path, "a", newline="") as fh:
-            fh.write(summary + "\n")
+    write_csv(path, _SPECTRUM_HEADER, rows, _meta(cfg), trailer=summary)
     print(f"wrote {path} ({len(rows)} rows)")
     if summary:
         print(summary.lstrip("# "))
@@ -163,13 +150,13 @@ def cmd_optimize(cfg: RunConfig) -> int:
     outdir = _outdir(cfg)
     state = optimizer.run(cfg.optimizer, cfg.shapes, cfg.materials, cfg.L)
     meta = _meta(cfg)
-    history = [[it, _fmt(j), _fmt(g), f"{ms:.3f}"] for it, j, g, ms in state.history]
-    _write_csv(outdir / "history.csv", ["iter", "J", "grad_inf_norm", "wall_ms"], history, meta)
+    history = [[it, fmt(j), fmt(g), f"{ms:.3f}"] for it, j, g, ms in state.history]
+    write_csv(outdir / "history.csv", ["iter", "J", "grad_inf_norm", "wall_ms"], history, meta)
     omegas = np.linspace(cfg.band[0], cfg.band[1], cfg.samples)
     for tag, (grid, model) in (("initial", state.initial), ("best", state.best)):
         geometry.dump_geometry(grid, outdir / f"geometry_{tag}.csv", meta=meta)
         rows = _spectrum_rows(omegas, rom.reflection_rom(model, omegas, warn_band=False), "rom")
-        _write_csv(outdir / f"spectrum_{tag}.csv", _SPECTRUM_HEADER, rows, meta)
+        write_csv(outdir / f"spectrum_{tag}.csv", _SPECTRUM_HEADER, rows, meta)
     for it, grid in state.snapshots:
         geometry.dump_geometry(grid, outdir / f"geometry_iter{it:05d}.csv", meta=meta)
     print(
@@ -233,13 +220,13 @@ def cmd_check_grad(cfg: RunConfig) -> int:
                     ip // npp + 1,
                     geometry.param_name(order, ip % npp),
                     q,
-                    _fmt(an),
-                    _fmt(fd),
-                    _fmt(rel),
+                    fmt(an),
+                    fmt(fd),
+                    fmt(rel),
                 ]
             )
     path = _outdir(cfg) / "check_grad.csv"
-    _write_csv(path, ["resonator", "param", "quantity", "analytic", "fd", "rel_err"], rows, _meta(cfg))
+    write_csv(path, ["resonator", "param", "quantity", "analytic", "fd", "rel_err"], rows, _meta(cfg))
     print(f"wrote {path} (worst rel_err {worst:.2e})")
     return EXIT_OK
 
@@ -257,10 +244,10 @@ def cmd_greens_test(cfg: RunConfig) -> int:
     for n_modes in (2, 4, 8, 16, 32, 64, 128, 256):
         val = complex(greens.helmholtz_gs(x, y, wave, lat, n_modes=n_modes))
         delta = abs(val - prev) if prev is not None else np.nan
-        rows.append([n_modes, _fmt(val.real), _fmt(val.imag), _fmt(delta)])
+        rows.append([n_modes, fmt(val.real), fmt(val.imag), fmt(delta)])
         prev = val
     path = _outdir(cfg) / "greens_test.csv"
-    _write_csv(path, ["n_modes", "re_gs", "im_gs", "delta_from_prev"], rows, _meta(cfg))
+    write_csv(path, ["n_modes", "re_gs", "im_gs", "delta_from_prev"], rows, _meta(cfg))
     for row in rows:
         print(",".join(str(c) for c in row))
     print(f"wrote {path}")

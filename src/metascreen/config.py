@@ -2,12 +2,12 @@
 
 The grammar is one ``section.key = value`` binding per line, ``#`` comments,
 blank lines ignored.  Unknown keys are rejected; every numeric range is
-validated at parse time.  The ranges of the ``materials`` and ``optimizer``
-keys are those of MaterialParams and OptConfig, which check their own fields;
-the parser reports their failures under the section name and checks the
-remaining keys itself.  Omitted fields fall back to the reference setup:
-L = 20, v_m = 1, v_b = 1 - 0.05i, delta = 0.001, band [0.01, 0.1], one circle
-of radius 0.5 at height 1.
+validated at parse time.  Each ``materials``, ``optimizer`` and ``geometry``
+preset key is declared once, in its section's table, with its converter and
+the MaterialParams / OptConfig field (or grid_layout parameter) it sets.  An
+omitted key is not passed, so that type's default applies; the types check
+their own ranges, and a failure is reported under the key the user wrote.
+The run-level keys keep their defaults in _RUN_DEFAULTS.
 
 Geometry is either a layout preset (``geometry.layout = CxR`` with radius,
 spacing, base_height, fourier_order) or explicit per-resonator blocks
@@ -46,47 +46,6 @@ class RunConfig:
     greens_point: tuple[float, float, float, float]
     greens_omega: float | None
     config_hash: str = field(default="", compare=False)
-
-
-_KNOWN_KEYS = {
-    "materials.v_m",
-    "materials.v_b",
-    "materials.delta",
-    "materials.theta_d",
-    "lattice.L",
-    "band.omega_min",
-    "band.omega_max",
-    "band.samples",
-    "geometry.layout",
-    "geometry.radius",
-    "geometry.spacing",
-    "geometry.base_height",
-    "geometry.fourier_order",
-    "solver.n_pts",
-    "solver.greens_tol",
-    "optimizer.objective",
-    "optimizer.m_targets",
-    "optimizer.n_quad",
-    "optimizer.max_iters",
-    "optimizer.lr",
-    "optimizer.beta1",
-    "optimizer.beta2",
-    "optimizer.eps",
-    "optimizer.a0_min",
-    "optimizer.a0_max",
-    "optimizer.coeff_bound",
-    "optimizer.geometry_margin",
-    "optimizer.freeze_centers",
-    "optimizer.plateau_iters",
-    "optimizer.snapshot_every",
-    "optimizer.seed",
-    "output.dir",
-    "greens.x",
-    "greens.y",
-    "greens.omega",
-}
-# the keys of an explicit resonator block, shape.<index>.<field>
-_SHAPE_FIELDS = ("center", "a0", "cos", "sin")
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -144,89 +103,146 @@ def _bool(value: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
+def _complex(value: str, key: str) -> complex:
+    parts = _floats(value, key)
+    if len(parts) not in (1, 2):
+        raise ConfigError(f"{key}: expected 're' or 're im'")
+    return complex(*parts)
+
+
+def _symmetric(value: str, key: str) -> tuple[float, float]:
+    c = _float(value, key)
+    return (-c, c)
+
+
+def _spec(table):
+    """key -> (field, converter, end) for every entry of a section table."""
+    return {
+        name: entry if isinstance(entry, tuple) else (name, entry, None)
+        for name, entry in table.items()
+    }
+
+
+# <section>.<key> -> its converter if it sets the field of its own name, else
+# (field, converter, end), where end is None or the end (0 or 1) of the pair
+# field it sets.  Keys are converted in table order, so the first malformed one
+# is reported.
+_SECTIONS = {
+    "materials": _spec({"v_b": _complex, "v_m": _float, "delta": _float, "theta_d": _float}),
+    "optimizer": _spec(
+        {
+            "m_targets": _int,
+            "coeff_bound": ("coeff_bounds", _symmetric, None),
+            "objective": lambda value, key: value,
+            "n_quad": _int,
+            "max_iters": _int,
+            "lr": _float,
+            "beta1": _float,
+            "beta2": _float,
+            "eps": _float,
+            "a0_min": ("a0_bounds", _float, 0),
+            "a0_max": ("a0_bounds", _float, 1),
+            "geometry_margin": _float,
+            "freeze_centers": _bool,
+            "plateau_iters": _int,
+            "snapshot_every": _int,
+            "seed": _int,
+        }
+    ),
+    "geometry": _spec(
+        {"radius": _float, "fourier_order": ("order", _int, None), "spacing": _float, "base_height": _float}
+    ),
+}
+# the run-level keys, whose defaults and checks the parser alone owns
+_RUN_DEFAULTS = {
+    "lattice.L": "20.0", "band.omega_min": "0.01", "band.omega_max": "0.1", "band.samples": "200",
+    "solver.n_pts": "128", "solver.greens_tol": "1e-12", "geometry.layout": "1x1", "output.dir": "out",
+    "greens.x": "1.0 2.0", "greens.y": "3.0 1.0", "greens.omega": None,  # None: the band midpoint
+}
+# the keys of the OptConfig fields that the parser passes in from the run level
+_RUN_FIELD_KEYS = {"band": "band.omega_min / band.omega_max", "n_pts": "solver.n_pts"}
+_KNOWN_KEYS = set(_RUN_DEFAULTS) | {f"{s}.{name}" for s, table in _SECTIONS.items() for name in table}
+# the keys of an explicit resonator block, shape.<index>.<field>
+_SHAPE_FIELDS = ("center", "a0", "cos", "sin")
+
+
+def _fields(pairs, section, kind) -> dict:
+    """The fields of kind that the section's keys in pairs set; an omitted key sets none."""
+    fields = {}
+    for name, (target, convert, end) in _SECTIONS[section].items():
+        key = f"{section}.{name}"
+        if key in pairs:
+            value = convert(pairs[key], key)
+            if end is not None:  # the other end is set by its own key or is kind's default
+                pair = fields.get(target, getattr(kind, target))
+                value = (value, pair[1]) if end == 0 else (pair[0], value)
+            fields[target] = value
+    return fields
+
+
+def _build(kind, section, errors, *args, **fields):
+    """kind(*args, **fields), or None with its range failures added to errors.
+
+    The types report every failing field in one ValueError, as "; "-joined
+    messages that each start with the field name; each is reported under the
+    key(s) that set that field.
+    """
+    try:
+        return kind(*args, **fields)
+    except ValueError as exc:
+        keys = dict(_RUN_FIELD_KEYS)
+        for name, (target, _, _) in _SECTIONS[section].items():
+            keys[target] = f"{keys[target]} / {section}.{name}" if target in keys else f"{section}.{name}"
+        for message in str(exc).split("; "):
+            name = message.split()[0].rstrip(":")
+            errors.append(keys[name] + message[len(name):])
+        return None
+
+
 def parse_config_text(text: str) -> RunConfig:
     pairs = _parse_lines(text)
     shape_keys = {k for k in pairs if k.startswith("shape.")}
     unknown = sorted(k for k in pairs if k not in _KNOWN_KEYS and k not in shape_keys)
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}")
+    run = {**_RUN_DEFAULTS, **pairs}
+
+    def take(key, convert, *args):
+        return convert(run[key], key, *args)
 
     errors: list[str] = []
+    materials = _build(MaterialParams, "materials", errors, **_fields(pairs, "materials", MaterialParams))
 
-    def take(key, default=None):
-        return pairs.get(key, default)
-
-    vb_parts = _floats(take("materials.v_b", "1.0 -0.05"), "materials.v_b")
-    if len(vb_parts) not in (1, 2):
-        raise ConfigError("materials.v_b: expected 're' or 're im'")
-    materials = _build(
-        MaterialParams,
-        "materials",
-        errors,
-        v_m=_float(take("materials.v_m", "1.0"), "materials.v_m"),
-        v_b=complex(*vb_parts),
-        delta=_float(take("materials.delta", "0.001"), "materials.delta"),
-        theta_d=_float(take("materials.theta_d", "1.0"), "materials.theta_d"),
-    )
-
-    L = _float(take("lattice.L", "20.0"), "lattice.L")
+    L = take("lattice.L", _float)
     if L <= 0:
         errors.append("lattice.L must be positive")
-    omega_min = _float(take("band.omega_min", "0.01"), "band.omega_min")
-    omega_max = _float(take("band.omega_max", "0.1"), "band.omega_max")
-    samples = _int(take("band.samples", "200"), "band.samples")
+    band = (take("band.omega_min", _float), take("band.omega_max", _float))
+    samples = take("band.samples", _int)
     if samples < 2:
         errors.append("band.samples must be at least 2")
-    n_pts = _int(take("solver.n_pts", "128"), "solver.n_pts")
-    greens_tol = _float(take("solver.greens_tol", "1e-12"), "solver.greens_tol")
+    n_pts = take("solver.n_pts", _int)
+    greens_tol = take("solver.greens_tol", _float)
     if not 0 < greens_tol <= 1e-6:
         errors.append("solver.greens_tol must be in (0, 1e-6]")
 
     if errors:
         raise ConfigError("; ".join(errors))
 
-    shapes = _parse_shapes(pairs, shape_keys, L, errors)
+    shapes = _parse_shapes(pairs, run["geometry.layout"], shape_keys, L, errors)
     if errors:
         raise ConfigError("; ".join(errors))
 
-    m_targets_raw = take("optimizer.m_targets")
-    m_targets = _int(m_targets_raw, "optimizer.m_targets") if m_targets_raw else None
+    opt_fields = _fields(pairs, "optimizer", OptConfig)
+    m_targets = opt_fields.get("m_targets")
     if m_targets is not None and m_targets > len(shapes):
         errors.append(f"optimizer.m_targets must be in [1, {len(shapes)}] (the resonator count)")
-    coeff_bound = _float(take("optimizer.coeff_bound", "1.0"), "optimizer.coeff_bound")
-    margin_raw = take("optimizer.geometry_margin")
-    opt = _build(
-        OptConfig,
-        "optimizer",
-        errors,
-        objective=take("optimizer.objective", "ref"),
-        band=(omega_min, omega_max),
-        m_targets=m_targets,
-        n_quad=_int(take("optimizer.n_quad", "64"), "optimizer.n_quad"),
-        max_iters=_int(take("optimizer.max_iters", "100"), "optimizer.max_iters"),
-        lr=_float(take("optimizer.lr", "0.02"), "optimizer.lr"),
-        beta1=_float(take("optimizer.beta1", "0.9"), "optimizer.beta1"),
-        beta2=_float(take("optimizer.beta2", "0.999"), "optimizer.beta2"),
-        eps=_float(take("optimizer.eps", "1e-8"), "optimizer.eps"),
-        a0_bounds=(
-            _float(take("optimizer.a0_min", "0.1"), "optimizer.a0_min"),
-            _float(take("optimizer.a0_max", "1.0"), "optimizer.a0_max"),
-        ),
-        coeff_bounds=(-coeff_bound, coeff_bound),
-        geometry_margin=_float(margin_raw, "optimizer.geometry_margin") if margin_raw else None,
-        freeze_centers=_bool(take("optimizer.freeze_centers", "false"), "optimizer.freeze_centers"),
-        plateau_iters=_int(take("optimizer.plateau_iters", "0"), "optimizer.plateau_iters"),
-        snapshot_every=_int(take("optimizer.snapshot_every", "0"), "optimizer.snapshot_every"),
-        seed=_int(take("optimizer.seed", "0"), "optimizer.seed"),
-        n_pts=n_pts,
-    )
+    opt = _build(OptConfig, "optimizer", errors, band=band, n_pts=n_pts, **opt_fields)
 
     # greens-test point pair: both in the closed upper half-space, distinct
     # modulo the period (the rule of greens._check_separated)
-    greens_x = _floats(take("greens.x", "1.0 2.0"), "greens.x", 2)
-    greens_y = _floats(take("greens.y", "3.0 1.0"), "greens.y", 2)
-    greens_omega_raw = take("greens.omega")
-    greens_omega = _float(greens_omega_raw, "greens.omega") if greens_omega_raw else None
+    greens_x = take("greens.x", _floats, 2)
+    greens_y = take("greens.y", _floats, 2)
+    greens_omega = take("greens.omega", _float) if "greens.omega" in pairs else None
     if not min(greens_x[1], greens_y[1]) >= 0.0:
         errors.append("greens.x and greens.y must lie on or above the wall (x_d >= 0)")
     dl = greens_x[0] - greens_y[0]
@@ -242,33 +258,20 @@ def parse_config_text(text: str) -> RunConfig:
     return RunConfig(
         materials=materials,
         L=L,
-        band=(omega_min, omega_max),
+        band=band,
         samples=samples,
         shapes=shapes,
         n_pts=n_pts,
         greens_tol=greens_tol,
         optimizer=opt,
-        output_dir=take("output.dir", "out"),
+        output_dir=run["output.dir"],
         greens_point=(greens_x[0], greens_x[1], greens_y[0], greens_y[1]),
         greens_omega=greens_omega,
         config_hash=cfg_hash,
     )
 
 
-def _build(kind, section, errors, **fields):
-    """kind(**fields), or None with its range failures added to errors as section.<message>.
-
-    The types report every failing field in one ValueError, as "; "-joined
-    messages that each start with the field name.
-    """
-    try:
-        return kind(**fields)
-    except ValueError as exc:
-        errors.extend(f"{section}.{message}" for message in str(exc).split("; "))
-        return None
-
-
-def _parse_shapes(pairs, shape_keys, L, errors):
+def _parse_shapes(pairs, layout, shape_keys, L, errors):
     explicit = bool(shape_keys)
     if explicit and any(k.startswith("geometry.") for k in pairs):
         raise ConfigError("give either explicit shape.* blocks or a geometry preset, not both")
@@ -303,27 +306,15 @@ def _parse_shapes(pairs, shape_keys, L, errors):
             raise ConfigError("all shapes must share one Fourier order")
         shapes = tuple(shapes)
     else:
-        layout = pairs.get("geometry.layout", "1x1")
         try:
             cols, rows = (int(p) for p in layout.lower().split("x"))
         except ValueError:
             raise ConfigError(f"geometry.layout: expected 'CxR', got {layout!r}") from None
         if cols < 1 or rows < 1:
             raise ConfigError("geometry.layout counts must be positive")
-        radius = _float(pairs.get("geometry.radius", "0.5"), "geometry.radius")
-        order = _int(pairs.get("geometry.fourier_order", "2"), "geometry.fourier_order")
-        if not radius > 0:
-            raise ConfigError("geometry.radius must be positive")
-        if order < 0:
-            raise ConfigError("geometry.fourier_order must be nonnegative")
-        shapes = grid_layout(
-            cols,
-            rows,
-            radius=radius,
-            spacing=_float(pairs.get("geometry.spacing", "2.0"), "geometry.spacing"),
-            base_height=_float(pairs.get("geometry.base_height", "1.0"), "geometry.base_height"),
-            order=order,
-        )
+        shapes = _build(grid_layout, "geometry", errors, cols, rows, **_fields(pairs, "geometry", grid_layout))
+        if shapes is None:
+            raise ConfigError("; ".join(errors))
     violations = validate_geometry(shapes, L)
     errors.extend(violations)
     return shapes

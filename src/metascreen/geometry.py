@@ -15,9 +15,12 @@ numerically.
 from __future__ import annotations
 
 import csv
+import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .artifacts import fmt, write_csv
 
 __all__ = [
     "ShapeParams",
@@ -370,8 +373,13 @@ def grid_layout(
     """Circles on a regular cols x rows grid, centered laterally in the cell.
 
     Rows stack upward from base_height with the same spacing; '3x1' is three
-    resonators side by side, '1x3' a vertical stack.
+    resonators side by side, '1x3' a vertical stack.  Every failing range is
+    named in one error, each message led by its parameter name.
     """
+    checks = ((radius > 0, "radius must be positive"), (order >= 0, "order must be nonnegative"))
+    errors = [message for ok, message in checks if not ok]
+    if errors:
+        raise ValueError("; ".join(errors))
     lat = (np.arange(cols) - (cols - 1) / 2.0) * spacing
     hgt = base_height + np.arange(rows) * spacing
     shapes = []
@@ -395,37 +403,19 @@ def dump_geometry(grid: BoundaryGrid, path, meta: str) -> None:
     resonator_id, t, x, y, nx, ny.  The sidecar ``<path stem>.params.csv``
     lists center, a0 and the Fourier coefficients.
     """
-    import pathlib
-
     path = pathlib.Path(path)
     rid = grid.block_index()
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {meta}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["resonator_id", "t", "x", "y", "nx", "ny"])
-        for k in range(grid.n_total):
-            writer.writerow(
-                [
-                    rid[k],
-                    f"{grid.t[k]:.17g}",
-                    f"{grid.nodes[k, 0]:.17g}",
-                    f"{grid.nodes[k, 1]:.17g}",
-                    f"{grid.normals[k, 0]:.17g}",
-                    f"{grid.normals[k, 1]:.17g}",
-                ]
-            )
-    sidecar = path.with_suffix(".params.csv")
-    with open(sidecar, "w", newline="") as fh:
-        fh.write(f"# {meta}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["resonator_id", "center_x", "center_y", "a0", "order", "coeffs"])
-        for idx, p in enumerate(grid.shapes):
-            coeffs = " ".join(
-                f"{c:.17g}" for c in (*p.cos_coeffs, *p.sin_coeffs)
-            )
-            writer.writerow(
-                [idx, f"{p.center[0]:.17g}", f"{p.center[1]:.17g}", f"{p.a0:.17g}", p.order, coeffs]
-            )
+    nodes = (
+        [rid[k], *map(fmt, (grid.t[k], *grid.nodes[k], *grid.normals[k]))] for k in range(grid.n_total)
+    )
+    write_csv(path, ["resonator_id", "t", "x", "y", "nx", "ny"], nodes, meta)
+    params = (
+        [idx, fmt(p.center[0]), fmt(p.center[1]), fmt(p.a0), p.order,
+         " ".join(map(fmt, (*p.cos_coeffs, *p.sin_coeffs)))]
+        for idx, p in enumerate(grid.shapes)
+    )
+    header = ["resonator_id", "center_x", "center_y", "a0", "order", "coeffs"]
+    write_csv(path.with_suffix(".params.csv"), header, params, meta)
 
 
 def load_shape_params(path) -> tuple[ShapeParams, ...]:

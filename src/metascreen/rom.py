@@ -70,10 +70,6 @@ class MaterialParams:
     def tau_m(self) -> float:
         return self.theta_d / self.v_m
 
-    @property
-    def lossless(self) -> bool:
-        return self.v_b.imag == 0.0
-
 
 @dataclass(frozen=True)
 class RomModel:

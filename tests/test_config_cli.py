@@ -6,6 +6,8 @@ import pytest
 
 from metascreen import cli
 from metascreen.config import ConfigError, parse_config_text
+from metascreen.optimizer import OptConfig
+from metascreen.rom import MaterialParams
 
 
 class TestParseConfig:
@@ -18,6 +20,9 @@ class TestParseConfig:
         assert cfg.band == (0.01, 0.1)
         assert cfg.samples == 200
         assert len(cfg.shapes) == 1 and cfg.shapes[0].a0 == 0.5
+        # the parser keeps no defaults of its own for the fields of these types
+        assert cfg.materials == MaterialParams()
+        assert cfg.optimizer == OptConfig(band=cfg.band, n_pts=cfg.n_pts)
 
     def test_negative_contrast_rejected(self):
         with pytest.raises(ConfigError, match=r"contrast must be in \(0, 1\)"):
@@ -119,6 +124,11 @@ class TestParseConfig:
             ("geometry.radius = -0.5", "geometry.radius"),
             ("geometry.radius = 0", "geometry.radius"),
             ("geometry.fourier_order = -3", "geometry.fourier_order"),
+            # a range error of a type is reported under the key the user wrote
+            ("solver.n_pts = 63", r"^solver\.n_pts"),
+            ("band.omega_min = 0.2\nband.omega_max = 0.1", r"^band\.omega_m"),
+            ("optimizer.a0_min = 0.5\noptimizer.a0_max = 0.4", r"^optimizer\.a0_m"),
+            ("optimizer.coeff_bound = -1", r"^optimizer\.coeff_bound\b"),
         ],
     )
     def test_out_of_range_rejected(self, text, message):
@@ -224,11 +234,12 @@ class TestCli:
         [
             ("band.omega_max = 0.3\n", "diffraction cutoff"),
             ("materials.v_b = 0.5\nband.omega_max = 0.16\n", "multiple propagating"),
+            ("materials.theta_d = 0.8\n", "oblique incidence unsupported"),
         ],
-        ids=["near-cutoff", "interior-k"],
+        ids=["near-cutoff", "interior-k", "oblique"],
     )
     def test_exact_band_checked_before_solving(self, tmp_path, monkeypatch, capsys, extra, message):
-        # the band is refused up front with the solver's own rule on k_m and k_b
+        # the band and the incidence are refused up front with the solver's own rules
         def no_solve(*args, **kwargs):
             raise AssertionError("solve_scattering reached")
 

@@ -43,3 +43,10 @@ def test_readme_documents_every_config_key():
     documented = {re.sub(r"^shape\.\d+\.", "shape.N.", key) for key in found}
     shape_keys = {f"shape.N.{field}" for field in config._SHAPE_FIELDS}
     assert documented == config._KNOWN_KEYS | shape_keys
+    # and every default it states is the parser's
+    defaults = section.split("Remaining keys with defaults", 1)[1]
+    stated = re.findall(r"`([\w.]+) = ([^`|]+)`", re.sub(r"\s+", " ", defaults))
+    assert len(stated) >= 20
+    reference = config.parse_config_text("")
+    for key, value in stated:
+        assert config.parse_config_text(f"{key} = {value}") == reference, key
