@@ -116,12 +116,7 @@ def _spectrum_rows(omegas, rvals, tag):
 
 def cmd_spectrum(cfg: RunConfig, model_choice: str) -> int:
     if model_choice in ("exact", "both"):
-        # the full-order solver's own rules: normal incidence, and single-mode
-        # propagation of k_m and k_b at the top of the band
-        fullorder._require_normal(cfg.materials)
-        lattice = greens.LatticeConfig(L=cfg.L)
-        for v in (cfg.materials.v_m, cfg.materials.v_b):
-            greens.WaveParams(k=cfg.band[1] / v).check_single_mode(lattice)
+        fullorder.check_band(cfg.materials, *cfg.band, cfg.L)  # before any set-up
     grid, ctx, data = _pipeline(cfg)
     omegas = np.linspace(cfg.band[0], cfg.band[1], cfg.samples)
     rows = []
@@ -129,7 +124,7 @@ def cmd_spectrum(cfg: RunConfig, model_choice: str) -> int:
     r_rom = None
     if model_choice in ("rom", "both"):
         model = rom.build_rom(data, cfg.materials)
-        r_rom = rom.reflection_rom(model, omegas, warn_band=False)
+        r_rom = rom.reflection_rom(model, omegas)
         rows += _spectrum_rows(omegas, r_rom, "rom")
     if model_choice in ("exact", "both"):
         exact = fullorder.sweep(grid, omegas, cfg.materials, ctx)
@@ -155,7 +150,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
     omegas = np.linspace(cfg.band[0], cfg.band[1], cfg.samples)
     for tag, (grid, model) in (("initial", state.initial), ("best", state.best)):
         geometry.dump_geometry(grid, outdir / f"geometry_{tag}.csv", meta=meta)
-        rows = _spectrum_rows(omegas, rom.reflection_rom(model, omegas, warn_band=False), "rom")
+        rows = _spectrum_rows(omegas, rom.reflection_rom(model, omegas), "rom")
         write_csv(outdir / f"spectrum_{tag}.csv", _SPECTRUM_HEADER, rows, meta)
     for it, grid in state.snapshots:
         geometry.dump_geometry(grid, outdir / f"geometry_iter{it:05d}.csv", meta=meta)

@@ -2,12 +2,14 @@
 
 The grammar is one ``section.key = value`` binding per line, ``#`` comments,
 blank lines ignored.  Unknown keys are rejected; every numeric range is
-validated at parse time.  Each ``materials``, ``optimizer`` and ``geometry``
-preset key is declared once, in its section's table, with its converter and
-the MaterialParams / OptConfig field (or grid_layout parameter) it sets.  An
-omitted key is not passed, so that type's default applies; the types check
-their own ranges, and a failure is reported under the key the user wrote.
-The run-level keys keep their defaults in _RUN_DEFAULTS.
+validated at parse time.  Each ``materials``, ``optimizer``, ``geometry``
+preset and ``shape.<index>`` block key is declared once, in its section's
+table, with its converter and the MaterialParams / OptConfig / ShapeParams
+field (or grid_layout parameter) it sets.  An omitted key is not passed, so
+that type's default applies; the types check their own ranges, and every
+failure is reported under the key the user wrote.  The parser itself only
+refuses a resonator block without a ``center`` or ``a0``.  The run-level
+keys keep their defaults in _RUN_DEFAULTS.
 
 Geometry is either a layout preset (``geometry.layout = CxR`` with radius,
 spacing, base_height, fourier_order) or explicit per-resonator blocks
@@ -152,6 +154,9 @@ _SECTIONS = {
     "geometry": _spec(
         {"radius": _float, "fourier_order": ("order", _int, None), "spacing": _float, "base_height": _float}
     ),
+    # an explicit resonator block, shape.<index>.<key>
+    "shape": _spec({"center": lambda value, key: _floats(value, key, 2), "a0": _float,
+                    "cos": ("cos_coeffs", _floats, None), "sin": ("sin_coeffs", _floats, None)}),
 }
 # the run-level keys, whose defaults and checks the parser alone owns
 _RUN_DEFAULTS = {
@@ -161,15 +166,13 @@ _RUN_DEFAULTS = {
 }
 # the keys of the OptConfig fields that the parser passes in from the run level
 _RUN_FIELD_KEYS = {"band": "band.omega_min / band.omega_max", "n_pts": "solver.n_pts"}
-_KNOWN_KEYS = set(_RUN_DEFAULTS) | {f"{s}.{name}" for s, table in _SECTIONS.items() for name in table}
-# the keys of an explicit resonator block, shape.<index>.<field>
-_SHAPE_FIELDS = ("center", "a0", "cos", "sin")
+_KNOWN_KEYS = set(_RUN_DEFAULTS) | {f"{s}.{n}" for s, t in _SECTIONS.items() if s != "shape" for n in t}
 
 
 def _fields(pairs, section, kind) -> dict:
     """The fields of kind that the section's keys in pairs set; an omitted key sets none."""
     fields = {}
-    for name, (target, convert, end) in _SECTIONS[section].items():
+    for name, (target, convert, end) in _SECTIONS[section.split(".")[0]].items():
         key = f"{section}.{name}"
         if key in pairs:
             value = convert(pairs[key], key)
@@ -191,7 +194,7 @@ def _build(kind, section, errors, *args, **fields):
         return kind(*args, **fields)
     except ValueError as exc:
         keys = dict(_RUN_FIELD_KEYS)
-        for name, (target, _, _) in _SECTIONS[section].items():
+        for name, (target, _, _) in _SECTIONS[section.split(".")[0]].items():
             keys[target] = f"{keys[target]} / {section}.{name}" if target in keys else f"{section}.{name}"
         for message in str(exc).split("; "):
             name = message.split()[0].rstrip(":")
@@ -279,7 +282,7 @@ def _parse_shapes(pairs, layout, shape_keys, L, errors):
         indices = set()
         for key in shape_keys:
             parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in _SHAPE_FIELDS:
+            if len(parts) != 3 or parts[2] not in _SECTIONS["shape"]:
                 raise ConfigError(f"unknown key: {key}")
             try:
                 indices.add(int(parts[1]))
@@ -289,18 +292,13 @@ def _parse_shapes(pairs, layout, shape_keys, L, errors):
             raise ConfigError("shape indices must be contiguous starting at 1")
         shapes = []
         for i in sorted(indices):
-            center = _floats(pairs.get(f"shape.{i}.center", ""), f"shape.{i}.center", 2)
-            a0 = _float(pairs.get(f"shape.{i}.a0", "0"), f"shape.{i}.a0")
-            cos_c = _floats(pairs[f"shape.{i}.cos"], f"shape.{i}.cos") if f"shape.{i}.cos" in pairs else []
-            sin_c = _floats(pairs[f"shape.{i}.sin"], f"shape.{i}.sin") if f"shape.{i}.sin" in pairs else []
-            if len(cos_c) != len(sin_c):
-                raise ConfigError(f"shape.{i}: cos and sin coefficient counts differ")
-            if a0 <= 0:
-                raise ConfigError(f"shape.{i}.a0 must be positive")
-            shapes.append(
-                ShapeParams(center=(center[0], center[1]), a0=a0,
-                            cos_coeffs=tuple(cos_c), sin_coeffs=tuple(sin_c))
-            )
+            section = f"shape.{i}"  # ShapeParams has no default center or a0
+            missing = [f"{section}.{k} is missing" for k in ("center", "a0") if f"{section}.{k}" not in pairs]
+            errors.extend(missing)
+            if not missing:
+                shapes.append(_build(ShapeParams, section, errors, **_fields(pairs, section, ShapeParams)))
+        if errors:
+            raise ConfigError("; ".join(errors))
         orders = {s.order for s in shapes}
         if len(orders) > 1:
             raise ConfigError("all shapes must share one Fourier order")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import layerpot
+from . import greens, layerpot
 from .geometry import BoundaryGrid
 from .rom import MaterialParams
 
@@ -36,6 +36,7 @@ __all__ = [
     "SWEEP_TOL",
     "ScatteringSolution",
     "Sweep",
+    "check_band",
     "incident_trace",
     "solve_scattering",
     "sweep",
@@ -62,14 +63,23 @@ class ScatteringSolution:
     residual: float
 
 
-def _require_normal(materials: MaterialParams):
+def check_band(materials: MaterialParams, omega_min: float, omega_max: float, L: float) -> None:
+    """ValueError unless the incidence is normal, omega_min > 0 and k_m, k_b at omega_max are single-mode.
+
+    solve_scattering and incident_trace check their own omega; a sweep checks its band before any set-up.
+    """
     if materials.theta_d != 1.0:
         raise ValueError("oblique incidence unsupported in the full-order solver")
+    if not omega_min > 0:
+        raise ValueError(f"frequency must be positive, got omega = {omega_min:g}")
+    lattice = greens.LatticeConfig(L=L)
+    for v in (materials.v_m, materials.v_b):
+        greens.WaveParams(k=omega_max / v).check_single_mode(lattice)
 
 
 def incident_trace(grid: BoundaryGrid, omega: float, materials: MaterialParams):
     """Boundary values and normal derivative of u_tilde = -2i sin(omega tau_m x_d)."""
-    _require_normal(materials)
+    check_band(materials, omega, omega, grid.L)
     km = omega * materials.tau_m
     xd = grid.nodes[:, 1]
     u = -2j * np.sin(km * xd)
@@ -84,16 +94,15 @@ def solve_scattering(
     context: layerpot.AssemblyContext | None = None,
 ) -> ScatteringSolution:
     """Assemble and solve the coupled transmission system at one frequency."""
-    _require_normal(materials)
-    if omega <= 0:
-        raise ValueError("frequency must be positive")
+    check_band(materials, omega, omega, grid.L)
     km = omega / materials.v_m
     kb = omega / materials.v_b
 
     ctx = context if context is not None else layerpot.AssemblyContext(grid)
+    # both operators of one wavenumber in a row: the context holds one kernel bundle
     S_b = ctx.single_layer_helmholtz(kb)
-    S_m = ctx.single_layer_helmholtz(km)
     K_b = ctx.adjoint_double_layer_helmholtz(kb)
+    S_m = ctx.single_layer_helmholtz(km)
     K_m = ctx.adjoint_double_layer_helmholtz(km)
 
     n = grid.n_total

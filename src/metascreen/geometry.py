@@ -68,15 +68,21 @@ class ShapeParams:
     sin_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if len(self.cos_coeffs) != len(self.sin_coeffs):
-            raise ValueError("cos_coeffs and sin_coeffs must have equal length")
-        if not self.a0 > 0:  # NaN fails it too
-            raise ValueError("base radius a0 must be positive")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         object.__setattr__(self, "sin_coeffs", tuple(float(c) for c in self.sin_coeffs))
-        if not np.isfinite([*self.center, self.a0, *self.cos_coeffs, *self.sin_coeffs]).all():
-            raise ValueError("center, a0 and Fourier coefficients must be finite")
+        # every failing field in one error, each message led by its field name;
+        # each range is written so that NaN fails it
+        checks = (
+            (np.isfinite(self.center).all(), "center must be finite"),
+            (0.0 < self.a0 < np.inf, "a0 must be positive and finite"),
+            (np.isfinite(self.cos_coeffs).all(), "cos_coeffs must be finite"),
+            (np.isfinite(self.sin_coeffs).all(), "sin_coeffs must be finite"),
+            (len(self.sin_coeffs) == self.order, "sin_coeffs must have one entry per cos coefficient"),
+        )
+        errors = [message for ok, message in checks if not ok]
+        if errors:
+            raise ValueError("; ".join(errors))
 
     @property
     def order(self) -> int:
@@ -277,36 +283,19 @@ def params_to_shapes(params, order: int) -> tuple[ShapeParams, ...]:
     return tuple(shapes)
 
 
-def validate_geometry(shapes, L: float, margin: float | None = None, design_box=None):
+def validate_geometry(shapes, L: float, margin: float | None = None):
     """Check wall clearance, radius positivity, cell containment and overlaps.
 
     Returns a list of human-readable violations (empty when the configuration
     is valid).  Overlap checks include the lattice-shifted copies at
     x_lateral +- L; a bounding-circle prefilter skips far-apart pairs.  Each
     boundary is sampled at N_CHECK points.  The minimum admissible gap is a
-    configurable safety margin (default 1e-3 * L).  When ``design_box =
-    (a0_bounds, coeff_bound)`` is given, breaches of the design box are
-    reported too (the optimizer enforces them; plain analysis runs are
-    unrestricted).
+    configurable safety margin (default 1e-3 * L).
     """
     shapes = tuple(shapes)
     if margin is None:
         margin = 1e-3 * L
     violations = []
-    if design_box is not None:
-        (a0_lo, a0_hi), cb = design_box
-        for idx, p in enumerate(shapes):
-            if not a0_lo <= p.a0 <= a0_hi:
-                violations.append(
-                    f"resonator {idx}: a0 = {p.a0:.6g} outside the design box "
-                    f"[{a0_lo:g}, {a0_hi:g}]"
-                )
-            worst = max((abs(c) for c in (*p.cos_coeffs, *p.sin_coeffs)), default=0.0)
-            if worst > cb:
-                violations.append(
-                    f"resonator {idx}: Fourier coefficient magnitude {worst:.6g} "
-                    f"exceeds {cb:g}"
-                )
     t = np.linspace(0.0, 2.0 * np.pi, N_CHECK, endpoint=False)
     cos_t, sin_t = np.cos(t), np.sin(t)
     boundaries = []

@@ -34,9 +34,9 @@ Laplace part among them, and the point kernels call it too.  The cache is
 built on the first Helmholtz operator or helmholtz_cache() call, so
 Laplace-only work such as the optimizer loop and the shape gradients never
 pays for it.  A Helmholtz operator checks the single-mode condition on k
-before it builds anything.  The Helmholtz bundle comes from
-greens.gper_helmholtz, the same function the point kernels
-(greens.helmholtz_gs / helmholtz_gs_grad) call.
+before it builds anything, and the context holds the bundle of one k at a
+time.  The Helmholtz bundle comes from greens.gper_helmholtz, the same
+function the point kernels (greens.helmholtz_gs / helmholtz_gs_grad) call.
 
 The sound-soft kernel is reciprocal, G_s(x, y) = G_s(y, x), so every pair
 quantity is stored for the pairs i <= j only, as 1-D arrays in row-major
@@ -221,7 +221,7 @@ class AssemblyContext:
         self.kress = kress_log_weights(grid.n_pts)
         self.w_t = 2.0 * np.pi / grid.n_pts
         self._helm: dict | None = None
-        self._bundles: dict = {}
+        self._bundle: tuple | None = None  # (k, kernel bundle) of the last wavenumber
 
     def _separation_chunks(self):
         """(i0, i1, pairs, z_l, direct z_d, image z_d) of the stored pairs, one _row_chunks chunk at a time."""
@@ -287,23 +287,23 @@ class AssemblyContext:
         return self._helm
 
     def _kernel_bundle(self, k: complex):
-        """Kernel bundle of G_per^k: "dir" and "img" tables and "log" factors; cached per k.
+        """Kernel bundle of G_per^k: "dir" and "img" tables and "log" factors.
 
         k must satisfy the single-mode condition; it is checked before any
         cache is built.  One greens.gper_helmholtz call per part ("dir",
         "img") and one Bessel pass for "log" serve both operators at this
-        wavenumber; the two most recent bundles are kept so sweeps
-        alternating k_b / k_m stay cached.  Nothing is masked: with the
-        closed-form Laplace part zeroed on the direct diagonal, the direct
-        value there is the smooth remainder 1/(2ikL) + ln(4)/(4 pi) + C(0)
-        and the direct gradient is 0.  r is symmetric on each block, so the
-        J_0 and J_1 series run on the block triangles and are mirrored.
+        wavenumber; only the last k's bundle is kept, released before the
+        next is built.  Nothing is masked: with the closed-form Laplace part
+        zeroed on the direct diagonal, the direct value there is the smooth
+        remainder 1/(2ikL) + ln(4)/(4 pi) + C(0) and the direct gradient is
+        0.  r is symmetric on each block, so the J_0 and J_1 series run on the
+        block triangles and are mirrored.
         """
         greens.WaveParams(k=k).check_single_mode(greens.LatticeConfig(L=self.grid.L))
         key = complex(k)
-        cached = self._bundles.get(key)
-        if cached is not None:
-            return cached
+        if self._bundle is not None and self._bundle[0] == key:
+            return self._bundle[1]
+        self._bundle = None
         helm = self.helmholtz_cache()
         out = {
             part: greens.gper_helmholtz(k, self.grid.L, helm[part], tol=self.tol, want_grad=True)
@@ -320,9 +320,7 @@ class AssemblyContext:
             full[:, upper] = tri
         j1c *= helm["zdotnu"]
         out["log"] = (j0, j1c)
-        if len(self._bundles) >= 2:
-            self._bundles.pop(next(iter(self._bundles)))
-        self._bundles[key] = out
+        self._bundle = (key, out)
         return out
 
     # -- the Nystrom body ----------------------------------------------------

@@ -5,8 +5,9 @@ the Hadamard densities, chains them onto the design vector, and takes an
 adaptive-moment step.  The step normalizes the gradient per resonator block
 by its max-abs before the moment update ("uniform" scaling of the shape
 gradient density), applies the usual bias-corrected first/second moments, and
-projects the iterate onto the box constraints.  A step whose geometry is
-invalid is halved up to ten times before the iteration is skipped.
+projects the iterate onto the design box (_bounds_mask), the one box ``run``
+also checks the initial design against.  A step whose geometry is invalid is
+halved up to ten times before the iteration is skipped.
 
 ``run`` writes no files: the returned OptState carries the history, the best
 design, the (grid, RomModel) of the first and best evaluations and the
@@ -125,7 +126,7 @@ def uniform_targets(band, m: int) -> np.ndarray:
 def objective_ref(model: rom.RomModel, band, n_quad: int = 64) -> float:
     """Band-averaged reflectance J^ref = mean of |r|^2 over the band."""
     nodes, weights = rom.band_quadrature(band, n_quad)
-    r = rom.reflection_rom(model, nodes, warn_band=False)
+    r = rom.reflection_rom(model, nodes)
     return float(np.sum(weights * np.abs(r) ** 2) / (band[1] - band[0]))
 
 
@@ -230,23 +231,28 @@ def _evaluate(shapes, cfg: OptConfig, materials, L, targets):
 def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> OptState:
     """Execute the design loop; returns the final OptState and writes no files.
 
-    A degenerate spectrum mid-run is retried with seeded 1e-4 Fourier jitter
-    (at most 3 times), then aborts.  An iteration whose step was skipped
-    reuses the evaluation of the unchanged design, which is deterministic.
+    The initial design must pass validate_geometry and lie in the box the
+    steps are projected onto (_bounds_mask), or GeometryError names every
+    breach.  A degenerate spectrum mid-run is retried with seeded 1e-4
+    Fourier jitter (at most 3 times), then aborts.  An iteration whose step
+    was skipped reuses the evaluation of the unchanged design, which is
+    deterministic.
     The state keeps the (grid, RomModel) of the first and of the best
     evaluation and the snapshot grids, so callers can report them without
     evaluating again.
     """
     shapes = tuple(shapes)
-    violations = geometry.validate_geometry(
-        shapes,
-        L,
-        margin=config.geometry_margin,
-        design_box=(config.a0_bounds, config.coeff_bounds[1]),
-    )
+    state = OptState.fresh(shapes)
+    lo, hi = _bounds_mask(len(shapes), state.order, config, L)
+    npp = geometry.params_per_shape(state.order)
+    violations = [
+        f"resonator {i // npp}: {geometry.param_name(state.order, i % npp)} = {state.params[i]:.6g} "
+        f"outside the design box [{lo[i]:g}, {hi[i]:g}]"
+        for i in np.flatnonzero((state.params < lo) | (state.params > hi))
+    ]
+    violations += geometry.validate_geometry(shapes, L, margin=config.geometry_margin)
     if violations:
         raise geometry.GeometryError(violations)
-    state = OptState.fresh(shapes)
     rng = None  # the jitter generator, made on the first retry: most runs never import numpy.random
     targets = None
     if config.objective == "res":

@@ -78,7 +78,6 @@ class RomModel:
     lam: np.ndarray
     lam1: np.ndarray
     materials: MaterialParams
-    cell_measure: float
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
@@ -95,10 +94,6 @@ class RomModel:
     @property
     def n_modes(self) -> int:
         return len(self.lam)
-
-    @property
-    def omega_max_single_mode(self) -> float:
-        return 2.0 * np.pi / self.cell_measure * self.materials.v_m
 
 
 def lambda_of_omega(materials: MaterialParams, omega):
@@ -130,19 +125,16 @@ def resonant_frequencies(cap: CapacitanceData, materials: MaterialParams) -> np.
 
 
 def build_rom(cap: CapacitanceData, materials: MaterialParams) -> RomModel:
-    return RomModel(
-        lam=cap.lam.copy(),
-        lam1=radiative_widths(cap, materials),
-        materials=materials,
-        cell_measure=cap.grid.L,
-    )
+    return RomModel(lam=cap.lam.copy(), lam1=radiative_widths(cap, materials), materials=materials)
 
 
-def reflection_rom(model: RomModel, omega, warn_band: bool = True):
-    """Modal reflection coefficient r(omega); vectorized over omega."""
+def reflection_rom(model: RomModel, omega):
+    """Modal reflection coefficient r(omega); vectorized over omega.
+
+    It does not check omega against the single-mode band: the full-order
+    solver owns that rule (fullorder.check_band).
+    """
     omega = np.asarray(omega, dtype=float)
-    if warn_band and np.any(omega >= model.omega_max_single_mode):
-        warnings.warn("frequency outside the validated single-mode band")
     om = omega[..., None]
     den = model.lam - 1j * om * model.lam1 - lambda_of_omega(model.materials, om)
     if np.any(den == 0):

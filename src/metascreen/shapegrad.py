@@ -149,7 +149,7 @@ def grad_objective_ref(model: RomModel, grads: ShapeGradients, band, n_quad: int
     and each density is contracted once.
     """
     nodes, weights = band_quadrature(band, n_quad)
-    r = rom.reflection_rom(model, nodes, warn_band=False)
+    r = rom.reflection_rom(model, nodes)
     c0, c1 = _reflection_weights(model, nodes)
     wr = weights * np.conj(r)
     out = grads.glam0 @ np.real(wr @ c0) + grads.glam1 @ np.real(wr @ c1)

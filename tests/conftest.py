@@ -25,7 +25,7 @@ def run_sweep(shapes, n_pts, n_freq, materials):
     r_exact = np.array(
         [fo.solve_scattering(grid, om, materials, context=ctx).r for om in omegas]
     )
-    r_rom = rom.reflection_rom(model, omegas, warn_band=False)
+    r_rom = rom.reflection_rom(model, omegas)
     return {
         "grid": grid,
         "data": data,

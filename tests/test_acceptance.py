@@ -199,7 +199,7 @@ class TestAC6CriticalCoupling:
         v_b = np.sqrt(vb2)
         v_b = -v_b if v_b.imag > 0 else v_b
         mats = rom.MaterialParams(v_b=complex(v_b), delta=delta)
-        model = rom.RomModel(lam=[lam1], lam1=[lam11], materials=mats, cell_measure=L)
+        model = rom.RomModel(lam=[lam1], lam1=[lam11], materials=mats)
         mag = abs(rom.reflection_rom(model, omega_star))
         assert mag <= 1e-12, f"|r| = {mag:.2e}"
         print(f"\nAC-6 critical coupling r=0: PASS (|r| {mag:.1e})")
@@ -208,7 +208,7 @@ class TestAC6CriticalCoupling:
         omega_star, delta = 0.05, 0.001
         lam1 = omega_star**2 / delta  # lambda(omega*) == lam1 bit-exactly
         mats = rom.MaterialParams(v_b=1.0, delta=delta)
-        model = rom.RomModel(lam=[lam1], lam1=[0.4], materials=mats, cell_measure=L)
+        model = rom.RomModel(lam=[lam1], lam1=[0.4], materials=mats)
         r = rom.reflection_rom(model, omega_star)
         assert abs(r - 1.0) <= 1e-12, f"r = {r}"
         print(f"\nAC-6 sound-hard crossing r=+1: PASS (|r-1| {abs(r - 1.0):.1e})")

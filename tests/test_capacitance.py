@@ -143,8 +143,8 @@ class TestResonatorOrder:
         assert np.abs(b.lam - a.lam).max() < tol
         mats = rom.MaterialParams()
         omega = np.linspace(0.01, 0.1, 37)
-        ra = rom.reflection_rom(rom.build_rom(a, mats), omega, warn_band=False)
-        rb = rom.reflection_rom(rom.build_rom(b, mats), omega, warn_band=False)
+        ra = rom.reflection_rom(rom.build_rom(a, mats), omega)
+        rb = rom.reflection_rom(rom.build_rom(b, mats), omega)
         assert np.abs(rb - ra).max() < tol
 
 

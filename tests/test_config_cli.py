@@ -152,6 +152,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"^{key}: expected (a )?finite"):
             parse_config_text(text)
 
+    def test_shape_block_names_every_failing_key(self):
+        # ShapeParams owns the ranges of a block and reports them all at once
+        text = "shape.1.center = 0 2\nshape.1.a0 = -1\nshape.1.cos = 0.1\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value) == (
+            "shape.1.a0 must be positive and finite; shape.1.sin must have one entry per cos coefficient"
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("shape.1.center = 0 2\n", "shape.1.a0 is missing"),
+            ("shape.1.a0 = 0.5\n", "shape.1.center is missing"),
+            ("shape.1.center = 0 2\nshape.1.a0 = 0.5\nshape.2.cos = 0\n",
+             "shape.2.center is missing; shape.2.a0 is missing"),
+        ],
+    )
+    def test_shape_block_missing_key(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value) == message
+
     def test_hash_stable(self):
         a = parse_config_text("lattice.L = 20\n# comment\n")
         b = parse_config_text("lattice.L = 20\n")
@@ -235,15 +258,21 @@ class TestCli:
             ("band.omega_max = 0.3\n", "diffraction cutoff"),
             ("materials.v_b = 0.5\nband.omega_max = 0.16\n", "multiple propagating"),
             ("materials.theta_d = 0.8\n", "oblique incidence unsupported"),
+            ("band.omega_min = 0\n", "frequency must be positive"),
         ],
-        ids=["near-cutoff", "interior-k", "oblique"],
+        ids=["near-cutoff", "interior-k", "oblique", "zero-omega"],
     )
     def test_exact_band_checked_before_solving(self, tmp_path, monkeypatch, capsys, extra, message):
-        # the band and the incidence are refused up front with the solver's own rules
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solve_scattering reached")
+        # the band and the incidence are refused up front with the solver's own
+        # rules (fullorder.check_band), before any set-up
+        def unreachable(name):
+            def reached(*args, **kwargs):
+                raise AssertionError(f"{name} reached")
 
-        monkeypatch.setattr(cli.fullorder, "solve_scattering", no_solve)
+            return reached
+
+        monkeypatch.setattr(cli, "_pipeline", unreachable("_pipeline"))
+        monkeypatch.setattr(cli.fullorder, "solve_scattering", unreachable("solve_scattering"))
         code = run_cli(tmp_path, BASE + extra, "spectrum", "--model", "exact")
         assert code == cli.EXIT_NUMERICAL
         assert message in capsys.readouterr().err

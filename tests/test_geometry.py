@@ -179,17 +179,6 @@ class TestValidateGeometry:
         out = geo.validate_geometry([p], L)
         assert any("radius" in v for v in out)
 
-    def test_design_box_reporting(self):
-        box = ((0.1, 1.0), 1.0)
-        huge = geo.ShapeParams((0, 3), 1.5)
-        out = geo.validate_geometry([huge], L, design_box=box)
-        assert any("design box" in v for v in out)
-        wavy = geo.ShapeParams((0, 3), 0.8, cos_coeffs=(1.2,), sin_coeffs=(0.0,))
-        out = geo.validate_geometry([wavy], L, design_box=box)
-        assert any("coefficient" in v for v in out)
-        ok = geo.ShapeParams((0, 3), 0.8, cos_coeffs=(0.9,), sin_coeffs=(0.0,))
-        assert geo.validate_geometry([ok], L, design_box=box) == []
-
 
 class TestParamsRoundTrip:
     def test_round_trip(self, two_res_shapes):

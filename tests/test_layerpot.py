@@ -493,7 +493,7 @@ class TestLaplaceMemory:
         arrays = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
         assert sum(a.size >= n * n for a in arrays) == 1 and ctx._upper.dtype == bool
         assert all(a.size <= n_pts**2 for a in arrays if a is not ctx._upper)
-        assert ctx._helm is None and not ctx._bundles
+        assert ctx._helm is None and ctx._bundle is None
 
     def test_evaluation_peak(self, grid):
         # an optimizer evaluation's Laplace work: the capacitance pipeline (S,

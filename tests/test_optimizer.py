@@ -32,7 +32,7 @@ class TestTargets:
 
 class TestObjectives:
     def test_ref_bare_wall(self):
-        model = rom.RomModel(lam=[2.0], lam1=[0.0], materials=MATS, cell_measure=L)
+        model = rom.RomModel(lam=[2.0], lam1=[0.0], materials=MATS)
         assert abs(opt.objective_ref(model, BAND) - 1.0) < 1e-14  # r = -1 exactly
 
     def test_ref_quadrature_self_convergence(self, one_circle):
@@ -50,7 +50,7 @@ class TestObjectives:
         omega_star = 0.05
         lam_w = rom.lambda_of_omega(MATS, omega_star)
         model = rom.RomModel(
-            lam=[lam_w.real], lam1=[lam_w.imag / omega_star], materials=MATS, cell_measure=L
+            lam=[lam_w.real], lam1=[lam_w.imag / omega_star], materials=MATS
         )
         assert opt.objective_res(model, [omega_star]) < 1e-28
 
@@ -58,19 +58,19 @@ class TestObjectives:
         omega_star = 0.05
         lam_w = rom.lambda_of_omega(MATS, omega_star)
         model = rom.RomModel(
-            lam=[2.0 * lam_w.real], lam1=[lam_w.imag / omega_star], materials=MATS, cell_measure=L
+            lam=[2.0 * lam_w.real], lam1=[lam_w.imag / omega_star], materials=MATS
         )
         assert abs(opt.objective_res(model, [omega_star]) - 1.0) < 1e-12
 
     def test_res_lossless_rejected(self):
         model = rom.RomModel(
-            lam=[2.0], lam1=[0.5], materials=rom.MaterialParams(v_b=1.0), cell_measure=L
+            lam=[2.0], lam1=[0.5], materials=rom.MaterialParams(v_b=1.0)
         )
         with pytest.raises(ValueError, match="lossless"):
             opt.objective_res(model, [0.05])
 
     def test_res_too_many_targets(self):
-        model = rom.RomModel(lam=[2.0], lam1=[0.5], materials=MATS, cell_measure=L)
+        model = rom.RomModel(lam=[2.0], lam1=[0.5], materials=MATS)
         with pytest.raises(ValueError, match="targets"):
             opt.objective_res(model, [0.04, 0.07])
 
@@ -257,10 +257,10 @@ class TestRun:
                 return getattr(geo, name)
 
             @staticmethod
-            def validate_geometry(shapes, L_, margin=None, design_box=None):
-                if design_box is None:  # a trial step; the check of the initial design passes a box
+            def validate_geometry(shapes, L_, margin=None):
+                if tuple(shapes) != tuple(one_circle):  # a trial step moves the design
                     return ["synthetic violation"]
-                return geo.validate_geometry(shapes, L_, margin=margin, design_box=design_box)
+                return geo.validate_geometry(shapes, L_, margin=margin)
 
         def history(skip_steps, plateau_iters=0):
             evaluations.clear()
@@ -297,6 +297,32 @@ class TestRun:
         huge = (geo.ShapeParams((0.0, 3.0), 1.5),)
         with pytest.raises(geo.GeometryError, match="design box"):
             opt.run(opt.OptConfig(), huge, MATS, L)
+
+    def test_design_box_reporting(self):
+        # the box of the initial check is the box each step is projected onto:
+        # every parameter outside it is named, with the bounds
+        def refusal(shapes):
+            with pytest.raises(geo.GeometryError) as info:
+                opt.run(opt.OptConfig(max_iters=0, n_pts=32), shapes, MATS, L)
+            return info.value.violations
+
+        huge = geo.ShapeParams((0, 3), 1.5)
+        assert refusal([huge]) == ["resonator 0: a0 = 1.5 outside the design box [0.1, 1]"]
+        wavy = geo.ShapeParams((0, 3), 0.8, cos_coeffs=(1.2,), sin_coeffs=(-1.1,))
+        assert refusal([wavy]) == [
+            "resonator 0: a1 = 1.2 outside the design box [-1, 1]",
+            "resonator 0: b1 = -1.1 outside the design box [-1, 1]",
+        ]
+        ok = geo.ShapeParams((0, 3), 0.8, cos_coeffs=(0.9,), sin_coeffs=(0.0,))
+        assert opt.run(opt.OptConfig(max_iters=0, n_pts=32), [ok], MATS, L).history
+
+    def test_asymmetric_box_checked_at_its_lower_bound(self):
+        # under coeff_bounds = (0, 1) the first step would snap a1 = -0.3 to 0
+        shapes = [geo.ShapeParams((0, 3), 0.8, cos_coeffs=(-0.3,), sin_coeffs=(0.5,))]
+        with pytest.raises(geo.GeometryError, match=r"a1 = -0\.3 outside the design box \[0, 1\]"):
+            opt.run(opt.OptConfig(coeff_bounds=(0.0, 1.0)), shapes, MATS, L)
+        state = opt.run(opt.OptConfig(coeff_bounds=(-1.0, 1.0), max_iters=0, n_pts=32), shapes, MATS, L)
+        assert len(state.history) == 1
 
     def test_mixed_fourier_order_rejected(self):
         mixed = (

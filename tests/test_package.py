@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pathlib
@@ -12,6 +13,64 @@ import metascreen
 from metascreen import config
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(metascreen.__path__))
+
+
+# the only private names a module may read from another: layerpot forms the
+# Laplace kernel of each row chunk from greens' closed-form factors
+FOREIGN_PRIVATE_ALLOWED = {"layerpot": {"greens._zl_factors", "greens._laplace_from_factors"}}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _foreign_private_uses(tree):
+    """Private names the module reads from elsewhere, as written (comments do not count).
+
+    A private import, a private attribute of an imported name, and a private
+    attribute that the module itself never defines or assigns.
+    """
+    imported, defined, uses = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+                if _private(alias.name):
+                    uses.add(f"{getattr(node, 'module', None) or '.'}.{alias.name}")
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if owner in imported or node.attr not in defined:
+                uses.add(f"{ast.unparse(node.value)}.{node.attr}")
+    return uses
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_foreign_private_names(name):
+    # a rule another module keeps private has one owner; calling it from a
+    # second module is how a copy of the rule starts
+    path = pathlib.Path(metascreen.__file__).parent / f"{name}.py"
+    uses = _foreign_private_uses(ast.parse(path.read_text()))
+    assert uses == FOREIGN_PRIVATE_ALLOWED.get(name, set())
+
+
+def test_foreign_private_check_sees_calls():
+    tree = ast.parse(
+        "from . import fullorder\n"
+        "from .greens import _kernel\n"
+        "# fullorder._hidden in a comment\n"
+        "fullorder._require_normal(m)\n"
+        "ctx._bundle\n"
+        "self._own = 1\n"
+        "self._own\n"
+    )
+    assert _foreign_private_uses(tree) == {"fullorder._require_normal", "ctx._bundle", "greens._kernel"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -41,7 +100,7 @@ def test_readme_documents_every_config_key():
     heads = sorted({key.split(".")[0] for key in config._KNOWN_KEYS} | {"shape"})
     found = re.findall(rf"\b(?:{'|'.join(heads)})\.[\w.]*\w", section)
     documented = {re.sub(r"^shape\.\d+\.", "shape.N.", key) for key in found}
-    shape_keys = {f"shape.N.{field}" for field in config._SHAPE_FIELDS}
+    shape_keys = {f"shape.N.{key}" for key in config._SECTIONS["shape"]}
     assert documented == config._KNOWN_KEYS | shape_keys
     # and every default it states is the parser's
     defaults = section.split("Remaining keys with defaults", 1)[1]

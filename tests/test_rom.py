@@ -138,7 +138,7 @@ def critical_coupling_materials(lam1, lam11, omega_star, delta=0.001):
 class TestReflection:
     def test_critical_coupling_zero(self):
         mats = critical_coupling_materials(1.0, 0.5, 0.05)
-        model = rom.RomModel(lam=[1.0], lam1=[0.5], materials=mats, cell_measure=L)
+        model = rom.RomModel(lam=[1.0], lam1=[0.5], materials=mats)
         assert abs(rom.reflection_rom(model, 0.05)) < 1e-12
 
     def test_sound_hard_crossing(self):
@@ -148,13 +148,12 @@ class TestReflection:
         lam1 = omega**2 / delta  # lambda(omega) == lam1 in floating point
         model = rom.RomModel(
             lam=[lam1], lam1=[0.4], materials=rom.MaterialParams(v_b=1.0, delta=delta),
-            cell_measure=L,
         )
         assert abs(rom.reflection_rom(model, omega) - 1.0) < 1e-12
 
     def test_low_frequency_limit(self):
         model = rom.RomModel(
-            lam=[2.0, 5.0], lam1=[0.5, 0.1], materials=rom.MaterialParams(), cell_measure=L
+            lam=[2.0, 5.0], lam1=[0.5, 0.1], materials=rom.MaterialParams()
         )
         assert abs(rom.reflection_rom(model, 1e-9) + 1.0) < 1e-7
 
@@ -164,24 +163,16 @@ class TestReflection:
         lam1 = omega**2 / delta
         model = rom.RomModel(
             lam=[lam1], lam1=[0.0], materials=rom.MaterialParams(v_b=1.0, delta=delta),
-            cell_measure=L,
         )
         with pytest.raises(ValueError, match="resonant singularity"):
             rom.reflection_rom(model, omega)
 
     def test_finite_for_lossy_band(self):
         model = rom.RomModel(
-            lam=[2.0, 5.0], lam1=[0.5, 0.1], materials=rom.MaterialParams(), cell_measure=L
+            lam=[2.0, 5.0], lam1=[0.5, 0.1], materials=rom.MaterialParams()
         )
-        r = rom.reflection_rom(model, np.linspace(0.001, 0.3, 500), warn_band=False)
+        r = rom.reflection_rom(model, np.linspace(0.001, 0.3, 500))
         assert np.all(np.isfinite(r))
-
-    def test_band_warning(self):
-        model = rom.RomModel(
-            lam=[2.0], lam1=[0.5], materials=rom.MaterialParams(), cell_measure=L
-        )
-        with pytest.warns(UserWarning, match="band"):
-            rom.reflection_rom(model, 0.5)
 
     def test_gauge_invariance_via_widths(self):
         data = synthetic_cap([[2.0, 0.3], [0.3, 1.5]], [1.0, 0.8], [1.1, 0.7])
@@ -196,9 +187,9 @@ class TestReflection:
 class TestAbsorptanceImpedance:
     def test_absorptance_limits(self):
         mats = critical_coupling_materials(1.0, 0.5, 0.05)
-        model = rom.RomModel(lam=[1.0], lam1=[0.5], materials=mats, cell_measure=L)
+        model = rom.RomModel(lam=[1.0], lam1=[0.5], materials=mats)
         assert abs(rom.absorptance(rom.reflection_rom(model, 0.05)) - 1.0) < 1e-12
-        dark = rom.RomModel(lam=[2.0], lam1=[0.0], materials=rom.MaterialParams(), cell_measure=L)
+        dark = rom.RomModel(lam=[2.0], lam1=[0.0], materials=rom.MaterialParams())
         assert abs(rom.absorptance(rom.reflection_rom(dark, 0.05))) < 1e-15  # r = -1 exactly
 
 

@@ -154,7 +154,7 @@ class TestReflectionDensity:
 
     def test_dark_single_mode_density_vanishes(self):
         # lam1 = 0 and g^lam1 = 0 leave no reflection sensitivity
-        model = rom.RomModel(lam=[2.0], lam1=[0.0], materials=MATS, cell_measure=L)
+        model = rom.RomModel(lam=[2.0], lam1=[0.0], materials=MATS)
         fake = type("G", (), {})()
         fake.glam0 = np.random.default_rng(0).standard_normal((10, 1))
         fake.glam1 = np.zeros((10, 1))
@@ -171,7 +171,7 @@ class TestReflectionDensity:
         lam_w = rom.lambda_of_omega(mats, omega_star)
         lam1_needed = lam_w.imag / omega_star
         model = rom.RomModel(
-            lam=[data.lam[0]], lam1=[lam1_needed], materials=mats, cell_measure=L
+            lam=[data.lam[0]], lam1=[lam1_needed], materials=mats
         )
         dens = sg.grad_objective_res(model, grads, [omega_star])
         assert np.abs(dens).max() < 1e-10
@@ -189,7 +189,7 @@ class TestReflectionDensity:
             den = model.lam - 1j * om * model.lam1 - lam_w
             num = (model.lam - lam_w) * grads.glam1 - model.lam1 * grads.glam0
             gr = -np.sum(2j * om * num / den**2, axis=1)
-            r = rom.reflection_rom(model, om, warn_band=False)
+            r = rom.reflection_rom(model, om)
             ref += wq * np.real(np.conj(r) * gr)
         ref *= 2.0 / (BAND[1] - BAND[0])
         got = sg.grad_objective_ref(model, grads, BAND, N_QUAD)
@@ -209,7 +209,7 @@ class TestReflectionDensity:
     def test_res_lossless_rejected(self, design):
         _, _, _, grads, _ = design
         model = rom.RomModel(
-            lam=[2.0, 5.0], lam1=[0.5, 0.2], materials=rom.MaterialParams(v_b=1.0), cell_measure=L
+            lam=[2.0, 5.0], lam1=[0.5, 0.2], materials=rom.MaterialParams(v_b=1.0)
         )
         with pytest.raises(ValueError, match="lossless"):
             sg.grad_objective_res(model, grads, uniform_targets(BAND, 2))
