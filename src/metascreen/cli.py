@@ -52,13 +52,12 @@ def _outdir(cfg: RunConfig) -> pathlib.Path:
 
 
 def _pipeline(cfg: RunConfig):
-    """Set-up shared by the commands: grid, the Helmholtz cache, C.
+    """Set-up shared by capmat, resonances and spectrum: grid, the Helmholtz cache, C.
 
     The Helmholtz cache (the Kummer and closed-form Laplace pair tables, see
-    AssemblyContext.helmholtz_cache) is built here, so every command pays the
-    same set-up and a later frequency sweep only does k-dependent work.  The
-    Laplace S of the capacitance pipeline does not read that cache: it is
-    formed chunk by chunk from the nodes, as in every Laplace-only caller.
+    AssemblyContext.helmholtz_cache) is built here, so a later frequency sweep
+    only does k-dependent work.  The Laplace S of the capacitance pipeline does
+    not read it, nor do optimize and check-grad (optimizer.evaluate).
     """
     grid = geometry.discretize(cfg.shapes, cfg.n_pts, cfg.L)
     ctx = layerpot.AssemblyContext(grid, tol=cfg.greens_tol)
@@ -162,40 +161,28 @@ def cmd_optimize(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_CHECK_QUANTITIES = ("J_ref", "J_res")
+_CHECK_QUANTITIES = {"J_ref": "ref", "J_res": "res"}  # quantity -> OptConfig.objective
 
 
 def cmd_check_grad(cfg: RunConfig) -> int:
-    """Analytic vs central-difference parametric gradients of the objectives."""
-    grid, ctx, data = _pipeline(cfg)
-    mats = cfg.materials
-    model = rom.build_rom(data, mats)
+    """The optimizer's parametric gradients (optimizer.evaluate) vs central differences."""
     opt = cfg.optimizer
-    m_t = opt.m_targets if opt.m_targets is not None else data.n_res
-    targets = optimizer.uniform_targets(cfg.band, m_t)
-    grads = shapegrad.gradient_densities(data, mats, kstar=ctx.adjoint_double_layer_laplace())
-    vel = shapegrad.normal_velocities(grid)
+    order = geometry.fourier_order(cfg.shapes)
+    targets = optimizer.design_targets(opt, len(cfg.shapes))
     ana = {
-        "J_ref": shapegrad.parametric_gradient(
-            shapegrad.grad_objective_ref(model, grads, cfg.band, opt.n_quad), grid, vel
-        ),
-        "J_res": shapegrad.parametric_gradient(
-            shapegrad.grad_objective_res(model, grads, targets), grid, vel
-        ),
+        q: optimizer.evaluate(cfg.shapes, replace(opt, objective=o), cfg.materials, cfg.L, targets)[1]
+        for q, o in _CHECK_QUANTITIES.items()
     }
 
     def values(params):
-        shp = geometry.params_to_shapes(params, cfg.shapes[0].order)
-        g = geometry.discretize(shp, cfg.n_pts, cfg.L)
-        d = capacitance.capacitance_pipeline(g)
-        mdl = rom.build_rom(d, mats)
+        grid = geometry.discretize(geometry.params_to_shapes(params, order), cfg.n_pts, cfg.L)
+        model = rom.build_rom(capacitance.capacitance_pipeline(grid), cfg.materials)
         return {
-            "J_ref": optimizer.objective_ref(mdl, cfg.band, opt.n_quad),
-            "J_res": optimizer.objective_res(mdl, targets),
+            "J_ref": optimizer.objective_ref(model, cfg.band, opt.n_quad),
+            "J_res": optimizer.objective_res(model, targets),
         }
 
     p0 = geometry.shapes_to_params(cfg.shapes)
-    order = cfg.shapes[0].order
     npp = geometry.params_per_shape(order)
     rows = []
     worst = 0.0

@@ -23,7 +23,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .geometry import ShapeParams, grid_layout, validate_geometry
+from .geometry import ShapeParams, fourier_order, grid_layout, validate_geometry
 from .optimizer import OptConfig
 from .rom import MaterialParams
 
@@ -299,9 +299,10 @@ def _parse_shapes(pairs, layout, shape_keys, L, errors):
                 shapes.append(_build(ShapeParams, section, errors, **_fields(pairs, section, ShapeParams)))
         if errors:
             raise ConfigError("; ".join(errors))
-        orders = {s.order for s in shapes}
-        if len(orders) > 1:
-            raise ConfigError("all shapes must share one Fourier order")
+        try:
+            fourier_order(shapes)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         shapes = tuple(shapes)
     else:
         try:

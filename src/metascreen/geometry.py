@@ -30,6 +30,10 @@ __all__ = [
     "discretize",
     "velocity_field",
     "validate_geometry",
+    "CENTER",
+    "A0",
+    "COEFFS",
+    "fourier_order",
     "params_per_shape",
     "param_name",
     "shapes_to_params",
@@ -42,6 +46,11 @@ __all__ = [
 
 # boundary points per resonator at which validate_geometry checks every constraint
 N_CHECK = 256
+
+# rows of a resonator's design-vector block [center_x, center_y, a0, a_1..a_M, b_1..b_M]
+CENTER = slice(0, 2)
+A0 = 2
+COEFFS = slice(3, None)
 
 
 class GeometryError(ValueError):
@@ -217,6 +226,14 @@ def discretize(shapes, n_pts: int, L: float) -> BoundaryGrid:
     )
 
 
+def fourier_order(shapes) -> int:
+    """The one Fourier order M shared by all shapes of a design."""
+    orders = {p.order for p in shapes}
+    if len(orders) != 1:
+        raise ValueError("all shapes must share one Fourier order")
+    return orders.pop()
+
+
 def params_per_shape(order: int) -> int:
     """Number of design parameters per resonator: cx, cy, a0, a_1..a_M, b_1..b_M."""
     return 3 + 2 * order
@@ -256,13 +273,10 @@ def velocity_field(p: ShapeParams, param_index: int, t):
 
 
 def shapes_to_params(shapes) -> np.ndarray:
-    """Flatten shapes into the global design vector (uniform Fourier order)."""
-    out = []
-    for p in shapes:
-        out.extend([p.center[0], p.center[1], p.a0])
-        out.extend(p.cos_coeffs)
-        out.extend(p.sin_coeffs)
-    return np.array(out, dtype=float)
+    """Flatten shapes into the global design vector; they must share one Fourier order."""
+    fourier_order(shapes)
+    blocks = [(*p.center, p.a0, *p.cos_coeffs, *p.sin_coeffs) for p in shapes]
+    return np.array(blocks, dtype=float).ravel()
 
 
 def params_to_shapes(params, order: int) -> tuple[ShapeParams, ...]:
@@ -270,17 +284,10 @@ def params_to_shapes(params, order: int) -> tuple[ShapeParams, ...]:
     npp = params_per_shape(order)
     if params.size % npp:
         raise ValueError("design vector length incompatible with Fourier order")
-    shapes = []
-    for block in params.reshape(-1, npp):
-        shapes.append(
-            ShapeParams(
-                center=(block[0], block[1]),
-                a0=block[2],
-                cos_coeffs=tuple(block[3 : 3 + order]),
-                sin_coeffs=tuple(block[3 + order :]),
-            )
-        )
-    return tuple(shapes)
+    return tuple(
+        ShapeParams(block[CENTER], block[A0], block[COEFFS][:order], block[COEFFS][order:])
+        for block in params.reshape(-1, npp)
+    )
 
 
 def validate_geometry(shapes, L: float, margin: float | None = None):

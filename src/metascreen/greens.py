@@ -43,7 +43,8 @@ zeta(-m) = -B_{m+1}/(m+1) comes from exact Bernoulli numbers, each rounded
 once.
 
 The single-mode condition (WaveParams.check_single_mode) is checked by the
-point kernels and by layerpot.AssemblyContext before they build any table;
+point kernels and by layerpot.AssemblyContext before they build any table,
+and by fullorder.check_band for a whole band before any set-up;
 gper_helmholtz itself does not check it.
 
 gper_helmholtz is the one place this kernel and its gradient are composed.

@@ -7,7 +7,9 @@ by its max-abs before the moment update ("uniform" scaling of the shape
 gradient density), applies the usual bias-corrected first/second moments, and
 projects the iterate onto the design box (_bounds_mask), the one box ``run``
 also checks the initial design against.  A step whose geometry is invalid is
-halved up to ten times before the iteration is skipped.
+halved up to ten times before the iteration is skipped.  The step, the box
+and the jitter work on the (resonator, parameter) view of the design vector,
+whose rows geometry names (CENTER, A0, COEFFS).
 
 ``run`` writes no files: the returned OptState carries the history, the best
 design, the (grid, RomModel) of the first and best evaluations and the
@@ -30,7 +32,9 @@ __all__ = [
     "objective_ref",
     "objective_res",
     "uniform_targets",
+    "design_targets",
     "step_uniform_adam",
+    "evaluate",
     "run",
 ]
 
@@ -104,13 +108,9 @@ class OptState:
 
     @classmethod
     def fresh(cls, shapes) -> "OptState":
-        orders = {p.order for p in shapes}
-        if len(orders) != 1:
-            raise ValueError("all shapes must share one Fourier order")
         p = geometry.shapes_to_params(shapes)
-        return cls(
-            params=p, order=orders.pop(), moment1=np.zeros_like(p), moment2=np.zeros_like(p)
-        )
+        order = geometry.fourier_order(shapes)
+        return cls(params=p, order=order, moment1=np.zeros_like(p), moment2=np.zeros_like(p))
 
     def shapes(self):
         return geometry.params_to_shapes(self.params, self.order)
@@ -123,6 +123,11 @@ def uniform_targets(band, m: int) -> np.ndarray:
     return lo + j * (hi - lo) / (m + 1)
 
 
+def design_targets(config: OptConfig, n_res: int) -> np.ndarray:
+    """J^res targets of a design: m_targets of them (default n_res, one per mode) over the band."""
+    return uniform_targets(config.band, config.m_targets if config.m_targets is not None else n_res)
+
+
 def objective_ref(model: rom.RomModel, band, n_quad: int = 64) -> float:
     """Band-averaged reflectance J^ref = mean of |r|^2 over the band."""
     nodes, weights = rom.band_quadrature(band, n_quad)
@@ -132,31 +137,19 @@ def objective_ref(model: rom.RomModel, band, n_quad: int = 64) -> float:
 
 def objective_res(model: rom.RomModel, targets) -> float:
     """Resonance matching J^res; zero iff every critical-coupling condition holds."""
-    targets = np.asarray(targets, dtype=float)
-    m_t = len(targets)
-    if m_t > model.n_modes:
-        raise ValueError("more targets than modes")
-    lam_w = rom.lambda_of_omega(model.materials, targets)
-    if np.any(np.imag(lam_w) == 0):
-        raise ValueError("J^res undefined: Im lambda(omega*) = 0 (lossless material)")
-    t1 = model.lam[:m_t] / np.real(lam_w) - 1.0
-    t2 = targets * model.lam1[:m_t] / np.imag(lam_w) - 1.0
+    t1, t2, _ = rom.resonance_defects(model, targets)
     return float(np.mean(t1 * t1 + t2 * t2))
 
 
 def _bounds_mask(n_res: int, order: int, cfg: OptConfig, L: float):
     """Per-parameter (lower, upper) arrays for the box projection."""
-    npp = geometry.params_per_shape(order)
-    lo = np.full(n_res * npp, -np.inf)
-    hi = np.full(n_res * npp, np.inf)
-    for j in range(n_res):
-        base = j * npp
-        lo[base], hi[base] = -L / 2.0, L / 2.0  # center_x stays in the cell
-        lo[base + 1] = 0.0  # center height above the wall
-        lo[base + 2], hi[base + 2] = cfg.a0_bounds
-        lo[base + 3 :base + npp] = cfg.coeff_bounds[0]
-        hi[base + 3 :base + npp] = cfg.coeff_bounds[1]
-    return lo, hi
+    shape = (n_res, geometry.params_per_shape(order))
+    lo, hi = np.full(shape, -np.inf), np.full(shape, np.inf)
+    # center_x stays in the cell, the center height above the wall
+    lo[:, geometry.CENTER], hi[:, geometry.CENTER] = (-L / 2.0, 0.0), (L / 2.0, np.inf)
+    lo[:, geometry.A0], hi[:, geometry.A0] = cfg.a0_bounds
+    lo[:, geometry.COEFFS], hi[:, geometry.COEFFS] = cfg.coeff_bounds
+    return lo.ravel(), hi.ravel()
 
 
 def step_uniform_adam(state: OptState, grad, cfg: OptConfig, L: float):
@@ -170,24 +163,19 @@ def step_uniform_adam(state: OptState, grad, cfg: OptConfig, L: float):
     grad = np.asarray(grad, dtype=float)
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient passed to the optimizer step")
-    shapes = state.shapes()
-    npp = geometry.params_per_shape(state.order)
     g = grad.copy()
-    for j in range(len(shapes)):
-        blk = slice(j * npp, (j + 1) * npp)
-        scale = np.abs(g[blk]).max()
-        if scale > 0:
-            g[blk] /= scale
+    blocks = g.reshape(-1, geometry.params_per_shape(state.order))  # a view: one row per resonator
+    scale = np.abs(blocks).max(axis=1, keepdims=True)
+    np.divide(blocks, scale, out=blocks, where=scale > 0)
     if cfg.freeze_centers:
-        for j in range(len(shapes)):
-            g[j * npp : j * npp + 2] = 0.0
+        blocks[:, geometry.CENTER] = 0.0
     t = state.iteration + 1
     m1 = cfg.beta1 * state.moment1 + (1.0 - cfg.beta1) * g
     m2 = cfg.beta2 * state.moment2 + (1.0 - cfg.beta2) * g * g
     m1_hat = m1 / (1.0 - cfg.beta1**t)
     m2_hat = m2 / (1.0 - cfg.beta2**t)
     direction = m1_hat / (np.sqrt(m2_hat) + cfg.eps)
-    lo, hi = _bounds_mask(len(shapes), state.order, cfg, L)
+    lo, hi = _bounds_mask(len(blocks), state.order, cfg, L)
     step = cfg.lr
     for _ in range(11):
         trial = np.clip(state.params - step * direction, lo, hi)
@@ -209,8 +197,11 @@ def step_uniform_adam(state: OptState, grad, cfg: OptConfig, L: float):
     return new, False
 
 
-def _evaluate(shapes, cfg: OptConfig, materials, L, targets):
-    """Objective value and parametric gradient at one design."""
+def evaluate(shapes, cfg: OptConfig, materials, L, targets):
+    """Objective value and parametric gradient at one design, with its RomModel and grid.
+
+    targets are the J^res targets (design_targets); J^ref does not read them.
+    """
     grid = geometry.discretize(shapes, cfg.n_pts, L)
     ctx = layerpot.AssemblyContext(grid)
     data = capacitance.capacitance_pipeline(grid, context=ctx)
@@ -254,17 +245,14 @@ def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> O
     if violations:
         raise geometry.GeometryError(violations)
     rng = None  # the jitter generator, made on the first retry: most runs never import numpy.random
-    targets = None
-    if config.objective == "res":
-        m_t = config.m_targets if config.m_targets is not None else len(shapes)
-        targets = uniform_targets(config.band, m_t)
+    targets = design_targets(config, len(shapes))
 
     def evaluate_with_retry(st: OptState):
         nonlocal rng
         params = st.params
         for attempt in range(4):
             try:
-                return params, _evaluate(
+                return params, evaluate(
                     geometry.params_to_shapes(params, st.order), config, materials, L, targets
                 )
             except shapegrad.DegenerateSpectrumError:
@@ -273,12 +261,10 @@ def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> O
                 log.warning("degenerate spectrum; retrying with seeded Fourier jitter")
                 if rng is None:
                     rng = np.random.default_rng(config.seed)
-                npp = geometry.params_per_shape(st.order)
-                jitter = np.zeros_like(params)
-                for j in range(len(shapes)):
-                    blk = slice(j * npp + 3, (j + 1) * npp)
-                    jitter[blk] = 1e-4 * rng.standard_normal(blk.stop - blk.start)
-                params = params + jitter
+                jitter = np.zeros((len(shapes), npp))
+                coeffs = jitter[:, geometry.COEFFS]
+                coeffs[:] = 1e-4 * rng.standard_normal(coeffs.shape)
+                params = params + jitter.ravel()
         raise AssertionError("unreachable")
 
     plateau = 0

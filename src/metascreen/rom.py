@@ -28,7 +28,9 @@ __all__ = [
     "radiative_widths",
     "resonant_frequencies",
     "build_rom",
+    "modal_denominators",
     "reflection_rom",
+    "resonance_defects",
     "absorptance",
     "band_quadrature",
 ]
@@ -128,6 +130,15 @@ def build_rom(cap: CapacitanceData, materials: MaterialParams) -> RomModel:
     return RomModel(lam=cap.lam.copy(), lam1=radiative_widths(cap, materials), materials=materials)
 
 
+def modal_denominators(model: RomModel, omega):
+    """lam_j - i omega lam1_j - lam(omega), modes on a new last axis; refuses a vanishing one."""
+    om = np.asarray(omega, dtype=float)[..., None]
+    den = model.lam - 1j * om * model.lam1 - lambda_of_omega(model.materials, om)
+    if np.any(den == 0):
+        raise ValueError("resonant singularity: modal denominator vanished")
+    return den
+
+
 def reflection_rom(model: RomModel, omega):
     """Modal reflection coefficient r(omega); vectorized over omega.
 
@@ -136,11 +147,26 @@ def reflection_rom(model: RomModel, omega):
     """
     omega = np.asarray(omega, dtype=float)
     om = omega[..., None]
-    den = model.lam - 1j * om * model.lam1 - lambda_of_omega(model.materials, om)
-    if np.any(den == 0):
-        raise ValueError("resonant singularity: modal denominator vanished")
-    r = -1.0 - np.sum(2j * om * model.lam1 / den, axis=-1)
+    r = -1.0 - np.sum(2j * om * model.lam1 / modal_denominators(model, omega), axis=-1)
     return complex(r) if omega.ndim == 0 else r
+
+
+def resonance_defects(model: RomModel, targets):
+    """J^res defects t1_j = lam_j / Re lam(w_j*) - 1, t2_j = w_j* lam1_j / Im lam(w_j*) - 1, and lam(w*).
+
+    The M targets w_j* go to the M lowest modes; J^res is undefined for more
+    targets than modes or a lossless material.
+    """
+    targets = np.asarray(targets, dtype=float)
+    m_t = len(targets)
+    if m_t > model.n_modes:
+        raise ValueError("more targets than modes")
+    lam_w = lambda_of_omega(model.materials, targets)
+    if np.any(np.imag(lam_w) == 0):
+        raise ValueError("J^res undefined: Im lambda(omega*) = 0 (lossless material)")
+    t1 = model.lam[:m_t] / np.real(lam_w) - 1.0
+    t2 = targets * model.lam1[:m_t] / np.imag(lam_w) - 1.0
+    return t1, t2, lam_w
 
 
 def absorptance(r):

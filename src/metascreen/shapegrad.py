@@ -26,7 +26,7 @@ import numpy as np
 
 from . import layerpot, rom
 from .capacitance import CapacitanceData, relative_gap
-from .geometry import params_per_shape, velocity_field
+from .geometry import fourier_order, params_per_shape, velocity_field
 from .rom import RomModel, band_quadrature, lambda_of_omega
 
 __all__ = [
@@ -127,10 +127,7 @@ def _reflection_weights(model: RomModel, omega):
     """
     om = np.asarray(omega, dtype=float)[..., None]
     lam_w = lambda_of_omega(model.materials, om)
-    den = model.lam - 1j * om * model.lam1 - lam_w
-    if np.any(den == 0):
-        raise ValueError("resonant singularity: modal denominator vanished")
-    scale = 2j * om / den**2
+    scale = 2j * om / rom.modal_denominators(model, omega) ** 2
     return scale * model.lam1, -scale * (model.lam - lam_w)
 
 
@@ -165,15 +162,10 @@ def grad_objective_res(model: RomModel, grads: ShapeGradients, targets):
     Targets are assigned to the M lowest modes in ascending order.
     """
     targets = np.asarray(targets, dtype=float)
+    t1, t2, lam_w = rom.resonance_defects(model, targets)
     m_t = len(targets)
-    if m_t > model.n_modes:
-        raise ValueError("more targets than modes")
-    lam_w = lambda_of_omega(model.materials, targets)
-    re_l, im_l = np.real(lam_w), np.imag(lam_w)
-    if np.any(im_l == 0):
-        raise ValueError("J^res undefined: Im lambda(omega*) = 0 (lossless material)")
-    c0 = (model.lam[:m_t] / re_l - 1.0) / re_l
-    c1 = (targets * model.lam1[:m_t] / im_l - 1.0) * targets / im_l
+    c0 = t1 / np.real(lam_w)
+    c1 = t2 * targets / np.imag(lam_w)
     out = grads.glam0[:, :m_t] @ c0 + grads.glam1[:, :m_t] @ c1
     return (2.0 / m_t) * out
 
@@ -184,20 +176,16 @@ def normal_velocities(grid) -> np.ndarray:
     Velocity fields vanish outside their own resonator, so the matrix is
     block sparse; rows follow the per-shape layout of shapes_to_params.
     """
-    orders = {p.order for p in grid.shapes}
-    if len(orders) != 1:
-        raise ValueError("all shapes must share one Fourier order")
-    order = orders.pop()
-    npp = params_per_shape(order)
-    out = np.zeros((npp * grid.n_res, grid.n_total))
+    npp = params_per_shape(fourier_order(grid.shapes))
+    out = np.zeros((grid.n_res, npp, grid.n_total))
     t = grid.t[: grid.n_pts]
     for j, p in enumerate(grid.shapes):
         b = grid.block(j)
         nu = grid.normals[b]
         for q in range(npp):
             theta = velocity_field(p, q, t)
-            out[j * npp + q, b] = np.einsum("ki,ki->k", theta, nu)
-    return out
+            out[j, q, b] = np.einsum("ki,ki->k", theta, nu)
+    return out.reshape(-1, grid.n_total)
 
 
 def parametric_gradient(density, grid, velocities=None):

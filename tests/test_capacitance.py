@@ -166,6 +166,17 @@ class TestLaplaceOnlyPipeline:
         assert cli.main(["--config", str(cfg_file), "--output-dir", str(out), "optimize"]) == 0
         assert (out / "spectrum_best.csv").exists()
 
+    def test_cli_check_grad_skips_helmholtz_cache(self, tmp_path, monkeypatch):
+        def forbidden(ctx):
+            raise AssertionError("check-grad built the Helmholtz cache")
+
+        monkeypatch.setattr(layerpot.AssemblyContext, "helmholtz_cache", forbidden)
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("solver.n_pts = 32\n")
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg_file), "--output-dir", str(out), "check-grad"]) == 0
+        assert (out / "check_grad.csv").exists()
+
     def test_cli_setup_builds_whole_context(self, tmp_path, monkeypatch):
         built = []
         build = layerpot.AssemblyContext.helmholtz_cache

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from metascreen import capacitance as cap, cli, geometry as geo, optimizer as opt, rom, shapegrad as sg
+from metascreen import capacitance as cap, cli, config, geometry as geo, optimizer as opt, rom, shapegrad as sg
 
 L = 20.0
 MATS = rom.MaterialParams()
@@ -28,6 +28,12 @@ class TestTargets:
         for m in (1, 2, 5, 9):
             t = opt.uniform_targets(BAND, m)
             assert t.min() > BAND[0] and t.max() < BAND[1]
+
+    def test_design_targets_default_one_per_resonator(self):
+        cfg = opt.OptConfig(band=BAND)
+        assert np.array_equal(opt.design_targets(cfg, 3), opt.uniform_targets(BAND, 3))
+        cfg = opt.OptConfig(band=BAND, m_targets=2)
+        assert np.array_equal(opt.design_targets(cfg, 3), opt.uniform_targets(BAND, 2))
 
 
 class TestObjectives:
@@ -133,6 +139,54 @@ class TestStep:
         assert np.array_equal(new.params[:2], state.params[:2])
         assert not np.array_equal(new.params[2:], state.params[2:])
 
+    def test_freeze_centers_every_resonator(self, two_res_shapes):
+        state = opt.OptState.fresh(two_res_shapes)
+        g = np.random.default_rng(0).standard_normal(state.params.shape)
+        cfg = self.cfg(freeze_centers=True)
+        new, ok = opt.step_uniform_adam(state, g, cfg, L)
+        old_blocks, new_blocks = (p.reshape(2, -1) for p in (state.params, new.params))
+        assert ok and np.array_equal(new_blocks[:, geo.CENTER], old_blocks[:, geo.CENTER])
+        assert np.all(new_blocks[:, geo.A0] != old_blocks[:, geo.A0])
+        assert np.all(new_blocks[:, geo.COEFFS] != old_blocks[:, geo.COEFFS])
+        # the normalized, frozen gradient equals the per-resonator loop's
+        npp = geo.params_per_shape(2)
+        ref = g.copy()
+        for j in range(2):
+            ref[j * npp : (j + 1) * npp] /= np.abs(ref[j * npp : (j + 1) * npp]).max()
+            ref[j * npp : j * npp + 2] = 0.0
+        assert np.array_equal(new.moment1, (1.0 - cfg.beta1) * ref)
+
+    def test_zero_gradient_block_stays(self, two_res_shapes):
+        # the per-block max-abs normalization leaves an all-zero block at zero
+        state = opt.OptState.fresh(two_res_shapes)
+        g = np.zeros((2, geo.params_per_shape(2)))
+        g[1] = np.linspace(-3.0, 2.0, g.shape[1])
+        new, ok = opt.step_uniform_adam(state, g.ravel(), self.cfg(), L)
+        old_blocks, new_blocks = (p.reshape(2, -1) for p in (state.params, new.params))
+        assert ok and np.array_equal(new_blocks[0], old_blocks[0])
+        assert np.all(new_blocks[1] != old_blocks[1])
+        assert not new.moment1.reshape(2, -1)[0].any() and not new.moment2.reshape(2, -1)[0].any()
+
+    def test_box_follows_the_block_layout(self):
+        cfg = self.cfg(a0_bounds=(0.1, 2.0), coeff_bounds=(-0.3, 0.4))
+        lo, hi = opt._bounds_mask(3, 2, cfg, L)
+        npp = geo.params_per_shape(2)
+        for j in range(3):
+            b = j * npp
+            assert (lo[b], hi[b], lo[b + 1], hi[b + 1]) == (-L / 2.0, L / 2.0, 0.0, np.inf)
+            assert (lo[b + 2], hi[b + 2]) == cfg.a0_bounds
+            assert np.all(lo[b + 3 : b + npp] == -0.3) and np.all(hi[b + 3 : b + npp] == 0.4)
+
+    def test_order_zero_design_steps(self):
+        # no Fourier coefficients: the coefficient rows of every block are empty
+        shapes = (geo.ShapeParams((-3.0, 1.0), 0.5), geo.ShapeParams((3.0, 1.0), 0.4))
+        state = opt.OptState.fresh(shapes)
+        new, ok = opt.step_uniform_adam(state, np.ones_like(state.params), self.cfg(freeze_centers=True), L)
+        old_blocks, new_blocks = (p.reshape(2, -1) for p in (state.params, new.params))
+        assert ok and new_blocks.shape == (2, 3)
+        assert np.array_equal(new_blocks[:, geo.CENTER], old_blocks[:, geo.CENTER])
+        assert np.all(new_blocks[:, geo.A0] < old_blocks[:, geo.A0])
+
     def test_nonfinite_gradient_rejected(self, one_circle):
         state = opt.OptState.fresh(one_circle)
         g = np.full_like(state.params, np.nan)
@@ -207,20 +261,52 @@ class TestRun:
         state = opt.run(cfg, one_circle, MATS, L)
         assert not geo.validate_geometry(state.shapes(), L)
 
-    def test_degenerate_retry_with_jitter(self, one_circle, monkeypatch):
+    def test_degenerate_retry_with_jitter(self, one_circle, two_res_shapes, monkeypatch):
         calls = {"n": 0}
-        real = opt._evaluate
+        designs = []
+        real = opt.evaluate
 
         def flaky(shapes, cfg, materials, L_, targets):
+            designs.append(geo.shapes_to_params(shapes).reshape(len(shapes), -1))
             if calls["n"] == 0:
                 calls["n"] += 1
                 raise sg.DegenerateSpectrumError("synthetic")
             return real(shapes, cfg, materials, L_, targets)
 
-        monkeypatch.setattr(opt, "_evaluate", flaky)
+        monkeypatch.setattr(opt, "evaluate", flaky)
         cfg = opt.OptConfig(objective="ref", max_iters=1, n_pts=32)
-        state = opt.run(cfg, one_circle, MATS, L)
-        assert calls["n"] == 1 and len(state.history) == 2
+        for shapes in (one_circle, two_res_shapes):
+            calls["n"] = 0
+            designs.clear()
+            state = opt.run(cfg, shapes, MATS, L)
+            assert calls["n"] == 1 and len(state.history) == 2
+            # the retry jitters only the Fourier coefficients of each resonator
+            refused, retried = designs[:2]
+            assert np.array_equal(retried[:, geo.CENTER], refused[:, geo.CENTER])
+            assert np.array_equal(retried[:, geo.A0], refused[:, geo.A0])
+            # one draw per resonator, in order, from the seeded generator
+            rng = np.random.default_rng(cfg.seed)
+            npp = refused.shape[1]
+            ref = refused.ravel().copy()
+            for j in range(len(shapes)):
+                ref[j * npp + 3 : (j + 1) * npp] += 1e-4 * rng.standard_normal(npp - 3)
+            assert np.array_equal(retried.ravel(), ref)
+
+    def test_order_zero_design_retries(self, monkeypatch):
+        # the jitter of an order-0 design draws nothing and leaves it unchanged
+        shapes = (geo.ShapeParams((-3.0, 1.0), 0.5), geo.ShapeParams((3.0, 1.0), 0.4))
+        designs = []
+        real = opt.evaluate
+
+        def flaky(shapes_, *args):
+            designs.append(geo.shapes_to_params(shapes_))
+            if len(designs) == 1:
+                raise sg.DegenerateSpectrumError("synthetic")
+            return real(shapes_, *args)
+
+        monkeypatch.setattr(opt, "evaluate", flaky)
+        state = opt.run(opt.OptConfig(objective="ref", max_iters=1, n_pts=32), shapes, MATS, L)
+        assert len(state.history) == 2 and np.array_equal(designs[0], designs[1])
 
     def test_run_without_retry_skips_numpy_random(self, tmp_path):
         # the jitter generator is made on the first degenerate-spectrum retry,
@@ -244,7 +330,7 @@ class TestRun:
         # never moves: one evaluation serves every iteration, and the history
         # and the plateau stop are those of evaluating each time
         evaluations = []
-        real_evaluate = opt._evaluate
+        real_evaluate = opt.evaluate
 
         def counted(*args):
             evaluations.append(1)
@@ -265,7 +351,7 @@ class TestRun:
         def history(skip_steps, plateau_iters=0):
             evaluations.clear()
             with monkeypatch.context() as m:
-                m.setattr(opt, "_evaluate", counted)
+                m.setattr(opt, "evaluate", counted)
                 if skip_steps:
                     m.setattr(opt, "geometry", StepsRefused())
                 cfg = opt.OptConfig(
@@ -324,10 +410,30 @@ class TestRun:
         state = opt.run(opt.OptConfig(coeff_bounds=(-1.0, 1.0), max_iters=0, n_pts=32), shapes, MATS, L)
         assert len(state.history) == 1
 
-    def test_mixed_fourier_order_rejected(self):
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            pytest.param(geo.shapes_to_params, ValueError, id="shapes_to_params"),
+            pytest.param(opt.OptState.fresh, ValueError, id="OptState.fresh"),
+            pytest.param(
+                lambda shapes: sg.normal_velocities(geo.discretize(shapes, 32, L)),
+                ValueError,
+                id="normal_velocities",
+            ),
+            pytest.param(  # the same two resonators as shape blocks
+                lambda shapes: config.parse_config_text(
+                    "shape.1.center = -3 1\nshape.1.a0 = 0.5\nshape.1.cos = 0.1\nshape.1.sin = 0\n"
+                    "shape.2.center = 3 1\nshape.2.a0 = 0.5\n"
+                ),
+                config.ConfigError,
+                id="parse_config_text",
+            ),
+        ],
+    )
+    def test_mixed_fourier_order_rejected(self, entry, error):
         mixed = (
             geo.ShapeParams((-3.0, 1.0), 0.5, (0.1,), (0.0,)),
             geo.ShapeParams((3.0, 1.0), 0.5),
         )
-        with pytest.raises(ValueError, match="Fourier order"):
-            opt.OptState.fresh(mixed)
+        with pytest.raises(error, match="^all shapes must share one Fourier order$"):
+            entry(mixed)
