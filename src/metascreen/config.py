@@ -144,7 +144,6 @@ _SECTIONS = {
             "eps": _float,
             "a0_min": ("a0_bounds", _float, 0),
             "a0_max": ("a0_bounds", _float, 1),
-            "geometry_margin": _float,
             "freeze_centers": _bool,
             "plateau_iters": _int,
             "snapshot_every": _int,
@@ -280,7 +279,7 @@ def _parse_shapes(pairs, layout, shape_keys, L, errors):
         raise ConfigError("give either explicit shape.* blocks or a geometry preset, not both")
     if explicit:
         indices = set()
-        for key in shape_keys:
+        for key in sorted(shape_keys):  # the first malformed key in a fixed order
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in _SECTIONS["shape"]:
                 raise ConfigError(f"unknown key: {key}")

@@ -43,7 +43,7 @@ __all__ = [
     "total_field",
 ]
 
-_RESIDUAL_TOL = 1e-9
+_RESIDUAL_TOL = 1e-9  # largest relative residual of the scattering solve
 # A sweep certifies its rational fit when the fit is within SWEEP_TOL of a
 # validation solve and of both half fits at every unsolved sample; absolute,
 # as |r| <= 1.
@@ -60,7 +60,6 @@ class ScatteringSolution:
     phi: np.ndarray  # interior density
     phi_ext: np.ndarray  # exterior density
     r: complex
-    residual: float
 
 
 def check_band(materials: MaterialParams, omega_min: float, omega_max: float, L: float) -> None:
@@ -93,7 +92,12 @@ def solve_scattering(
     materials: MaterialParams,
     context: layerpot.AssemblyContext | None = None,
 ) -> ScatteringSolution:
-    """Assemble and solve the coupled transmission system at one frequency."""
+    """Assemble and solve the coupled transmission system at one frequency.
+
+    The solve is layerpot.solve_density at a relative residual tolerance of
+    _RESIDUAL_TOL, so a singular system, a non-finite solution or a residual
+    above it raises SingularOperatorError.
+    """
     check_band(materials, omega, omega, grid.L)
     km = omega / materials.v_m
     kb = omega / materials.v_b
@@ -116,25 +120,10 @@ def solve_scattering(
     u, dudn = incident_trace(grid, omega, materials)
     b = np.concatenate([u, delta * dudn])
 
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise layerpot.SingularOperatorError(f"scattering solve failed: {exc}") from None
-    residual = float(np.abs(A @ x - b).max() / np.abs(b).max())
-    if not np.isfinite(residual) or residual > _RESIDUAL_TOL:
-        raise layerpot.SingularOperatorError(
-            f"scattering residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}",
-            cond=np.linalg.cond(A),
-        )
+    x = layerpot.solve_density(A, b, tol=_RESIDUAL_TOL)
     phi, phi_ext = x[:n], x[n:]
-    sol = ScatteringSolution(
-        omega=omega,
-        phi=phi,
-        phi_ext=phi_ext,
-        r=_reflection_from_density(grid, omega, materials, phi_ext),
-        residual=residual,
-    )
-    return sol
+    r = _reflection_from_density(grid, omega, materials, phi_ext)
+    return ScatteringSolution(omega=omega, phi=phi, phi_ext=phi_ext, r=r)
 
 
 def _reflection_from_density(grid, omega, materials, phi_ext):

@@ -227,8 +227,10 @@ def discretize(shapes, n_pts: int, L: float) -> BoundaryGrid:
 
 
 def fourier_order(shapes) -> int:
-    """The one Fourier order M shared by all shapes of a design."""
+    """The one Fourier order M shared by all shapes of a design, which has at least one shape."""
     orders = {p.order for p in shapes}
+    if not orders:
+        raise ValueError("a design must have at least one resonator")
     if len(orders) != 1:
         raise ValueError("all shapes must share one Fourier order")
     return orders.pop()
@@ -290,18 +292,18 @@ def params_to_shapes(params, order: int) -> tuple[ShapeParams, ...]:
     )
 
 
-def validate_geometry(shapes, L: float, margin: float | None = None):
+def validate_geometry(shapes, L: float):
     """Check wall clearance, radius positivity, cell containment and overlaps.
 
     Returns a list of human-readable violations (empty when the configuration
     is valid).  Overlap checks include the lattice-shifted copies at
     x_lateral +- L; a bounding-circle prefilter skips far-apart pairs.  Each
-    boundary is sampled at N_CHECK points.  The minimum admissible gap is a
-    configurable safety margin (default 1e-3 * L).
+    boundary is sampled at N_CHECK points.  Two boundaries must stay at least
+    1e-3 * L apart: the one gap rule of the parser, discretize and every
+    design the optimizer starts from or steps to.
     """
     shapes = tuple(shapes)
-    if margin is None:
-        margin = 1e-3 * L
+    margin = 1e-3 * L
     violations = []
     t = np.linspace(0.0, 2.0 * np.pi, N_CHECK, endpoint=False)
     cos_t, sin_t = np.cos(t), np.sin(t)

@@ -71,7 +71,7 @@ __all__ = [
 
 _INV_4PI = 1.0 / (4.0 * np.pi)
 _HALF_ULP = 2.0**-54  # a term below this times a component of a sum leaves it unchanged
-# largest relative residual solve_density accepts
+# largest relative residual solve_density accepts by default
 RESIDUAL_TOL = 1e-10
 _CHUNK_PAIRS = 16384  # most node pairs per row chunk of the triangle tables: its scratch stays in cache
 
@@ -422,13 +422,15 @@ def _finite(mat):
     return mat
 
 
-def solve_density(a: np.ndarray, rhs):
+def solve_density(a: np.ndarray, rhs, tol: float = RESIDUAL_TOL):
     """Direct dense solve a @ x = rhs with a residual guarantee.
 
-    ``rhs`` may carry multiple right-hand sides as columns; they share the
-    one pivoted LU factorization of np.linalg.solve (LAPACK gesv).  Raises
-    SingularOperatorError when the infinity-norm residual of any column,
-    relative to that column's own max|rhs|, exceeds RESIDUAL_TOL.
+    The one residual-checked dense solve of the package, shared by the
+    capacitance and the full-order solves.  ``rhs`` may carry multiple
+    right-hand sides as columns; they share the one pivoted LU factorization
+    of np.linalg.solve (LAPACK gesv).  Raises SingularOperatorError when the
+    solution is not finite, or when the infinity-norm residual of any column,
+    relative to that column's own max|rhs|, exceeds tol.
     """
     rhs = np.asarray(rhs)
     try:
@@ -441,11 +443,8 @@ def solve_density(a: np.ndarray, rhs):
     resid = np.abs(a @ x - rhs).max(axis=0)
     scale = np.maximum(np.abs(rhs).max(axis=0), np.finfo(float).tiny)
     worst = np.max(resid / scale)
-    if not np.isfinite(worst) or worst > RESIDUAL_TOL:
-        cond = np.linalg.cond(a)
-        raise SingularOperatorError(
-            f"solve residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}", cond=cond
-        )
+    if not np.isfinite(worst) or worst > tol:
+        raise SingularOperatorError(f"solve residual {worst:.3e} exceeds {tol:.1e}", cond=np.linalg.cond(a))
     return x
 
 

@@ -59,7 +59,6 @@ class OptConfig:
     a0_bounds: tuple[float, float] = (0.1, 1.0)
     coeff_bounds: tuple[float, float] = (-1.0, 1.0)
     freeze_centers: bool = False
-    geometry_margin: float | None = None
     n_pts: int = 64
     seed: int = 0
     plateau_iters: int = 0  # 0 disables the plateau stop
@@ -69,7 +68,6 @@ class OptConfig:
         # every failing field in one error, each message led by its field name;
         # each range is written so that NaN fails it
         (a0_lo, a0_hi), (c_lo, c_hi) = self.a0_bounds, self.coeff_bounds
-        margin = self.geometry_margin
         checks = (
             (self.objective in ("ref", "res"), "objective must be 'ref' or 'res'"),
             (0.0 <= self.band[0] < self.band[1], "band must satisfy 0 <= omega_min < omega_max"),
@@ -82,7 +80,6 @@ class OptConfig:
             (self.eps > 0.0, "eps must be positive"),
             (0.0 < a0_lo < a0_hi, "a0_bounds: a0 bounds must satisfy 0 < lower < upper"),
             (c_lo <= c_hi, "coeff_bounds must satisfy lower <= upper"),
-            (margin is None or margin >= 0.0, "geometry_margin must be nonnegative"),
             (self.n_pts >= 16 and self.n_pts % 2 == 0, "n_pts must be even and >= 16"),
             (self.plateau_iters >= 0, "plateau_iters must be nonnegative"),
             (self.snapshot_every >= 0, "snapshot_every must be nonnegative"),
@@ -179,9 +176,7 @@ def step_uniform_adam(state: OptState, grad, cfg: OptConfig, L: float):
     step = cfg.lr
     for _ in range(11):
         trial = np.clip(state.params - step * direction, lo, hi)
-        violations = geometry.validate_geometry(
-            geometry.params_to_shapes(trial, state.order), L, margin=cfg.geometry_margin
-        )
+        violations = geometry.validate_geometry(geometry.params_to_shapes(trial, state.order), L)
         if not violations:
             new = replace(
                 state,
@@ -241,7 +236,7 @@ def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> O
         f"outside the design box [{lo[i]:g}, {hi[i]:g}]"
         for i in np.flatnonzero((state.params < lo) | (state.params > hi))
     ]
-    violations += geometry.validate_geometry(shapes, L, margin=config.geometry_margin)
+    violations += geometry.validate_geometry(shapes, L)
     if violations:
         raise geometry.GeometryError(violations)
     rng = None  # the jitter generator, made on the first retry: most runs never import numpy.random

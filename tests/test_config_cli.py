@@ -6,6 +6,7 @@ import pytest
 
 from metascreen import cli
 from metascreen.config import ConfigError, parse_config_text
+from metascreen.geometry import load_shape_params, validate_geometry
 from metascreen.optimizer import OptConfig
 from metascreen.rom import MaterialParams
 
@@ -38,8 +39,14 @@ class TestParseConfig:
         assert validate_geometry(cfg.shapes, cfg.L) == []
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown keys"):
-            parse_config_text("solver.npts = 64")
+        # a misspelt key, a gap margin (the gap rule is fixed) and an unknown key of a shape block
+        for text, message in (
+            ("solver.npts = 64", r"^unknown keys: solver\.npts$"),
+            ("optimizer.geometry_margin = -0.1", r"^unknown keys: optimizer\.geometry_margin$"),
+            ("shape.1.center = 0 1\nshape.1.a0 = 0.5\nshape.1.color = red", r"^unknown key: shape\.1\.color$"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                parse_config_text(text)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -114,7 +121,6 @@ class TestParseConfig:
             ("optimizer.eps = 0", "optimizer.eps"),
             ("optimizer.a0_min = 0.5\noptimizer.a0_max = 0.4", "a0 bounds"),
             ("optimizer.coeff_bound = -1", "optimizer.coeff_bound"),
-            ("optimizer.geometry_margin = -0.1", "optimizer.geometry_margin"),
             ("optimizer.snapshot_every = -1", "optimizer.snapshot_every"),
             ("greens.y = 3 -1", "wall"),
             ("greens.x = 3 1", "distinct"),
@@ -129,6 +135,19 @@ class TestParseConfig:
             ("band.omega_min = 0.2\nband.omega_max = 0.1", r"^band\.omega_m"),
             ("optimizer.a0_min = 0.5\noptimizer.a0_max = 0.4", r"^optimizer\.a0_m"),
             ("optimizer.coeff_bound = -1", r"^optimizer\.coeff_bound\b"),
+            # malformed and out-of-range input refused by the parser itself
+            ("= 3", r"^line 1: empty key or value"),
+            ("materials.v_b = 1 2 3", r"^materials\.v_b: expected 're' or 're im'$"),
+            ("shape.1.center = 0\nshape.1.a0 = 0.5", r"^shape\.1\.center: expected 2 number\(s\), got 1$"),
+            ("shape.1.center = 0 x\nshape.1.a0 = 0.5", r"^shape\.1\.center: expected numbers"),
+            ("optimizer.freeze_centers = maybe", r"^optimizer\.freeze_centers: expected a boolean"),
+            ("lattice.L = 0", r"^lattice\.L must be positive$"),
+            ("band.samples = 1", r"^band\.samples must be at least 2$"),
+            ("solver.greens_tol = 1e-3", r"^solver\.greens_tol must be in"),
+            ("shape.x.a0 = 0.5\nshape.x.center = 0 1", r"^shape\.x\.a0: shape index must be an integer$"),
+            ("shape.2.center = 0 1\nshape.2.a0 = 0.5", r"^shape indices must be contiguous starting at 1$"),
+            ("geometry.layout = 3by3", r"^geometry\.layout: expected 'CxR'"),
+            ("geometry.layout = 0x1", r"^geometry\.layout counts must be positive$"),
         ],
     )
     def test_out_of_range_rejected(self, text, message):
@@ -300,6 +319,27 @@ class TestCli:
 
         assert band_absorptance("spectrum_best.csv") >= band_absorptance("spectrum_initial.csv")
 
+    def test_optimize_snapshots(self, tmp_path):
+        text = (
+            "geometry.layout = 2x1\ngeometry.spacing = 4\nsolver.n_pts = 32\nband.samples = 8\n"
+            "optimizer.max_iters = 4\noptimizer.snapshot_every = 2\noptimizer.freeze_centers = yes\n"
+        )
+        assert run_cli(tmp_path, text, "optimize") == 0
+        out = tmp_path / "out"
+        cfg = parse_config_text(text)
+        meta = (out / "history.csv").read_text().splitlines()[0]
+        iters = ("00000", "00002", "00004")
+        names = [f"geometry_iter{it}{ext}" for it in iters for ext in (".csv", ".params.csv")]
+        assert sorted(p.name for p in out.glob("geometry_iter*")) == sorted(names)
+        for name in names:
+            assert (out / name).read_text().splitlines()[0] == meta
+        assert load_shape_params(out / "geometry_iter00000.params.csv") == cfg.shapes
+        for it in iters:
+            shapes = load_shape_params(out / f"geometry_iter{it}.params.csv")
+            assert validate_geometry(shapes, cfg.L) == []
+            # freeze_centers = yes holds the centers
+            assert [p.center for p in shapes] == [p.center for p in cfg.shapes]
+
     def test_optimize_spectra_follow_band_samples(self, tmp_path):
         text = "solver.n_pts = 32\noptimizer.max_iters = 0\nband.samples = 50\n"
         assert run_cli(tmp_path, text, "spectrum", "--model", "rom") == 0
@@ -339,6 +379,7 @@ class TestCli:
             ("greens.x = 3 1\n", "greens-test"),
             ("greens.omega = -0.05\n", "greens-test"),
             ("geometry.radius = -0.5\n", "capmat"),
+            ("optimizer.geometry_margin = 0\n", "optimize"),  # the gap rule is not a knob
         ],
     )
     def test_config_mistakes_exit_config(self, tmp_path, capsys, extra, command):

@@ -95,7 +95,6 @@ class TestOptConfig:
             ({"eps": 0.0}, "eps"),
             ({"a0_bounds": (0.5, 0.4)}, "a0_bounds"),
             ({"coeff_bounds": (1.0, -1.0)}, "coeff_bounds"),
-            ({"geometry_margin": -0.1}, "geometry_margin"),
             ({"n_pts": 15}, "n_pts"),
             ({"plateau_iters": -1}, "plateau_iters"),
             ({"snapshot_every": -1}, "snapshot_every"),
@@ -343,10 +342,10 @@ class TestRun:
                 return getattr(geo, name)
 
             @staticmethod
-            def validate_geometry(shapes, L_, margin=None):
+            def validate_geometry(shapes, L_):
                 if tuple(shapes) != tuple(one_circle):  # a trial step moves the design
                     return ["synthetic violation"]
-                return geo.validate_geometry(shapes, L_, margin=margin)
+                return geo.validate_geometry(shapes, L_)
 
         def history(skip_steps, plateau_iters=0):
             evaluations.clear()
@@ -437,3 +436,9 @@ class TestRun:
         )
         with pytest.raises(error, match="^all shapes must share one Fourier order$"):
             entry(mixed)
+
+    @pytest.mark.parametrize("entry", [geo.fourier_order, geo.shapes_to_params, opt.OptState.fresh])
+    def test_empty_design_rejected(self, entry):
+        # the empty design is refused under its own rule, not the shared-order one
+        with pytest.raises(ValueError, match="^a design must have at least one resonator$"):
+            entry(())

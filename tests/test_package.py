@@ -92,6 +92,43 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def _is_dense_solve(node):
+    """np.linalg.solve or np.linalg.cond, however numpy's linalg is named."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("solve", "cond")
+        and ast.unparse(node.value) in ("np.linalg", "numpy.linalg", "linalg")
+    )
+
+
+def test_one_owner_of_the_numerical_guards():
+    # one residual-checked dense solve and one gap rule: np.linalg.solve and
+    # np.linalg.cond appear only in layerpot.solve_density, and no function
+    # takes a margin of its own next to validate_geometry's
+    owned, stray, margins = 0, [], []
+    for name in MODULES:
+        tree = ast.parse((pathlib.Path(metascreen.__file__).parent / f"{name}.py").read_text())
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        owner = {
+            id(sub)
+            for func in functions
+            if (name, func.name) == ("layerpot", "solve_density")
+            for sub in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if _is_dense_solve(node) or (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"):
+                if id(node) in owner:
+                    owned += 1
+                else:
+                    stray.append(f"{name}.py:{node.lineno}")
+        for func in functions:
+            args = func.args
+            if "margin" in {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}:
+                margins.append(f"{name}.{func.name}")
+    assert owned >= 2 and stray == []
+    assert margins == []
+
+
 def test_readme_documents_every_config_key():
     # the README's configuration section names every key the parser accepts, and no other
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
