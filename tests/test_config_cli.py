@@ -122,6 +122,8 @@ class TestParseConfig:
             ("optimizer.a0_min = 0.5\noptimizer.a0_max = 0.4", "a0 bounds"),
             ("optimizer.coeff_bound = -1", "optimizer.coeff_bound"),
             ("optimizer.snapshot_every = -1", "optimizer.snapshot_every"),
+            # the gap rule is fixed: a margin key is refused, and the error names it
+            ("optimizer.geometry_margin = -0.1", "optimizer.geometry_margin"),
             ("greens.y = 3 -1", "wall"),
             ("greens.x = 3 1", "distinct"),
             ("greens.x = 23 1", "distinct"),  # the periodic image of greens.y
