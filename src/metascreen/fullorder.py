@@ -16,10 +16,10 @@ propagating mode follows from the exterior density by one quadrature.
 meromorphic (its poles are the complex resonances), so a rational fit of a few
 direct solves reproduces it at the other samples.  The sweep fits AAA
 (Nakatsukasa, Sete, Trefethen, SIAM J. Sci. Comput. 40, 2018) to the solved
-samples, solves next where that fit and the fits on the interleaved halves of
-the solved samples disagree most, and stops when that validation solve and
-every half-fit disagreement are within SWEEP_TOL; otherwise it solves every
-sample.
+samples, solves next where that fit and the _FOLDS fold fits disagree most
+(fold j leaves out every _FOLDS-th solved sample, in omega order, from the
+j-th on), and stops when that validation solve and every fold-fit
+disagreement are within SWEEP_TOL; otherwise it solves every sample.
 """
 
 from __future__ import annotations
@@ -45,10 +45,11 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-9  # largest relative residual of the scattering solve
 # A sweep certifies its rational fit when the fit is within SWEEP_TOL of a
-# validation solve and of both half fits at every unsolved sample; absolute,
+# validation solve and of every fold fit at every unsolved sample; absolute,
 # as |r| <= 1.
 SWEEP_TOL = 3e-11
 _SWEEP_START = 8  # direct solves before the first fit, spread like Chebyshev points
+_FOLDS = 5  # fold fits per step; each leaves out every _FOLDS-th solved sample
 _AAA_TOL = 1e-13  # AAA adds support points until its residual on the samples is this small
 
 
@@ -141,7 +142,7 @@ class Sweep:
     ``r[solved]`` are direct solve_scattering values; the other entries come
     from the certified rational fit.  The certificate is ``check``, the
     fit's error at the last (validation) solve, and ``spread``, the largest
-    gap between the fit and its half fits at the samples the fit gives; both
+    gap between the fit and its fold fits at the samples the fit gives; both
     are at most SWEEP_TOL, and None when every frequency was solved, for the
     ``reason`` given.
     """
@@ -159,7 +160,7 @@ class Sweep:
         if self.check is not None:
             return (
                 f"{head}, rational fit certified to {SWEEP_TOL:.0e} "
-                f"(validation solve {self.check:.1e}, half fits within {self.spread:.1e})"
+                f"(validation solve {self.check:.1e}, fold fits within {self.spread:.1e})"
             )
         return f"{head}: {self.reason}"
 
@@ -196,10 +197,11 @@ def sweep(
     """Reflection at every omega from direct solves and a certified rational fit.
 
     Solves _SWEEP_START samples spread like Chebyshev points, then repeats:
-    fit AAA to the solved samples and to each interleaved half of them (in
-    omega order), solve the unsolved sample where a half fit strays furthest
+    fit AAA to the solved samples and to each of _FOLDS folds of them (fold
+    j is the solved samples in omega order without every _FOLDS-th one from
+    the j-th on), solve the unsolved sample where a fold fit strays furthest
     from the full fit, and stop when the full fit is within SWEEP_TOL of that
-    solve and of both half fits at every unsolved sample.
+    solve and of every fold fit at every unsolved sample.
     The full fit then gives r at the unsolved samples.  A fit that never
     certifies ends with every sample solved.  Only r is kept per solve.
     """
@@ -228,8 +230,8 @@ def sweep(
     while True:
         s, u = order[solved[order]], np.flatnonzero(~solved)
         pred = _aaa(x[s], r[s], x[u])
-        half_a, half_b = (_aaa(x[h], r[h], x[u]) for h in (s[0::2], s[1::2]))
-        gap = np.maximum(np.abs(half_a - pred), np.abs(half_b - pred))
+        folds = (np.delete(s, np.s_[j::_FOLDS]) for j in range(_FOLDS))
+        gap = np.max([np.abs(_aaa(x[f], r[f], x[u]) - pred) for f in folds], axis=0)
         k = int(np.argmax(gap))
         solve(u[k])
         if len(u) == 1:

@@ -246,7 +246,7 @@ class TestCli:
         assert len(lines) == 2 + 48 + 1
 
     def test_spectrum_exact_reports_solves(self, tmp_path, capsys):
-        # one stdout line: 48 samples certify the rational fit, 24 do not and are all solved
+        # one stdout line: 48 samples certify the rational fit, 16 do not and are all solved
         def exact_lines(samples):
             text = BASE.replace("band.samples = 24", f"band.samples = {samples}")
             assert run_cli(tmp_path, text, "spectrum", "--model", "exact") == 0
@@ -255,12 +255,12 @@ class TestCli:
         [line] = exact_lines(48)
         match = re.fullmatch(
             r"exact: (\d+) of 48 frequencies solved, rational fit certified to 3e-11 "
-            r"\(validation solve \S+, half fits within \S+\)",
+            r"\(validation solve \S+, fold fits within \S+\)",
             line,
         )
         assert match and int(match.group(1)) < 48, line
-        assert exact_lines(24) == [
-            "exact: 24 of 24 frequencies solved: the rational fit did not certify to 3e-11"
+        assert exact_lines(16) == [
+            "exact: 16 of 16 frequencies solved: the rational fit did not certify to 3e-11"
         ]
 
     def test_spectrum_deterministic_bytes(self, tmp_path):
