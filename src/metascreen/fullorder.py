@@ -1,14 +1,19 @@
 """Full-order boundary-integral solver for the periodic scattering problem.
 
 This is the validation oracle for the reduced-order model.  At normal
-incidence the total field is represented by single-layer potentials with
-interior wavenumber k_b = omega / v_b and exterior wavenumber k_m = omega /
-v_m; imposing the transmission conditions yields the 2x2 block system
+incidence the total field is represented by single-layer potentials.
+Inside resonator j it is the free-space single layer at the interior
+wavenumber k_b = omega / v_b on the boundary of resonator j alone
+(layerpot.free_space_kernel): a bounded resonator needs no lattice and no
+wall.  Outside, it is the periodic sound-soft single layer at the exterior
+wavenumber k_m = omega / v_m on every boundary.  Imposing the transmission
+conditions yields the 2x2 block system
 
-    [ S^{k_b}            -S^{k_m}          ] [phi    ]   [u_tilde          ]
-    [ (-I/2 + K*^{k_b})  -delta (I/2 + K*^{k_m}) ] [phi_ext] = [delta du_tilde/dnu],
+    [ S_0^{k_b}            -S^{k_m}                ] [phi    ]   [u_tilde          ]
+    [ (-I/2 + K*_0^{k_b})  -delta (I/2 + K*^{k_m}) ] [phi_ext] = [delta du_tilde/dnu],
 
-where u_tilde = -2i sin(omega tau_m x_d) already folds the bare-wall
+where S_0 and K*_0 are block diagonal (AssemblyContext.interior_helmholtz)
+and u_tilde = -2i sin(omega tau_m x_d) already folds the bare-wall
 reflection into the incident trace.  The reflection coefficient of the single
 propagating mode follows from the exterior density by one quadrature.
 
@@ -104,9 +109,7 @@ def solve_scattering(
     kb = omega / materials.v_b
 
     ctx = context if context is not None else layerpot.AssemblyContext(grid)
-    # both operators of one wavenumber in a row: the context holds one kernel bundle
-    S_b = ctx.single_layer_helmholtz(kb)
-    K_b = ctx.adjoint_double_layer_helmholtz(kb)
+    S_b, K_b = ctx.interior_helmholtz(kb)
     S_m = ctx.single_layer_helmholtz(km)
     K_m = ctx.adjoint_double_layer_helmholtz(km)
 
@@ -214,15 +217,17 @@ def sweep(
         r[i] = solve_scattering(grid, omegas[i], materials, context=context).r
         solved[i] = True
 
-    if n <= _SWEEP_START or np.unique(omegas).size < n:
+    # sorts and differences rather than np.unique, whose first call imports numpy.ma
+    order = np.argsort(omegas, kind="stable")
+    if n <= _SWEEP_START or np.any(np.diff(omegas[order]) == 0):
         for i in range(n):
             solve(i)
         if n <= _SWEEP_START:
             return Sweep(r=r, solved=solved, reason=f"too few to fit (at most {_SWEEP_START})")
         return Sweep(r=r, solved=solved, reason="repeated frequencies")
-    order = np.argsort(omegas, kind="stable")
     cheb = np.cos(np.pi * np.arange(_SWEEP_START) / (_SWEEP_START - 1))
-    for i in np.unique(np.rint((n - 1) * (1 - cheb) / 2).astype(int)):
+    start = np.sort(np.rint((n - 1) * (1 - cheb) / 2).astype(int))
+    for i in start[np.diff(start, prepend=-1) > 0]:
         solve(order[i])
     lo, hi = omegas[order[0]], omegas[order[-1]]
     x = (2 * omegas - lo - hi) / (hi - lo)
@@ -262,17 +267,21 @@ def total_field(
     x,
     materials: MaterialParams,
 ) -> complex:
-    """Total field at one off-boundary point (inside or outside the resonators)."""
+    """Total field at one off-boundary point (inside or outside the resonators).
+
+    Inside resonator j it is the free-space single layer of phi on the
+    boundary of j alone; outside, the periodic single layer of phi_ext plus
+    u_tilde.
+    """
     x = np.asarray(x, dtype=float)
     if np.min(np.hypot(*(grid.nodes - x).T)) < 1e-9:
         raise ValueError("evaluation point lies on a resonator boundary")
     omega = sol.omega
     kb = omega / materials.v_b
     km = omega / materials.v_m
-    if _inside_which(grid, x) is not None:
-        return complex(
-            layerpot.evaluate_single_layer(grid, sol.phi, x[None, :], k=kb)
-        )
+    j = _inside_which(grid, x)
+    if j is not None:
+        return complex(layerpot.evaluate_interior_single_layer(grid, j, sol.phi, x[None, :], kb))
     u_t = -2j * np.sin(omega * materials.tau_m * x[1])
     return complex(
         layerpot.evaluate_single_layer(grid, sol.phi_ext, x[None, :], k=km) + u_t

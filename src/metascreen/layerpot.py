@@ -1,4 +1,4 @@
-"""Dense Nystrom discretization of the periodic sound-soft layer operators.
+"""Dense Nystrom discretization of the layer operators: periodic sound-soft and free-space interior.
 
 Self-interaction blocks use the Kussmaul-Martensen log-split: the kernel is
 written as A(t,s) ln(4 sin^2((t-s)/2)) + B(t,s) with analytic A, B, and the
@@ -6,6 +6,14 @@ log factor is integrated with the spectrally accurate Kress weights.  Blocks
 coupling different resonators (and the wall-image contributions) are smooth
 and use the plain trapezoid rule with the shared weights
 (2 pi / n_pts) |x'(t_k)|.
+
+The interior field of each resonator needs no lattice and no wall: it is
+the free-space single layer (free_space_kernel, G = -(i/4) H_0^(1)(k r) with
+the package's sign) on that resonator's own boundary.  interior_helmholtz
+assembles its S and K*, block diagonal, on the same Nystrom split: the
+kernel and the log factors come from one Bessel series pass
+(_bessel_j0_j1c, which also sums the harmonic-weighted parts of the Y_0 and
+Y_1 series) on the block triangles of r, and read the cached r and z . nu.
 
 Laplace and Helmholtz share one S body and one K* body, each fed by a
 kernel source that yields the kernel one row chunk of the pair triangle at a
@@ -56,6 +64,7 @@ needs little more memory than its result.
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 
@@ -67,10 +76,13 @@ __all__ = [
     "SingularOperatorError",
     "solve_density",
     "evaluate_single_layer",
+    "evaluate_interior_single_layer",
+    "free_space_kernel",
 ]
 
 _INV_4PI = 1.0 / (4.0 * np.pi)
 _HALF_ULP = 2.0**-54  # a term below this times a component of a sum leaves it unchanged
+_MIN_TERMS = 15  # fewest terms of the Bessel series: below 1e-21 left out for |w| <= 2.5
 # largest relative residual solve_density accepts by default
 RESIDUAL_TOL = 1e-10
 _CHUNK_PAIRS = 16384  # most node pairs per row chunk of the triangle tables: its scratch stays in cache
@@ -119,13 +131,35 @@ def _negligible(t, acc, real, buf):
     return bool(np.less_equal(np.abs(t, out=mag), scale, out=flag).all())
 
 
-def _bessel_j0_j1c(w):
-    """J_0(w) and J_1(w)/w by their power series in z = -w^2/4; for |w| <= 2.5.
+def _series_terms(zmax):
+    """Most terms the series of _bessel_j0_j1c sum for arguments with |z| <= zmax.
 
-    A series stops once its next term is negligible in each component of its
-    sum.  Every later term is smaller still (|z| < 4), so the values are bit
-    for bit those of the full 15-term series.  Terms and sums are updated in
-    place.
+    At least _MIN_TERMS, and more until the bound zmax^m / (m!)^2 of the
+    first term left out is at most 2^-54, below the rounding of the sums
+    (their leading terms are 1 and 1/2).  check_band and cell containment
+    admit |k r| < 0.95 * 2 pi (|z| < 8.91), which takes at most 19 terms.
+    """
+    m, bound = 0, 1.0
+    while m <= _MIN_TERMS or bound > _HALF_ULP:
+        m += 1
+        bound *= zmax / (m * m)
+        if not np.isfinite(bound):  # a non-finite argument gives non-finite sums at any count
+            return _MIN_TERMS
+    return m - 1
+
+
+def _bessel_j0_j1c(w, harmonic=False):
+    """J_0(w) and J_1(w)/w by their power series in z = -w^2/4.
+
+    With ``harmonic`` also h0 = sum_{m>=1} H_m z^m / (m!)^2 and h1 =
+    sum_{m>=0} (H_m + H_{m+1}) z^m / (2 m! (m+1)!), H_m the harmonic
+    numbers: the sums of the Y_0 and Y_1 series (free_space_kernel), from
+    the same terms in the same pass.  The series take at most
+    _series_terms(max |z|) terms.  They stop once the next term of each is
+    negligible in each component of its sum; every later term is smaller
+    still (|z| < 9 for every admissible argument), so the values are bit
+    for bit those of the series summed to the cap.  Terms and sums are
+    updated in place.
     """
     w = np.asarray(w)
     z = np.asarray(w * w)  # an array also for a scalar w, so it can be updated in place
@@ -134,17 +168,62 @@ def _bessel_j0_j1c(w):
     real = np.isrealobj(z) or np.all(z.imag == 0.0)  # then every term is real
     t0, j0 = np.ones_like(z), np.ones_like(z)
     t1, j1c = np.full_like(z, 0.5), np.full_like(z, 0.5)
+    series = [(t0, j0), (t1, j1c)]
+    if harmonic:
+        ht0, h0 = np.empty_like(z), np.zeros_like(z)
+        ht1, h1 = np.empty_like(z), np.full_like(z, 0.5)  # (H_0 + H_1) / 2 for m = 0
+        series += [(ht0, h0), (ht1, h1)]
     buf = (np.empty(z.shape), np.empty(z.shape), np.empty(z.shape, dtype=bool))
-    for m in range(1, 16):
+    h_next = Fraction(1)  # H_{m+1} at the top of step m
+    for m in range(1, _series_terms(float(np.abs(z).max(initial=0.0))) + 1):
         t0 *= z
         t0 /= m * m
         t1 *= z
         t1 /= m * (m + 1)
-        if _negligible(t0, j0, real, buf) and _negligible(t1, j1c, real, buf):
+        if harmonic:
+            h_m, h_next = h_next, h_next + Fraction(1, m + 1)
+            np.multiply(t0, float(h_m), out=ht0)
+            np.multiply(t1, float(h_m + h_next), out=ht1)
+        if all(_negligible(t, acc, real, buf) for t, acc in series):
             break
-        j0 += t0
-        j1c += t1
-    return j0, j1c
+        for t, acc in series:
+            acc += t
+    return (j0, j1c, h0, h1) if harmonic else (j0, j1c)
+
+
+def _log_half_k(k):
+    """ln(k / 2) + gamma, the constant of the free-space kernel's logarithm."""
+    return np.log(complex(k) / 2.0) + np.euler_gamma
+
+
+def free_space_kernel(k, r, series=None):
+    """The free-space kernel G(r) = -(i/4) H_0^(1)(k r) and G'(r) / r, at distances r > 0.
+
+    The sign is the package's: G ~ ln(r) / (2 pi) as r -> 0, like the
+    Laplace kernel.  From the series of k r (_bessel_j0_j1c with
+    ``harmonic``; pass ``series`` where it is already formed), with
+    l = ln(k r / 2) + gamma (Euler's constant),
+
+        G       = (l J_0 - h0) / (2 pi) - (i/4) J_0,
+        G'(r)/r = 1 / (2 pi r^2) + k^2 ((i/4 - l / (2 pi)) J_1/(kr) + h1 / (4 pi)),
+
+    so the gradient in x of G(|x - y|) is G'(r)/r (x - y).  Needs no lattice
+    and no table: the interior field of a resonator is the single layer of
+    this kernel on its own boundary.
+    """
+    j0, j1c, h0, h1 = _bessel_j0_j1c(k * r, harmonic=True) if series is None else series
+    lnw = np.log(r) + _log_half_k(k)
+    val = lnw * j0
+    val -= h0
+    val *= 0.5 / np.pi
+    val -= 0.25j * j0
+    grad = lnw * (-0.5 / np.pi)
+    grad += 0.25j
+    grad *= j1c
+    grad += _INV_4PI * h1
+    grad *= k * k
+    grad += (0.5 / np.pi) / (r * r)
+    return val, grad
 
 
 def _minimum_image(zl, L):
@@ -309,19 +388,39 @@ class AssemblyContext:
             part: greens.gper_helmholtz(k, self.grid.L, helm[part], tol=self.tol, want_grad=True)
             for part in ("dir", "img")
         }
-        j0_tri, j1c_tri = _bessel_j0_j1c(k * helm["r"])
-        # scaled in place, scalar first: the complex loops round x * s and s * x differently
-        np.multiply(_INV_4PI, j0_tri, out=j0_tri)
-        np.multiply(-(k * k * _INV_4PI), j1c_tri, out=j1c_tri)
-        upper = _triangle(self.grid.n_pts)[0]
-        j0, j1c = (np.empty(helm["zdotnu"].shape, dtype=t.dtype) for t in (j0_tri, j1c_tri))
-        for full, tri in ((j0, j0_tri), (j1c, j1c_tri)):
-            full.swapaxes(1, 2)[:, upper] = tri
-            full[:, upper] = tri
-        j1c *= helm["zdotnu"]
-        out["log"] = (j0, j1c)
+        out["log"] = _log_factors(k, _bessel_j0_j1c(k * helm["r"]), helm["zdotnu"])
         self._bundle = (key, out)
         return out
+
+    def interior_helmholtz(self, k: complex):
+        """S and K* of the free-space kernel at k, each resonator on its own boundary alone.
+
+        Both are n x n and block diagonal: the interior field of resonator j
+        is the single layer of free_space_kernel on its boundary, so no
+        lattice, wall image or kernel bundle enters.  One series pass on the
+        block triangles of r (helmholtz_cache) gives the kernel and the log
+        factors of both operators, the same J_0 and J_1 factors as the
+        periodic ones.  The smooth remainders on the diagonal are
+        (ln(speed) + ln(k/2) + gamma) / (2 pi) - i/4 for S and
+        curvature / (4 pi) for K*.
+        """
+        grid = self.grid
+        helm = self.helmholtz_cache()
+        r, zdotnu = helm["r"], helm["zdotnu"]
+        series = _bessel_j0_j1c(k * r, harmonic=True)
+        with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 on the block diagonals
+            val, grad = free_space_kernel(k, r, series)
+        on_diag = _triangle(grid.n_pts)[1]
+        val[:, on_diag] = grad[:, on_diag] = 0.0  # replaced by the smooth remainders
+        val, grad = _unfold(val, grid.n_pts), _unfold(grad, grid.n_pts)
+        grad *= zdotnu
+        log_s, log_k = _log_factors(k, series, zdotnu)
+        diag_s = (np.log(grid.speed) + _log_half_k(k)) * (0.5 / np.pi) - 0.25j
+        diag_k = grid.curvature * _INV_4PI
+        return (
+            self._block_diagonal(val, diag_s, log_s),
+            self._block_diagonal(grad, diag_k, log_k),
+        )
 
     # -- the Nystrom body ----------------------------------------------------
 
@@ -338,12 +437,31 @@ class AssemblyContext:
         np.fill_diagonal(ker, diag)
         for j in range(grid.n_res):
             b = grid.block(j)
-            block_val = ker[b, b] - log_a[j] * self.lnsin
-            np.fill_diagonal(block_val, diag[b])
+            block = self._log_split(ker[b, b], diag[b], log_a[j])
             for rest in (ker[b, : b.start], ker[b, b.stop :]):
                 np.multiply(self.w_t, rest, out=rest)
-            ker[b, b] = self.kress * log_a[j] + self.w_t * block_val
+            ker[b, b] = block
         return _finite(np.multiply(ker, grid.speed[None, :], out=ker))
+
+    def _log_split(self, block, diag, log_a):
+        """One diagonal block of kernel values integrated with the Kussmaul-Martensen split.
+
+        The Kress weights integrate log_a ln(4 sin^2((t-s)/2)), the trapezoid
+        rule the rest, whose diagonal is diag; the column speeds are not
+        applied.
+        """
+        smooth = block - log_a * self.lnsin
+        np.fill_diagonal(smooth, diag)
+        return self.kress * log_a + self.w_t * smooth
+
+    def _block_diagonal(self, ker, diag, log_a):
+        """Operator matrix of a kernel that vanishes between resonators, from its (n_res, n_pts, n_pts) blocks ker."""
+        grid = self.grid
+        out = np.zeros((grid.n_total, grid.n_total), dtype=complex)
+        for j in range(grid.n_res):
+            b = grid.block(j)
+            out[b, b] = self._log_split(ker[j], diag[b], log_a[j]) * grid.speed[None, b]
+        return _finite(out)
 
     def _single_layer(self, source, log_a):
         """S from a kernel source (_laplace_chunks, _bundle_chunks) of the values and the log factors log_a.
@@ -416,6 +534,31 @@ class AssemblyContext:
         return self._adjoint_double_layer(self._bundle_chunks(bundle, grad=True), bundle["log"][1])
 
 
+def _unfold(tri, n_pts):
+    """(n_res, n_pts, n_pts) blocks from their triangles (i <= j, _triangle order), mirrored."""
+    upper = _triangle(n_pts)[0]
+    full = np.empty((tri.shape[0], n_pts, n_pts), dtype=tri.dtype)
+    full.swapaxes(1, 2)[:, upper] = tri
+    full[:, upper] = tri
+    return full
+
+
+def _log_factors(k, series, zdotnu):
+    """Log factors of S and K* on each diagonal block at k, from the series of k r on the block triangles.
+
+    J_0(kr) / (4 pi) and -(k^2 / (4 pi)) (J_1(kr) / (kr)) (z . nu), the
+    series' J_0 and J_1/w scaled in place and mirrored.
+    """
+    j0, j1c = series[:2]
+    # scaled in place, scalar first: the complex loops round x * s and s * x differently
+    np.multiply(_INV_4PI, j0, out=j0)
+    np.multiply(-(k * k * _INV_4PI), j1c, out=j1c)
+    n_pts = zdotnu.shape[-1]
+    log_s, log_k = _unfold(j0, n_pts), _unfold(j1c, n_pts)
+    log_k *= zdotnu
+    return log_s, log_k
+
+
 def _finite(mat):
     if not np.all(np.isfinite(mat)):
         raise ValueError("operator matrix contains non-finite entries")
@@ -459,4 +602,13 @@ def evaluate_single_layer(grid, density, targets, k=None):
     else:
         g = greens.helmholtz_gs(x, y, greens.WaveParams(k=k), cfg)
     out = g @ (np.asarray(density) * grid.weights)
+    return out if out.size > 1 else out[0]
+
+
+def evaluate_interior_single_layer(grid, j, density, targets, k):
+    """Evaluate the free-space single layer at k of density on resonator j's boundary, at points inside it."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    b = grid.block(j)
+    r = np.hypot(*np.moveaxis(targets[:, None, :] - grid.nodes[None, b, :], -1, 0))
+    out = free_space_kernel(k, r)[0] @ (np.asarray(density)[b] * grid.weights[b])
     return out if out.size > 1 else out[0]

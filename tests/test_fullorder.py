@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import PRESET_NINE, PRESET_SINGLE, PRESET_THREE
 from metascreen import capacitance as cap, fullorder as fo, geometry as geo, layerpot as lp, rom
 
 L = 20.0
@@ -119,6 +123,32 @@ class TestSolveScattering:
         assert abs(rs[0] - rs[1]) < 1e-7
 
 
+class TestInteriorFormulation:
+    # the interior field as the periodic sound-soft single layer at k_b over
+    # every boundary is the formulation the free-space one replaced: both
+    # represent the same field, so r agrees to the discretization
+    @pytest.mark.parametrize(
+        "shapes, n_pts",
+        [(PRESET_SINGLE, 128), (PRESET_THREE, 64), (PRESET_NINE, 48)],
+        ids=["single", "three", "nine"],
+    )
+    def test_matches_periodic_interior(self, shapes, n_pts):
+        grid = geo.discretize(shapes, n_pts, L)
+        ctx = lp.AssemblyContext(grid)
+        n = grid.n_total
+        for om in (0.0776, 0.1):
+            kb, km = om / MATS.v_b, om / MATS.v_m
+            A = np.empty((2 * n, 2 * n), dtype=complex)
+            A[:n, :n] = ctx.single_layer_helmholtz(kb)
+            A[n:, :n] = -0.5 * np.eye(n) + ctx.adjoint_double_layer_helmholtz(kb)
+            A[:n, n:] = -ctx.single_layer_helmholtz(km)
+            A[n:, n:] = -MATS.delta * (0.5 * np.eye(n) + ctx.adjoint_double_layer_helmholtz(km))
+            u, dudn = fo.incident_trace(grid, om, MATS)
+            phi_ext = lp.solve_density(A, np.concatenate([u, MATS.delta * dudn]))[n:]
+            r_periodic = fo._reflection_from_density(grid, om, MATS, phi_ext)
+            assert abs(fo.solve_scattering(grid, om, MATS, context=ctx).r - r_periodic) < 1e-10
+
+
 class TestInvariance:
     # the physics fixes r under a common lateral shift of every resonator and
     # under relabelling them; both reorder the assembled pair sums
@@ -215,8 +245,9 @@ class TestTotalField:
             return lp.evaluate_single_layer(fine, ext_f, x, k=km) + ut
 
         def inner(delta):
+            # the interior field: the free-space kernel on the resonator's own boundary
             x = grid.nodes[pick] - delta * grid.normals[pick]
-            return lp.evaluate_single_layer(fine, phi_f, x, k=kb)
+            return lp.evaluate_interior_single_layer(fine, 0, phi_f, x, kb)
 
         # normal derivatives jump across the interface, so each side is
         # extrapolated to the boundary (3-point Richardson) before comparing
@@ -297,6 +328,25 @@ class TestSweep:
         assert out.solved.all() and out.check is None
         assert np.array_equal(out.r, direct)
         assert out.describe() == f"{len(omegas)} of {len(omegas)} frequencies solved: {reason}"
+
+    def test_sweep_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma on its first call, about 17 ms of every
+        # spectrum process; the sweep finds its repeats and start samples by
+        # sorting instead
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("solver.n_pts = 32\nband.samples = 48\n")
+        probe = (
+            "import sys; from metascreen import cli; "
+            f"code = cli.main(['--config', {str(cfg_file)!r}, '--output-dir', {str(tmp_path)!r}, "
+            "'spectrum', '--model', 'exact']); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fo.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        assert "rational fit certified" in out.stdout
+        assert out.stdout.split()[-2:] == ["0", "False"]
 
     def test_noise_falls_back_to_every_sample(self, circle_setup, monkeypatch):
         grid, ctx = circle_setup

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,79 @@ class TestBesselSeries:
         for scale in (1.0, 0.1, 0.013):
             for got, ref in zip(lp._bessel_j0_j1c(scale * w), bessel_series_15(scale * w)):
                 assert np.array_equal(got, ref)
+
+
+    @pytest.mark.parametrize("w", [2.5, 4.0, 5.9, 5.9 * (1 + 0.05j)])
+    def test_matches_scipy_to_the_largest_admissible_argument(self, w):
+        # check_band and cell containment admit |k r| < 0.95 * 2 pi; the
+        # term cap covers it, at the rounding bound of test_matches_scipy
+        from scipy import special
+
+        j0, j1c = lp._bessel_j0_j1c(np.array([w]))
+        a = abs(w)
+        assert abs(j0[0] - special.jv(0, w)) <= 1e-15 * special.i0(a)
+        assert abs(j1c[0] - special.jv(1, w) / w) <= 1e-15 * 2.0 * special.i1(a) / a
+
+    def test_term_cap(self):
+        # the first term left out is below 2^-54 at the cap, never fewer than 15 terms
+        zmax = (0.95 * 2 * np.pi) ** 2 / 4
+        assert lp._series_terms(zmax) == 19
+        assert lp._series_terms(2.5**2 / 4) == lp._series_terms(0.0) == 15
+        assert zmax**20 / math.factorial(20) ** 2 <= 2.0**-54 < zmax**19 / math.factorial(19) ** 2
+
+
+class TestFreeSpaceKernel:
+    @pytest.mark.parametrize("k", [0.1, KB, 0.95 * 2 * np.pi / L], ids=["real", "complex", "top"])
+    def test_against_hankel(self, k):
+        # G = -(i/4) H_0(k r) and its normal derivative (i k / 4) H_1(k r) (z . nu) / r,
+        # from r = 1e-4 to a resonator diameter
+        from scipy import special
+
+        rng = np.random.default_rng(3)
+        r = np.geomspace(1e-4, 1.0, 200)
+        angle = 2 * np.pi * rng.random((2, r.size))
+        z = r * np.array([np.cos(angle[0]), np.sin(angle[0])])
+        nu = np.array([np.cos(angle[1]), np.sin(angle[1])])
+        val, grad = lp.free_space_kernel(k, r)
+        dn = grad * (z * nu).sum(axis=0)
+        ref = -0.25j * special.hankel1(0, k * r)
+        ref_dn = 0.25j * k * special.hankel1(1, k * r) * (z * nu).sum(axis=0) / r
+        assert np.all(np.abs(val - ref) <= 2e-15 * np.abs(ref))
+        assert np.all(np.abs(dn - ref_dn) <= 2e-15 * np.abs(0.25 * k * special.hankel1(1, k * r)))
+
+
+class TestInteriorOperators:
+    def test_circle_eigenvalues(self, circle_grid, circle_ctx):
+        # on a circle of radius a, e^{imt} is an eigenfunction of both:
+        # S -> -(i pi a / 2) J_m H_m and K* -> -(i pi k a / 4) (J_m' H_m + J_m H_m'),
+        # at k_b at the top of the band
+        from scipy import special
+
+        a, k = 0.5, KB
+        S, K = circle_ctx.interior_helmholtz(k)
+        for m in (0, 1, 3):
+            v = np.exp(1j * m * circle_grid.t)
+            jm, hm = special.jv(m, k * a), special.hankel1(m, k * a)
+            lam_s = -(1j * np.pi * a / 2) * jm * hm
+            lam_k = -(1j * np.pi * k * a / 4) * (special.jvp(m, k * a) * hm + jm * special.h1vp(m, k * a))
+            assert np.abs(S @ v - lam_s * v).max() < 1e-14
+            assert np.abs(K @ v - lam_k * v).max() < 1e-14
+
+    def test_block_diagonal_without_kernel_bundle(self, two_res_shapes, monkeypatch):
+        # each resonator sees its own boundary only, and no periodic bundle is formed at k
+        grid = geo.discretize(two_res_shapes, 32, L)
+        ctx = lp.AssemblyContext(grid)
+        ctx.helmholtz_cache()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("periodic kernel evaluated for the interior operators")
+
+        monkeypatch.setattr(greens, "modal_residual", forbidden)
+        b0, b1 = grid.block(0), grid.block(1)
+        for op in ctx.interior_helmholtz(KB):
+            assert not op[b0, b1].any() and not op[b1, b0].any()
+            assert op[b0, b0].any() and op[b1, b1].any()
+        assert ctx._bundle is None
 
 
 class TestSingleLayerLaplace:
