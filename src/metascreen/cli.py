@@ -55,13 +55,16 @@ def _pipeline(cfg: RunConfig):
     """Set-up shared by capmat, resonances and spectrum: grid, the Helmholtz cache, C.
 
     The Helmholtz cache (the Kummer and closed-form Laplace pair tables, see
-    AssemblyContext.helmholtz_cache) is built here, so a later frequency sweep
-    only does k-dependent work.  The Laplace S of the capacitance pipeline does
-    not read it, nor do optimize and check-grad (optimizer.evaluate).
+    AssemblyContext.helmholtz_cache) and the block geometry of the log
+    factors (AssemblyContext.block_geometry) are built here, so a later
+    frequency sweep only does k-dependent work.  The Laplace S of the
+    capacitance pipeline reads neither, nor do optimize and check-grad
+    (optimizer.evaluate).
     """
     grid = geometry.discretize(cfg.shapes, cfg.n_pts, cfg.L)
     ctx = layerpot.AssemblyContext(grid, tol=cfg.greens_tol)
     ctx.helmholtz_cache()
+    ctx.block_geometry()
     data = capacitance.capacitance_pipeline(grid, context=ctx)
     return grid, ctx, data
 

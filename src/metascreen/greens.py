@@ -59,6 +59,7 @@ one code path.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -82,8 +83,19 @@ _N_LI = 2 * KUMMER_ORDER + 1
 
 _LN4_4PI = math.log(4.0) / (4.0 * math.pi)
 _LN2 = math.log(2.0)
-# H_0 .. H_(_N_LI - 1), each the double nearest the exact value
-_HARMONIC = [float(sum(Fraction(1, i) for i in range(1, n + 1))) for n in range(_N_LI)]
+
+
+@functools.lru_cache(maxsize=8)
+def harmonic_numbers(n: int) -> tuple[float, ...]:
+    """H_0 .. H_(n - 1), each the double nearest the exact value; kept per n."""
+    exact, out = Fraction(0), [0.0]
+    for m in range(1, n):
+        exact += Fraction(1, m)
+        out.append(float(exact))
+    return tuple(out[:n])
+
+
+_HARMONIC = harmonic_numbers(_N_LI)
 
 
 def _series_terms(ratio):

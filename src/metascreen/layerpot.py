@@ -13,7 +13,9 @@ the package's sign) on that resonator's own boundary.  interior_helmholtz
 assembles its S and K*, block diagonal, on the same Nystrom split: the
 kernel and the log factors come from one Bessel series pass
 (_bessel_j0_j1c, which also sums the harmonic-weighted parts of the Y_0 and
-Y_1 series) on the block triangles of r, and read the cached r and z . nu.
+Y_1 series) on the block triangles of r, and read r and z . nu of
+block_geometry, built from the true (not minimum-image) distances of each
+resonator's own nodes.
 
 Laplace and Helmholtz share one S body and one K* body, each fed by a
 kernel source that yields the kernel one row chunk of the pair triangle at a
@@ -36,7 +38,8 @@ into the n x n matrix, so the separations and the kernel never exist for the
 whole triangle.  The Helmholtz half caches every wavenumber-independent pair
 quantity, so frequency sweeps only pay for the k-dependent arithmetic:
 greens.kummer_tables of the direct and image separations, which it forms
-once and drops, and r and z . nu on each diagonal block.  kummer_tables is
+once and drops (helmholtz_cache), and r and z . nu on each diagonal block
+(block_geometry, which the interior operators read alone).  kummer_tables is
 the one builder of the tables greens.gper_helmholtz reads, the closed-form
 Laplace part among them, and the point kernels call it too.  The cache is
 built on the first Helmholtz operator or helmholtz_cache() call, so
@@ -64,7 +67,6 @@ needs little more memory than its result.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 import numpy as np
 
@@ -136,8 +138,11 @@ def _series_terms(zmax):
 
     At least _MIN_TERMS, and more until the bound zmax^m / (m!)^2 of the
     first term left out is at most 2^-54, below the rounding of the sums
-    (their leading terms are 1 and 1/2).  check_band and cell containment
-    admit |k r| < 0.95 * 2 pi (|z| < 8.91), which takes at most 19 terms.
+    (their leading terms are 1 and 1/2; the harmonic sums carry a further
+    H_m < 4, below the rounding of the kernel they enter).  check_band
+    admits |k| < 0.95 * 2 pi / L, so on a resonator of diameter below L,
+    every circle the cell holds, |k r| < 0.95 * 2 pi (|z| < 8.91), which
+    takes at most 19 terms; a larger argument takes more.
     """
     m, bound = 0, 1.0
     while m <= _MIN_TERMS or bound > _HALF_ULP:
@@ -157,9 +162,11 @@ def _bessel_j0_j1c(w, harmonic=False):
     the same terms in the same pass.  The series take at most
     _series_terms(max |z|) terms.  They stop once the next term of each is
     negligible in each component of its sum; every later term is smaller
-    still (|z| < 9 for every admissible argument), so the values are bit
-    for bit those of the series summed to the cap.  Terms and sums are
-    updated in place.
+    still (a term that small comes after the largest one for |z| < 300), so
+    the values are bit for bit those of the series summed to the cap.  The
+    harmonic numbers come from greens.harmonic_numbers, their one builder.
+    Rounding scales with the term moduli, I_0(|w|) for J_0: 62 at |w| = 5.9.
+    Terms and sums are updated in place.
     """
     w = np.asarray(w)
     z = np.asarray(w * w)  # an array also for a scalar w, so it can be updated in place
@@ -174,16 +181,16 @@ def _bessel_j0_j1c(w, harmonic=False):
         ht1, h1 = np.empty_like(z), np.full_like(z, 0.5)  # (H_0 + H_1) / 2 for m = 0
         series += [(ht0, h0), (ht1, h1)]
     buf = (np.empty(z.shape), np.empty(z.shape), np.empty(z.shape, dtype=bool))
-    h_next = Fraction(1)  # H_{m+1} at the top of step m
-    for m in range(1, _series_terms(float(np.abs(z).max(initial=0.0))) + 1):
+    terms = _series_terms(float(np.abs(z).max(initial=0.0)))
+    h = greens.harmonic_numbers(terms + 2) if harmonic else None
+    for m in range(1, terms + 1):
         t0 *= z
         t0 /= m * m
         t1 *= z
         t1 /= m * (m + 1)
         if harmonic:
-            h_m, h_next = h_next, h_next + Fraction(1, m + 1)
-            np.multiply(t0, float(h_m), out=ht0)
-            np.multiply(t1, float(h_m + h_next), out=ht1)
+            np.multiply(t0, h[m], out=ht0)
+            np.multiply(t1, h[m] + h[m + 1], out=ht1)
         if all(_negligible(t, acc, real, buf) for t, acc in series):
             break
         for t, acc in series:
@@ -279,8 +286,8 @@ class AssemblyContext:
     pair-sized array: the Laplace operators compute their closed-form kernel
     chunk by chunk from the nodes (_laplace_chunks).  The Helmholtz cache
     holds greens.kummer_tables of the direct and image pairs, every table
-    gper_helmholtz reads, and on each diagonal block r (its triangle) and
-    z . nu, which the log factors read.
+    gper_helmholtz reads; block_geometry holds r (its triangle) and z . nu
+    on each diagonal block, which the log factors read.
     """
 
     def __init__(self, grid: BoundaryGrid, tol: float = 1e-12):
@@ -300,6 +307,7 @@ class AssemblyContext:
         self.kress = kress_log_weights(grid.n_pts)
         self.w_t = 2.0 * np.pi / grid.n_pts
         self._helm: dict | None = None
+        self._blocks: tuple | None = None  # block_geometry
         self._bundle: tuple | None = None  # (k, kernel bundle) of the last wavenumber
 
     def _separation_chunks(self):
@@ -338,32 +346,42 @@ class AssemblyContext:
     # -- kernel value/gradient tables ----------------------------------------
 
     def helmholtz_cache(self) -> dict:
-        """Wavenumber-independent pieces only the Helmholtz operators read.
+        """Wavenumber-independent tables only the periodic Helmholtz operators read.
 
         Built on the first call and kept: greens.kummer_tables of the direct
         ("dir") and image ("img") separations, which are formed here once and
         dropped, with the direct closed-form Laplace tables zeroed on the
-        diagonal; and on each diagonal block the distance r of its node pairs
-        (i <= j, the block triangle) and z . nu (all pairs), which the log
-        factors read.
+        diagonal.
         """
         if self._helm is None:
-            grid = self.grid
             zl, dd, di = (np.empty(self._n_pairs) for _ in range(3))
             for _, _, pairs, *seps in self._separation_chunks():
                 for table, sep in zip((zl, dd, di), seps):
                     table[pairs] = sep
-            helm = {part: greens.kummer_tables(zl, zd, grid.L) for part, zd in (("dir", dd), ("img", di))}
+            helm = {part: greens.kummer_tables(zl, zd, self.grid.L) for part, zd in (("dir", dd), ("img", di))}
             for table in helm["dir"]["laplace"]:
                 table[self._diag] = 0.0
-            xb = grid.nodes.reshape(grid.n_res, grid.n_pts, 2)
-            zl_b = _minimum_image(xb[:, :, None, 0] - xb[:, None, :, 0], grid.L)
-            dd_b = xb[:, :, None, 1] - xb[:, None, :, 1]
-            nrm = grid.normals.reshape(grid.n_res, grid.n_pts, 1, 2)
-            helm["r"] = np.hypot(zl_b, dd_b)[:, _triangle(grid.n_pts)[0]]
-            helm["zdotnu"] = zl_b * nrm[..., 0] + dd_b * nrm[..., 1]
             self._helm = helm
         return self._helm
+
+    def block_geometry(self):
+        """(r, z . nu) of the node pairs on each diagonal block, which the log factors read.
+
+        Built on the first call and kept.  r is the distance of the pairs
+        i <= j of each block (its triangle), z . nu = (x_i - x_j) . nu_j of
+        all its pairs.  The lateral differences are not reduced to their
+        minimum image: a resonator is one curve, so the free-space kernel and
+        the coefficient of the logarithm read its true distances, also for a
+        resonator wider than L / 2.
+        """
+        if self._blocks is None:
+            grid = self.grid
+            xb = grid.nodes.reshape(grid.n_res, grid.n_pts, 2)
+            zl = xb[:, :, None, 0] - xb[:, None, :, 0]
+            zd = xb[:, :, None, 1] - xb[:, None, :, 1]
+            nrm = grid.normals.reshape(grid.n_res, grid.n_pts, 1, 2)
+            self._blocks = (np.hypot(zl, zd)[:, _triangle(grid.n_pts)[0]], zl * nrm[..., 0] + zd * nrm[..., 1])
+        return self._blocks
 
     def _kernel_bundle(self, k: complex):
         """Kernel bundle of G_per^k: "dir" and "img" tables and "log" factors.
@@ -388,7 +406,8 @@ class AssemblyContext:
             part: greens.gper_helmholtz(k, self.grid.L, helm[part], tol=self.tol, want_grad=True)
             for part in ("dir", "img")
         }
-        out["log"] = _log_factors(k, _bessel_j0_j1c(k * helm["r"]), helm["zdotnu"])
+        r, zdotnu = self.block_geometry()
+        out["log"] = _log_factors(k, _bessel_j0_j1c(k * r), zdotnu)
         self._bundle = (key, out)
         return out
 
@@ -397,16 +416,15 @@ class AssemblyContext:
 
         Both are n x n and block diagonal: the interior field of resonator j
         is the single layer of free_space_kernel on its boundary, so no
-        lattice, wall image or kernel bundle enters.  One series pass on the
-        block triangles of r (helmholtz_cache) gives the kernel and the log
-        factors of both operators, the same J_0 and J_1 factors as the
-        periodic ones.  The smooth remainders on the diagonal are
+        lattice, wall image, kernel bundle or Kummer table enters.  One
+        series pass on the block triangles of r (block_geometry) gives the
+        kernel and the log factors of both operators, the same J_0 and J_1
+        factors as the periodic ones.  The smooth remainders on the diagonal are
         (ln(speed) + ln(k/2) + gamma) / (2 pi) - i/4 for S and
         curvature / (4 pi) for K*.
         """
         grid = self.grid
-        helm = self.helmholtz_cache()
-        r, zdotnu = helm["r"], helm["zdotnu"]
+        r, zdotnu = self.block_geometry()
         series = _bessel_j0_j1c(k * r, harmonic=True)
         with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 on the block diagonals
             val, grad = free_space_kernel(k, r, series)

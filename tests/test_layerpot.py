@@ -99,8 +99,8 @@ class TestBesselSeries:
 
     @pytest.mark.parametrize("w", [2.5, 4.0, 5.9, 5.9 * (1 + 0.05j)])
     def test_matches_scipy_to_the_largest_admissible_argument(self, w):
-        # check_band and cell containment admit |k r| < 0.95 * 2 pi; the
-        # term cap covers it, at the rounding bound of test_matches_scipy
+        # check_band admits |k r| < 0.95 * 2 pi on every circle the cell
+        # holds; the term cap covers it, at the rounding bound of test_matches_scipy
         from scipy import special
 
         j0, j1c = lp._bessel_j0_j1c(np.array([w]))
@@ -117,14 +117,20 @@ class TestBesselSeries:
 
 
 class TestFreeSpaceKernel:
-    @pytest.mark.parametrize("k", [0.1, KB, 0.95 * 2 * np.pi / L], ids=["real", "complex", "top"])
+    @pytest.mark.parametrize(
+        "k",
+        [0.1, KB, 0.95 * 2 * np.pi / L, 5.9 / L, 5.9 * (1 + 0.05j) / L],
+        ids=["real", "complex", "top", "top-5.9", "top-5.9-complex"],
+    )
     def test_against_hankel(self, k):
         # G = -(i/4) H_0(k r) and its normal derivative (i k / 4) H_1(k r) (z . nu) / r,
-        # from r = 1e-4 to a resonator diameter
+        # from r = 1e-4 to L, the widest circle the cell holds: at the top of
+        # the band |k r| reaches 5.97, the largest argument check_band admits
+        # on it.  Rounding in the series scales with their term moduli, I_0(|k r|)
         from scipy import special
 
         rng = np.random.default_rng(3)
-        r = np.geomspace(1e-4, 1.0, 200)
+        r = np.geomspace(1e-4, L, 200)
         angle = 2 * np.pi * rng.random((2, r.size))
         z = r * np.array([np.cos(angle[0]), np.sin(angle[0])])
         nu = np.array([np.cos(angle[1]), np.sin(angle[1])])
@@ -132,8 +138,9 @@ class TestFreeSpaceKernel:
         dn = grad * (z * nu).sum(axis=0)
         ref = -0.25j * special.hankel1(0, k * r)
         ref_dn = 0.25j * k * special.hankel1(1, k * r) * (z * nu).sum(axis=0) / r
-        assert np.all(np.abs(val - ref) <= 2e-15 * np.abs(ref))
-        assert np.all(np.abs(dn - ref_dn) <= 2e-15 * np.abs(0.25 * k * special.hankel1(1, k * r)))
+        scale = 2e-15 * special.i0(np.abs(k * r))
+        assert np.all(np.abs(val - ref) <= scale * np.abs(ref))
+        assert np.all(np.abs(dn - ref_dn) <= scale * np.abs(0.25 * k * special.hankel1(1, k * r)))
 
 
 class TestInteriorOperators:
@@ -157,17 +164,17 @@ class TestInteriorOperators:
         # each resonator sees its own boundary only, and no periodic bundle is formed at k
         grid = geo.discretize(two_res_shapes, 32, L)
         ctx = lp.AssemblyContext(grid)
-        ctx.helmholtz_cache()
 
         def forbidden(*args, **kwargs):
             raise AssertionError("periodic kernel evaluated for the interior operators")
 
         monkeypatch.setattr(greens, "modal_residual", forbidden)
+        monkeypatch.setattr(greens, "kummer_tables", forbidden)
         b0, b1 = grid.block(0), grid.block(1)
         for op in ctx.interior_helmholtz(KB):
             assert not op[b0, b1].any() and not op[b1, b0].any()
             assert op[b0, b0].any() and op[b1, b1].any()
-        assert ctx._bundle is None
+        assert ctx._bundle is None and ctx._helm is None
 
 
 class TestSingleLayerLaplace:
@@ -442,7 +449,7 @@ class TestReciprocity:
         n_res, n_pts = ctx.grid.n_res, ctx.grid.n_pts
         bundle = ctx._kernel_bundle(KB)
         helm = ctx.helmholtz_cache()
-        assert set(bundle) == {"dir", "img", "log"} and set(helm) == {"dir", "img", "r", "zdotnu"}
+        assert set(bundle) == {"dir", "img", "log"} and set(helm) == {"dir", "img"}
         for part in ("dir", "img"):
             laplace = helm[part]["laplace"]
             assert len(bundle[part]) == len(laplace) == 3
@@ -521,11 +528,11 @@ class TestChunkedTables:
     @pytest.mark.parametrize("k", [0.1, KB])
     def test_log_factors_match_full_blocks(self, grid, k):
         # the J_0 / J_1 series run on the block triangles and are mirrored;
-        # the reference runs them on every pair of each block
+        # the reference runs them on every pair of each block, at the true
+        # (not minimum-image) separations of the block's nodes
         ctx = lp.AssemblyContext(grid)
         xb = grid.nodes.reshape(grid.n_res, grid.n_pts, 2)
         zl = xb[:, :, None, 0] - xb[:, None, :, 0]
-        zl -= L * np.round(zl / L)
         zd = xb[:, :, None, 1] - xb[:, None, :, 1]
         nrm = grid.normals.reshape(grid.n_res, grid.n_pts, 1, 2)
         j0, j1c = lp._bessel_j0_j1c(k * np.hypot(zl, zd))
