@@ -164,55 +164,36 @@ def cmd_optimize(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_CHECK_QUANTITIES = {"J_ref": "ref", "J_res": "res"}  # quantity -> OptConfig.objective
+REL_ERR_FLOOR = 1e-6  # rel_err's |fd| floor, as a share of the quantity's largest |fd| (README)
 
 
 def cmd_check_grad(cfg: RunConfig) -> int:
     """The optimizer's parametric gradients (optimizer.evaluate) vs central differences."""
     opt = cfg.optimizer
     order = geometry.fourier_order(cfg.shapes)
-    targets = optimizer.design_targets(opt, len(cfg.shapes))
-    ana = {
-        q: optimizer.evaluate(cfg.shapes, replace(opt, objective=o), cfg.materials, cfg.L, targets)[1]
-        for q, o in _CHECK_QUANTITIES.items()
-    }
+    names = tuple(optimizer.OBJECTIVES)
+    jets = optimizer.evaluate(cfg.shapes, opt, cfg.materials, cfg.L, names)[0]
 
     def values(params):
-        grid = geometry.discretize(geometry.params_to_shapes(params, order), cfg.n_pts, cfg.L)
-        model = rom.build_rom(capacitance.capacitance_pipeline(grid), cfg.materials)
-        return {
-            "J_ref": optimizer.objective_ref(model, cfg.band, opt.n_quad),
-            "J_res": optimizer.objective_res(model, targets),
-        }
+        model = optimizer.design(geometry.params_to_shapes(params, order), opt, cfg.materials, cfg.L)[3]
+        return np.array([optimizer.OBJECTIVES[name][0](model, opt) for name in names])
 
     p0 = geometry.shapes_to_params(cfg.shapes)
+    steps = np.diag(1e-5 * np.maximum(np.abs(p0), 1.0))
+    fd = np.array([(values(p0 + s) - values(p0 - s)) / (2.0 * s[ip]) for ip, s in enumerate(steps)])
+    ana = np.array([jets[name][1] for name in names]).T
+    floor = np.maximum(REL_ERR_FLOOR * np.abs(fd).max(axis=0), 1e-12)
+    rel = np.abs(ana - fd) / np.maximum(np.abs(fd), floor)
+    table = np.stack([ana, fd, rel], axis=-1)  # (parameter, objective, column)
     npp = geometry.params_per_shape(order)
-    rows = []
-    worst = 0.0
-    for ip in range(len(p0)):
-        h = 1e-5 * max(abs(p0[ip]), 1.0)
-        pp, pm = p0.copy(), p0.copy()
-        pp[ip] += h
-        pm[ip] -= h
-        fp, fm = values(pp), values(pm)
-        for q in _CHECK_QUANTITIES:
-            fd = (fp[q] - fm[q]) / (2.0 * h)
-            an = float(ana[q][ip])
-            rel = abs(an - fd) / max(abs(fd), 1e-12)
-            worst = max(worst, rel)
-            rows.append(
-                [
-                    ip // npp + 1,
-                    geometry.param_name(order, ip % npp),
-                    q,
-                    fmt(an),
-                    fmt(fd),
-                    fmt(rel),
-                ]
-            )
+    rows = [
+        [ip // npp + 1, geometry.param_name(order, ip % npp), f"J_{name}", *map(fmt, table[ip, iq])]
+        for ip in range(len(p0))
+        for iq, name in enumerate(names)
+    ]
     path = _outdir(cfg) / "check_grad.csv"
     write_csv(path, ["resonator", "param", "quantity", "analytic", "fd", "rel_err"], rows, _meta(cfg))
-    print(f"wrote {path} (worst rel_err {worst:.2e})")
+    print(f"wrote {path} (worst rel_err {rel.max():.2e})")
     return EXIT_OK
 
 

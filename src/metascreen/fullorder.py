@@ -104,7 +104,7 @@ def solve_scattering(
     _RESIDUAL_TOL, so a singular system, a non-finite solution or a residual
     above it raises SingularOperatorError.
     """
-    check_band(materials, omega, omega, grid.L)
+    u, dudn = incident_trace(grid, omega, materials)  # checks omega before any set-up
     km = omega / materials.v_m
     kb = omega / materials.v_b
 
@@ -121,7 +121,6 @@ def solve_scattering(
     A[:n, n:] = -S_m
     A[n:, :n] = -0.5 * eye + K_b
     A[n:, n:] = -delta * (0.5 * eye + K_m)
-    u, dudn = incident_trace(grid, omega, materials)
     b = np.concatenate([u, delta * dudn])
 
     x = layerpot.solve_density(A, b, tol=_RESIDUAL_TOL)
@@ -271,9 +270,11 @@ def total_field(
 
     Inside resonator j it is the free-space single layer of phi on the
     boundary of j alone; outside, the periodic single layer of phi_ext plus
-    u_tilde.
+    u_tilde.  The field is L-periodic in x_l: x is first moved into the cell
+    [-L/2, L/2], which holds every resonator (validate_geometry).
     """
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
+    x[0] -= grid.L * np.round(x[0] / grid.L)
     if np.min(np.hypot(*(grid.nodes - x).T)) < 1e-9:
         raise ValueError("evaluation point lies on a resonator boundary")
     omega = sol.omega

@@ -1,7 +1,9 @@
 """Gradient-based broadband design loop over the Fourier shape parameters.
 
-Each iteration rebuilds the grid, recomputes the capacitance quantities and
-the Hadamard densities, chains them onto the design vector, and takes an
+OBJECTIVES is the one table of objectives: each name maps to the J of a
+RomModel and its shape-gradient density.  ``evaluate`` gives J and dJ/dp
+of any of them from one build of the design (``design``), K* and the
+Hadamard densities.  Each iteration evaluates cfg.objective and takes an
 adaptive-moment step.  The step normalizes the gradient per resonator block
 by its max-abs before the moment update ("uniform" scaling of the shape
 gradient density), applies the usual bias-corrected first/second moments, and
@@ -27,6 +29,7 @@ import numpy as np
 from . import capacitance, geometry, layerpot, rom, shapegrad
 
 __all__ = [
+    "OBJECTIVES",
     "OptConfig",
     "OptState",
     "objective_ref",
@@ -34,6 +37,7 @@ __all__ = [
     "uniform_targets",
     "design_targets",
     "step_uniform_adam",
+    "design",
     "evaluate",
     "run",
 ]
@@ -47,7 +51,7 @@ PLATEAU_TOL = 1e-10
 
 @dataclass(frozen=True)
 class OptConfig:
-    objective: str = "ref"  # "ref" or "res"
+    objective: str = "ref"  # a name in OBJECTIVES
     band: tuple[float, float] = (0.01, 0.1)
     m_targets: int | None = None  # res only; defaults to the mode count
     n_quad: int = 64  # ref only
@@ -69,7 +73,7 @@ class OptConfig:
         # each range is written so that NaN fails it
         (a0_lo, a0_hi), (c_lo, c_hi) = self.a0_bounds, self.coeff_bounds
         checks = (
-            (self.objective in ("ref", "res"), "objective must be 'ref' or 'res'"),
+            (self.objective in OBJECTIVES, f"objective must be one of {tuple(OBJECTIVES)}"),
             (0.0 <= self.band[0] < self.band[1], "band must satisfy 0 <= omega_min < omega_max"),
             (self.m_targets is None or self.m_targets >= 1, "m_targets must be at least 1"),
             (self.n_quad >= 1, "n_quad must be at least 1"),
@@ -138,6 +142,21 @@ def objective_res(model: rom.RomModel, targets) -> float:
     return float(np.mean(t1 * t1 + t2 * t2))
 
 
+# name -> (J of a RomModel, its density); looked up at call time, so module wrappers see the calls
+OBJECTIVES = {
+    "ref": (
+        lambda model, cfg: objective_ref(model, cfg.band, cfg.n_quad),
+        lambda model, grads, cfg: shapegrad.grad_objective_ref(model, grads, cfg.band, cfg.n_quad),
+    ),
+    "res": (
+        lambda model, cfg: objective_res(model, design_targets(cfg, model.n_modes)),
+        lambda model, grads, cfg: shapegrad.grad_objective_res(
+            model, grads, design_targets(cfg, model.n_modes)
+        ),
+    ),
+}
+
+
 def _bounds_mask(n_res: int, order: int, cfg: OptConfig, L: float):
     """Per-parameter (lower, upper) arrays for the box projection."""
     shape = (n_res, geometry.params_per_shape(order))
@@ -192,26 +211,28 @@ def step_uniform_adam(state: OptState, grad, cfg: OptConfig, L: float):
     return new, False
 
 
-def evaluate(shapes, cfg: OptConfig, materials, L, targets):
-    """Objective value and parametric gradient at one design, with its RomModel and grid.
-
-    targets are the J^res targets (design_targets); J^ref does not read them.
-    """
+def design(shapes, cfg: OptConfig, materials, L):
+    """The (grid, AssemblyContext, CapacitanceData, RomModel) chain of one design."""
     grid = geometry.discretize(shapes, cfg.n_pts, L)
     ctx = layerpot.AssemblyContext(grid)
     data = capacitance.capacitance_pipeline(grid, context=ctx)
-    model = rom.build_rom(data, materials)
-    kstar = ctx.adjoint_double_layer_laplace()
-    grads = shapegrad.gradient_densities(data, materials, kstar=kstar)
+    return grid, ctx, data, rom.build_rom(data, materials)
+
+
+def evaluate(shapes, cfg: OptConfig, materials, L, names=None):
+    """J and dJ/dp at one design for each objective in names (default cfg.objective alone).
+
+    Returns ({name: (J, dJ/dp)}, model, grid); the grid, K* and the
+    ShapeGradients are built once for all the names.
+    """
+    grid, ctx, data, model = design(shapes, cfg, materials, L)
+    grads = shapegrad.gradient_densities(data, materials, kstar=ctx.adjoint_double_layer_laplace())
     vel = shapegrad.normal_velocities(grid)
-    if cfg.objective == "ref":
-        value = objective_ref(model, cfg.band, cfg.n_quad)
-        density = shapegrad.grad_objective_ref(model, grads, cfg.band, cfg.n_quad)
-    else:
-        value = objective_res(model, targets)
-        density = shapegrad.grad_objective_res(model, grads, targets)
-    gradient = shapegrad.parametric_gradient(density, grid, vel)
-    return value, gradient, model, grid
+    jets = {}
+    for name in names or (cfg.objective,):
+        value, density = OBJECTIVES[name]
+        jets[name] = value(model, cfg), shapegrad.parametric_gradient(density(model, grads, cfg), grid, vel)
+    return jets, model, grid
 
 
 def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> OptState:
@@ -240,16 +261,13 @@ def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> O
     if violations:
         raise geometry.GeometryError(violations)
     rng = None  # the jitter generator, made on the first retry: most runs never import numpy.random
-    targets = design_targets(config, len(shapes))
 
     def evaluate_with_retry(st: OptState):
         nonlocal rng
         params = st.params
         for attempt in range(4):
             try:
-                return params, evaluate(
-                    geometry.params_to_shapes(params, st.order), config, materials, L, targets
-                )
+                return params, evaluate(geometry.params_to_shapes(params, st.order), config, materials, L)
             except shapegrad.DegenerateSpectrumError:
                 if attempt == 3:
                     raise
@@ -268,7 +286,8 @@ def run(config: OptConfig, shapes, materials: rom.MaterialParams, L: float) -> O
         t0 = time.perf_counter()
         if last is None or not np.array_equal(state.params, last[0]):
             last = evaluate_with_retry(state)  # a skipped step leaves the params, so reuse
-        params, (value, gradient, model, grid) = last
+        params, (jets, model, grid) = last
+        value, gradient = jets[config.objective]
         if not np.array_equal(params, state.params):
             state = replace(state, params=params)
         grad_inf = float(np.abs(gradient).max()) if gradient.size else 0.0

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from metascreen import cli
+from metascreen import capacitance, cli, layerpot, shapegrad
 from metascreen.config import ConfigError, parse_config_text
 from metascreen.geometry import load_shape_params, validate_geometry
 from metascreen.optimizer import OptConfig
@@ -362,6 +362,40 @@ class TestCli:
         assert rows[1] == ["resonator", "param", "quantity", "analytic", "fd", "rel_err"]
         rels = [float(r[5]) for r in rows[2:]]
         assert max(rels) <= 1e-4
+
+    def test_check_grad_default_no_false_alarm(self, tmp_path):
+        # the centred circle's center_x and b2 derivatives vanish by symmetry; their
+        # round-off is measured against the quantity's largest |fd| (cli.REL_ERR_FLOOR)
+        assert run_cli(tmp_path, "", "check-grad") == 0
+        rows = list(csv.reader((tmp_path / "out" / "check_grad.csv").open()))[2:]
+        assert min(abs(float(r[4])) for r in rows) < 1e-9
+        assert max(float(r[5]) for r in rows) <= 1e-4
+
+    def test_check_grad_builds_each_design_once(self, tmp_path, monkeypatch):
+        # one evaluation serves the analytic column of every objective; each
+        # finite-difference design is built once for every objective
+        counts = {}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(capacitance, "capacitance_pipeline")
+        counted(shapegrad, "gradient_densities")
+        counted(layerpot.AssemblyContext, "adjoint_double_layer_laplace")
+        text = "geometry.layout = 2x1\ngeometry.spacing = 4.5\ngeometry.fourier_order = 1\nsolver.n_pts = 32\n"
+        assert run_cli(tmp_path, text, "check-grad") == 0
+        n_params = 2 * 5  # two resonators of order 1: center, a0, a1, b1
+        assert counts == {
+            "gradient_densities": 1,
+            "adjoint_double_layer_laplace": 1,
+            "capacitance_pipeline": 2 * n_params + 1,
+        }
 
     def test_greens_test_converges(self, tmp_path):
         assert run_cli(tmp_path, BASE, "greens-test") == 0

@@ -110,6 +110,25 @@ class TestSolveScattering:
         with pytest.raises(lp.SingularOperatorError, match="dense solve produced non-finite values"):
             fo.solve_scattering(grid, 0.05, MATS, context=ctx)
 
+    def test_band_checked_once_before_set_up(self, circle_setup, monkeypatch):
+        grid, _ = circle_setup
+        checked = []
+        real = fo.check_band
+        monkeypatch.setattr(fo, "check_band", lambda *args: checked.append(args) or real(*args))
+
+        class NoOperators:
+            def __getattr__(self, name):
+                raise AssertionError(f"operator {name} built before the band check")
+
+        for omega, mats, match in ((0.05, rom.MaterialParams(theta_d=0.5), "oblique"), (-0.05, MATS, "positive")):
+            checked.clear()
+            with pytest.raises(ValueError, match=match):
+                fo.solve_scattering(grid, omega, mats, context=NoOperators())
+            assert len(checked) == 1
+        checked.clear()
+        fo.solve_scattering(grid, 0.05, MATS)
+        assert len(checked) == 1
+
     def test_multi_mode_rejected(self, circle_setup):
         grid, ctx = circle_setup
         with pytest.raises(ValueError):
@@ -232,6 +251,18 @@ class TestTotalField:
         grid, sol = solved
         with pytest.raises(ValueError, match="boundary"):
             fo.total_field(sol, grid, grid.nodes[3], MATS)
+
+    @pytest.mark.parametrize("x", [(0.1, 1.1), (-0.2, 0.8), (3.0, 2.0), (9.5, 0.4)])
+    def test_lattice_periodic(self, solved, x):
+        # the field at a lattice image of a point is the field at the point,
+        # inside a resonator (the first two) as outside it
+        grid, sol = solved
+        u = fo.total_field(sol, grid, x, MATS)
+        for shift in (-2 * L, -L, L, 2 * L):
+            assert abs(fo.total_field(sol, grid, (x[0] + shift, x[1]), MATS) - u) <= 1e-14
+        on_image = grid.nodes[3] + (L, 0.0)
+        with pytest.raises(ValueError, match="boundary"):
+            fo.total_field(sol, grid, on_image, MATS)
 
     def test_transmission_continuity(self, circle_half, solved):
         # the trace jump across the boundary vanishes (extrapolated to 0)

@@ -265,12 +265,12 @@ class TestRun:
         designs = []
         real = opt.evaluate
 
-        def flaky(shapes, cfg, materials, L_, targets):
+        def flaky(shapes, cfg, materials, L_):
             designs.append(geo.shapes_to_params(shapes).reshape(len(shapes), -1))
             if calls["n"] == 0:
                 calls["n"] += 1
                 raise sg.DegenerateSpectrumError("synthetic")
-            return real(shapes, cfg, materials, L_, targets)
+            return real(shapes, cfg, materials, L_)
 
         monkeypatch.setattr(opt, "evaluate", flaky)
         cfg = opt.OptConfig(objective="ref", max_iters=1, n_pts=32)

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import metascreen
-from metascreen import config
+from metascreen import cli, config, optimizer
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(metascreen.__path__))
 
@@ -146,3 +146,26 @@ def test_readme_documents_every_config_key():
     reference = config.parse_config_text("")
     for key, value in stated:
         assert config.parse_config_text(f"{key} = {value}") == reference, key
+
+
+def test_one_table_of_objectives(tmp_path, monkeypatch):
+    # the objectives OptConfig accepts and the J_<name> quantities check-grad
+    # writes are the rows of optimizer.OBJECTIVES: a row added there is both
+    for name in optimizer.OBJECTIVES:
+        optimizer.OptConfig(objective=name)
+    with pytest.raises(ValueError, match="objective"):
+        optimizer.OptConfig(objective="twice")
+    value, density = optimizer.OBJECTIVES["ref"]
+    twice = (lambda model, cfg: 2 * value(model, cfg), lambda model, grads, cfg: 2 * density(model, grads, cfg))
+    monkeypatch.setattr(optimizer, "OBJECTIVES", {**optimizer.OBJECTIVES, "twice": twice})
+    assert optimizer.OptConfig(objective="twice").objective == "twice"
+    cfg_file = tmp_path / "cfg.txt"
+    cfg_file.write_text("solver.n_pts = 32\noptimizer.objective = twice\n")
+    assert cli.main(["--config", str(cfg_file), "--output-dir", str(tmp_path), "check-grad"]) == 0
+    rows = (tmp_path / "check_grad.csv").read_text().splitlines()[2:]
+    by_quantity = {}
+    for row in rows:
+        by_quantity.setdefault(row.split(",")[2], []).append([float(v) for v in row.split(",")[3:5]])
+    assert sorted(by_quantity) == sorted(f"J_{name}" for name in optimizer.OBJECTIVES)
+    # analytic and fd columns of the added row are exactly twice those of J_ref
+    assert by_quantity["J_twice"] == [[2 * a, 2 * f] for a, f in by_quantity["J_ref"]]
